@@ -2,11 +2,20 @@
 
 Simulates the actual message-passing tree: leaves draw Bernoulli bits
 under the chosen hypothesis, interior nodes apply their fusion rule,
-and the root's mistakes are counted.  Randomness is counter-based: node
-j's stream is Philox keyed by (seed, j) and trial i reads position i of
-it, so results are bit-for-bit reproducible no matter how trials are
-chunked or parallelized, and a tie-break at one node never perturbs
-another node's draws.
+and the root's mistakes are counted.
+
+Randomness is counter-based: node j (leaves first, then each level in
+turn) has the Philox stream keyed by (seed, j), and trial i reads double
+i of it.  Results are therefore bit-for-bit reproducible however trials
+are chunked, and a tie-break at one node never perturbs another node's
+draws, so a node that has no tie in a chunk draws no coins at all.  One
+Philox serves every stream of a run: moving to another node or chunk
+only re-keys it and sets its counter.
+
+Trials run in chunks, laid out node-major: a level is a nodes x trials
+array, so each leaf fills one contiguous row of bits, and a level's
+counts sum m adjacent rows.  Counts use the narrowest unsigned type that
+holds m^k0, the largest count any level can carry.
 """
 
 from __future__ import annotations
@@ -130,38 +139,60 @@ class ComparisonReport:
     flagged: bool
 
 
-def _node_stream(seed: int, node_uid: int, start: int) -> np.random.Generator:
-    """Node node_uid's uniform stream positioned at trial index start.
+class _Streams:
+    """Every node's uniform stream, served by one re-keyed Philox.
 
-    Philox emits 4 doubles per counter block, so chunk starts are kept
-    at multiples of 4 and advance() skips whole blocks.
+    Philox is counter-based: the stream of node uid is fixed by its key
+    (seed, uid), and trial i reads double i of it, i.e. word i % 4 of
+    counter block i // 4.  Moving to another node or chunk start only
+    sets the key and the counter, which is far cheaper than building a
+    bit generator.  Chunk starts are multiples of 4, so a stream opens
+    on a block boundary with the buffer empty.
     """
-    bg = np.random.Philox(key=np.array([seed, node_uid], dtype=np.uint64))
-    if start:
-        bg.advance(start // 4)
-    return np.random.Generator(bg)
+
+    def __init__(self, seed: int):
+        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bg)
+        # the instance's own state dict: its bit_generator name must match
+        # the instance's class, which may be a subclass of Philox
+        self._state = self._bg.state
+        self._counter = self._state["state"]["counter"]
+        self._key = self._state["state"]["key"]
+
+    def fill(self, uid: int, start: int, out: np.ndarray) -> np.ndarray:
+        """Write node uid's doubles for trials start.. into out."""
+        self._counter[0] = start // 4
+        self._key[1] = uid
+        self._bg.state = self._state
+        return self._gen.random(out=out)
 
 
-def _decide(counts: np.ndarray, rule: FusionRule, tie_u: Optional[np.ndarray]) -> np.ndarray:
-    """Apply a binary rule to per-node one-counts, vectorized over trials."""
+def _decide(counts: np.ndarray, rule: FusionRule, streams: _Streams,
+            uid_base: int, start: int, u: np.ndarray) -> np.ndarray:
+    """Apply a binary rule to one-counts laid out nodes x trials.
+
+    Node j of the level draws its tie coins from stream uid_base + j,
+    and only when one of its trials is tied: streams are per node, so
+    skipping a node's coins leaves every other draw where it was.
+    """
     if isinstance(rule, MajorityOdd):
-        return (counts >= (rule.m + 1) // 2).astype(np.uint8)
+        return counts >= (rule.m + 1) // 2
     if isinstance(rule, MajorityEven):
         half = rule.m // 2
-        out = counts > half
         ties = counts == half
-        if np.any(ties):
-            out = out | (ties & (tie_u < rule.tie_prob))
-        return out.astype(np.uint8)
+        coins = np.zeros_like(ties)
+        for j in np.flatnonzero(ties.any(axis=1)):
+            np.less(streams.fill(uid_base + int(j), start, u), rule.tie_prob, out=coins[j])
+        return (counts > half) | (ties & coins)
     if isinstance(rule, AlternatingMajority):
         half = rule.m // 2
-        threshold = half if rule.phase is TiePhase.TIES_TO_ONE else half + 1
-        return (counts >= threshold).astype(np.uint8)
+        return counts >= (half if rule.phase is TiePhase.TIES_TO_ONE else half + 1)
     raise TypeError(f"no count decision for rule {rule!r}")
 
 
 def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
     spec = config.spec
+    m = spec.m
     n_leaves = spec.n_leaves
     required = config.trials * n_leaves
     if required > budget:
@@ -173,14 +204,13 @@ def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
 
     if config.hypothesis is Hypothesis.H0:
         p_one = config.leaf_pair.alpha.linear
-        error_value = 1
     else:
         p_one = -math.expm1(config.leaf_pair.beta.value)  # 1 - beta, stable
-        error_value = 0
 
     if chunk is None:
         chunk = max(1, 4_000_000 // n_leaves)
     chunk = max(4, (chunk + 3) // 4 * 4)  # keep chunk starts block-aligned
+    chunk = min(chunk, config.trials)  # a shorter run is a single chunk
 
     # precompute decision tables for likelihood-ratio levels: the rule at
     # a deciding level sees messages whose error pair is the reduced
@@ -201,36 +231,39 @@ def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
     width = n_leaves
     for _ in config.schedule:
         level_uid_base.append(level_uid_base[-1] + width)
-        width //= spec.m
+        width //= m
 
-    error_count = 0
+    # a count never exceeds m**k0, the fan-in of a deciding level
+    count_dtype = np.min_scalar_type(m**spec.k0)
+    streams = _Streams(config.seed)
+    leaf_bits = np.empty((n_leaves, chunk), dtype=bool)
+    u = np.empty(chunk)
+
+    ones = 0
     start = 0
     while start < config.trials:
         cs = min(chunk, config.trials - start)
-        values = np.empty((cs, n_leaves), dtype=np.int64)
+        uc = u[:cs]
+        values = leaf_bits[:, :cs]
         for j in range(n_leaves):
-            u = _node_stream(config.seed, j, start).random(cs)
-            values[:, j] = u < p_one
+            np.less(streams.fill(j, start, uc), p_one, out=values[j])
         width = n_leaves
         for level, rule in enumerate(config.schedule, start=1):
-            nodes = width // spec.m
-            counts = values.reshape(cs, nodes, spec.m).sum(axis=2)
+            nodes = width // m
+            if values.dtype == bool:
+                values = values.view(np.uint8)  # bits sum as bytes, no cast
+            counts = values.reshape(nodes, m, cs).sum(axis=1, dtype=count_dtype)
             if isinstance(rule, Summation):
                 values = counts
             elif isinstance(rule, BayesianLRT):
-                values = tables[level][counts].astype(np.int64)
+                values = tables[level][counts]
             else:
-                tie_u = None
-                if isinstance(rule, MajorityEven):
-                    base = level_uid_base[level]
-                    tie_u = np.empty((cs, nodes))
-                    for j in range(nodes):
-                        tie_u[:, j] = _node_stream(config.seed, base + j, start).random(cs)
-                values = _decide(counts, rule, tie_u).astype(np.int64)
+                values = _decide(counts, rule, streams, level_uid_base[level], start, uc)
             width = nodes
-        error_count += int(np.count_nonzero(values[:, 0] == error_value))
+        ones += int(np.count_nonzero(values))
         start += cs
 
+    error_count = ones if config.hypothesis is Hypothesis.H0 else config.trials - ones
     estimate = error_count / config.trials
     ci = 3.0 * math.sqrt(estimate * (1.0 - estimate) / config.trials)
     return SimResult(error_count, config.trials, estimate, ci)

@@ -6,6 +6,7 @@ matrix lives in the verify suite and the acceptance tests.
 
 import math
 
+import numpy as np
 import pytest
 
 from relaytree.alphabet import TreeSpec, alphabet_schedule
@@ -101,6 +102,119 @@ class TestSimConfig:
             ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
         )
         assert config.boundary_rules == tuple(rules)
+
+
+def pinned_config(spec, schedule, a, b, trials, seed, hyp):
+    return SimConfig(
+        spec, tuple(schedule), ErrorPair.from_linear(a, b), trials, seed, hyp
+    )
+
+
+H0, H1 = Hypothesis.H0, Hypothesis.H1
+COUNT_SPEC = TreeSpec(2, 4, 3)  # k0 = 2: fan-in 4 decides every 2nd level
+WIDE_COUNT_SPEC = TreeSpec(2, 8, 129)  # k0 = 8: one decision over 256 leaves
+
+# (config, exact error count): one config per rule family, recorded from
+# the per-node Philox streams; any change to the streams moves these
+PINNED = {
+    "odd_majority": (
+        pinned_config(TreeSpec(3, 2), [MajorityOdd(3)] * 2, 0.2, 0.2, 10_001, 7, H0),
+        281,
+    ),
+    "even_majority_fair_coin": (
+        pinned_config(TreeSpec(4, 2), [MajorityEven(4)] * 2, 0.2, 0.2, 10_001, 7, H0),
+        289,
+    ),
+    "biased_tie": (
+        pinned_config(
+            TreeSpec(4, 2), [MajorityEven(4, 0.3)] * 2, 0.2, 0.25, 10_001, 9, H1
+        ),
+        1293,
+    ),
+    "alternating": (
+        pinned_config(
+            TreeSpec(2, 3),
+            [AlternatingMajority(2, p) for p in alternating_phases(3)],
+            0.15, 0.15, 10_001, 11, H0,
+        ),
+        1466,
+    ),
+    "lrt": (
+        pinned_config(
+            TreeSpec(3, 2), [BayesianLRT(3, Priors(0.3, 0.7))] * 2,
+            0.1, 0.3, 10_001, 13, H0,
+        ),
+        1830,
+    ),
+    "odd_majority_h1": (
+        pinned_config(TreeSpec(5, 2), [MajorityOdd(5)] * 2, 0.3, 0.3, 10_001, 17, H1),
+        355,
+    ),
+    "count_forwarding_d3": (
+        pinned_config(
+            COUNT_SPEC, alphabet_schedule(COUNT_SPEC, [MajorityEven(4)] * 2),
+            0.25, 0.25, 10_001, 19, H0,
+        ),
+        633,
+    ),
+    "wide_even_with_tie_coins": (
+        pinned_config(TreeSpec(2, 10), [MajorityEven(2)] * 10, 0.3, 0.3, 301, 23, H0),
+        95,
+    ),
+}
+
+# deciding fan-in of at least 256: counts no longer fit in a byte.  The
+# saturated cases send 1 from nearly every leaf under H1, so counts of
+# 256 and 257 are common there and a wrapped count would read as a miss.
+WIDE_FAN_IN = {
+    "count_forwarding_256": (
+        pinned_config(
+            WIDE_COUNT_SPEC, alphabet_schedule(WIDE_COUNT_SPEC, [MajorityEven(256)]),
+            0.47, 0.47, 2_001, 29, H0,
+        ),
+        329,
+    ),
+    "count_forwarding_256_saturated": (
+        pinned_config(
+            WIDE_COUNT_SPEC, alphabet_schedule(WIDE_COUNT_SPEC, [MajorityEven(256)]),
+            0.47, 0.01, 2_001, 37, H1,
+        ),
+        0,
+    ),
+    "binary_257": (
+        pinned_config(TreeSpec(257, 1), [MajorityOdd(257)], 0.45, 0.45, 2_001, 31, H0),
+        103,
+    ),
+    "binary_257_saturated": (
+        pinned_config(TreeSpec(257, 1), [MajorityOdd(257)], 0.45, 0.01, 2_001, 41, H1),
+        0,
+    ),
+}
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("chunk", [None, 52])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_exact_count(self, name, chunk):
+        config, want = PINNED[name]
+        assert simulate_alphabet(config, chunk=chunk).error_count == want
+
+    @pytest.mark.parametrize("name", sorted(WIDE_FAN_IN))
+    def test_wide_fan_in_counts(self, name):
+        config, want = WIDE_FAN_IN[name]
+        report = compare_to_analytic(config)
+        assert abs(report.z_score) <= 4.0
+        assert report.result.error_count == want
+
+    def test_philox_subclass_is_tolerated(self, monkeypatch):
+        # the stream is re-keyed through the instance's own state, whose
+        # bit_generator name is that of the instance's class
+        class SubPhilox(np.random.Philox):
+            pass
+
+        config, want = PINNED["even_majority_fair_coin"]
+        monkeypatch.setattr(np.random, "Philox", SubPhilox)
+        assert simulate(config, chunk=52).error_count == want
 
 
 class TestDeterminism:
