@@ -182,7 +182,7 @@ def alphabet_schedule(spec: TreeSpec, boundary_rules: Sequence[FusionRule]) -> l
                     f"m^k0 = {m_eff}, got {rule_m}"
                 )
             if isinstance(rule, Summation):
-                raise ValueError(f"level {level} is a deciding level, not a sum")
+                raise ValueError(f"level {level} must decide, not sum")
             schedule.append(rule)
             b += 1
         else:

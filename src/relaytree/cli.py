@@ -79,7 +79,9 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
             if m % 2 == 1:
                 raise UsageError(f"--pb conflicts with odd --m {m}; "
                                  "ties need an even fan-in")
-            _probability("pb", args.pb, open_interval=False)
+            if not 0.0 < args.pb < 1.0:
+                raise UsageError(f"--pb must be inside (0, 1), got {args.pb}; "
+                                 "for deterministic ties use --rule alternating")
         return [majority_rule(m, 0.5 if args.pb is None else args.pb)] * levels
     if args.rule == "alternating":
         if args.pb is not None:
@@ -161,28 +163,15 @@ def _cmd_recurse(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.m < 2:
-        raise UsageError(f"--m must be >= 2, got {args.m}")
-    if args.height < 1:
-        raise UsageError(f"--height must be >= 1, got {args.height}")
-    if args.d < 2:
-        raise UsageError(f"--d must be >= 2, got {args.d}")
     a0 = _probability("alpha0", args.alpha0)
     b0 = _probability("beta0", args.beta0)
     pi0 = _probability("pi0", args.pi0, open_interval=False)
     priors = Priors(pi0, 1.0 - pi0)
     spec = TreeSpec(args.m, args.height, args.d)
-    if args.height % spec.k0 != 0:
-        raise UsageError(
-            f"--height {args.height} must be a multiple of k0={spec.k0} "
-            f"for --d {args.d}"
-        )
-    m_eff = args.m**spec.k0
-    boundary = _rule_schedule(args, m_eff, args.height // spec.k0, priors)
-    schedule = alphabet_schedule(spec, boundary)
+    boundary = _rule_schedule(args, args.m**spec.k0, args.height // spec.k0, priors)
     config = SimConfig(
         spec=spec,
-        schedule=tuple(schedule),
+        schedule=alphabet_schedule(spec, boundary),
         leaf_pair=ErrorPair.from_linear(a0, b0),
         trials=args.trials,
         seed=args.seed,

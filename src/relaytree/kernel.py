@@ -15,7 +15,8 @@ exactly in the log domain:
   * the Bayesian likelihood-ratio test with threshold pi0/pi1.
 
 Propagating a schedule of rules up the tree yields the full per-level
-trace of error pairs.
+trace of error pairs.  Every deciding rule also gives its table
+P(output 1 | s ones among m), the form in which the simulator applies it.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ class MajorityOdd:
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError(f"odd majority needs odd m >= 3, got {self.m}")
 
+    def table(self, pair: ErrorPair) -> tuple:
+        return _majority_table(self.m, 0.0)
+
 
 @dataclass(frozen=True)
 class MajorityEven:
@@ -146,6 +150,9 @@ class MajorityEven:
         if not (0.0 < self.tie_prob < 1.0):
             raise ValueError(f"tie_prob {self.tie_prob} outside (0, 1)")
 
+    def table(self, pair: ErrorPair) -> tuple:
+        return _majority_table(self.m, self.tie_prob)
+
 
 @dataclass(frozen=True)
 class AlternatingMajority:
@@ -159,6 +166,9 @@ class AlternatingMajority:
         if self.m < 2 or self.m % 2 == 1:
             raise ValueError(f"alternating majority needs even m >= 2, got {self.m}")
 
+    def table(self, pair: ErrorPair) -> tuple:
+        return _majority_table(self.m, float(self.phase is TiePhase.TIES_TO_ONE))
+
 
 @dataclass(frozen=True)
 class BayesianLRT:
@@ -171,6 +181,10 @@ class BayesianLRT:
         if self.m < 2:
             raise ValueError(f"fusion needs m >= 2, got {self.m}")
         self.priors.require_positive()
+
+    def table(self, pair: ErrorPair) -> tuple:
+        """The test fitted to messages with error pair `pair`."""
+        return tuple(float(x) for x in lrt_decision_rule(pair, self.priors, self.m))
 
 
 @dataclass(frozen=True)
@@ -189,6 +203,12 @@ class Summation:
 
 
 FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT, Summation]
+
+
+def _majority_table(m: int, tie: float) -> tuple:
+    """P(output 1 | s ones), s = 0..m, for majority with tie entry `tie`
+    (the tie at s = m/2 exists for even m only)."""
+    return tuple(1.0 if 2 * s > m else tie if 2 * s == m else 0.0 for s in range(m + 1))
 
 
 def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:

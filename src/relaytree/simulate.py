@@ -1,16 +1,18 @@
 """Monte Carlo corroboration of the analytic recursions.
 
 Simulates the actual message-passing tree: leaves draw Bernoulli bits
-under the chosen hypothesis, interior nodes apply their fusion rule,
-and the root's mistakes are counted.
+under the chosen hypothesis, interior nodes either forward the count of
+ones below them or decide by their rule's table P(1 | count), and the
+root's mistakes are counted.
 
 Randomness is counter-based: node j (leaves first, then each level in
 turn) has the Philox stream keyed by (seed, j), and trial i reads double
 i of it.  Results are therefore bit-for-bit reproducible however trials
-are chunked, and a tie-break at one node never perturbs another node's
-draws, so a node that has no tie in a chunk draws no coins at all.  One
-Philox serves every stream of a run: moving to another node or chunk
-only re-keys it and sets its counter.
+are chunked, and a tie coin at one node never perturbs another node's
+draws, so a node none of whose counts in a chunk lands on a fractional
+table entry draws no coins at all.  One Philox serves every stream of a
+run: moving to another node or chunk only re-keys it and sets its
+counter.
 
 Trials run in chunks, laid out node-major: a level is a nodes x trials
 array, so each leaf fills one contiguous row of bits, and a level's
@@ -23,23 +25,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .alphabet import TreeSpec
-from .kernel import (
-    AlternatingMajority,
-    BayesianLRT,
-    ErrorPair,
-    FusionRule,
-    MajorityEven,
-    MajorityOdd,
-    Summation,
-    TiePhase,
-    apply_rule,
-    lrt_decision_rule,
-)
+from .alphabet import TreeSpec, alphabet_schedule
+from .kernel import ErrorPair, Summation, apply_rule
 
 __all__ = [
     "Hypothesis",
@@ -48,7 +39,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_BUDGET",
     "simulate",
-    "simulate_alphabet",
     "reduced_root_pair",
     "compare_to_analytic",
 ]
@@ -65,9 +55,10 @@ class Hypothesis(enum.Enum):
 class SimConfig:
     """One simulation request.
 
-    The schedule names one rule per level, bottom up.  For d > 2 the
-    non-deciding levels must be Summation and every k0-th level carries
-    a binary rule over the accumulated count, fan-in m^k0.
+    The schedule names one rule per level, bottom up, and must be the
+    one `alphabet_schedule` builds from its deciding rules: for d > 2 the
+    non-deciding levels are Summation and every k0-th level carries a
+    binary rule over the accumulated count, fan-in m^k0.
     """
 
     spec: TreeSpec
@@ -88,37 +79,19 @@ class SimConfig:
                 f"schedule has {len(self.schedule)} rules for height "
                 f"{self.spec.height}"
             )
-        if self.spec.d > 2 and self.spec.height % self.spec.k0 != 0:
+        want = tuple(alphabet_schedule(self.spec, self.boundary_rules))
+        if self.schedule != want:
+            level = next(k for k, (got, need) in enumerate(zip(self.schedule, want), 1)
+                         if got != need)
             raise ValueError(
-                f"height {self.spec.height} is not a multiple of "
-                f"k0={self.spec.k0}"
+                f"level {level} must be a Summation of fan-in {self.spec.m} "
+                f"for alphabet d={self.spec.d} (k0={self.spec.k0})"
             )
-        m_eff = self.spec.m**self.spec.k0
-        for level, rule in enumerate(self.schedule, start=1):
-            if level % self.spec.k0 == 0:
-                if isinstance(rule, Summation):
-                    raise ValueError(
-                        f"level {level} must decide, not sum (k0={self.spec.k0})"
-                    )
-                if rule.m != m_eff:
-                    raise ValueError(
-                        f"deciding rule at level {level} needs fan-in "
-                        f"{m_eff}, got {rule.m}"
-                    )
-            elif not isinstance(rule, Summation):
-                raise ValueError(
-                    f"level {level} must be a Summation for alphabet "
-                    f"d={self.spec.d} (k0={self.spec.k0})"
-                )
 
     @property
     def boundary_rules(self) -> tuple:
         """The deciding rules, i.e. the schedule of the reduced binary tree."""
-        return tuple(
-            rule
-            for level, rule in enumerate(self.schedule, start=1)
-            if level % self.spec.k0 == 0
-        )
+        return self.schedule[self.spec.k0 - 1::self.spec.k0]
 
 
 @dataclass(frozen=True)
@@ -167,30 +140,52 @@ class _Streams:
         return self._gen.random(out=out)
 
 
-def _decide(counts: np.ndarray, rule: FusionRule, streams: _Streams,
+def _compile(table: tuple) -> tuple:
+    """Split a decision table P(1 | s ones) into the count runs (lo, hi)
+    that decide 1 outright, hi None when the run reaches the top count,
+    and the fractional (s, P) entries.  Deciding then costs comparisons
+    on the counts rather than a per-element table gather."""
+    runs, coins = [], []
+    for s, p in enumerate(table):
+        if p == 1.0:
+            if runs and runs[-1][1] == s - 1:
+                runs[-1][1] = s
+            else:
+                runs.append([s, s])
+        elif p > 0.0:
+            coins.append((s, p))
+    top = len(table) - 1
+    return [(lo, None if hi == top else hi) for lo, hi in runs], coins
+
+
+def _decide(counts: np.ndarray, decision: tuple, streams: _Streams,
             uid_base: int, start: int, u: np.ndarray) -> np.ndarray:
-    """Apply a binary rule to one-counts laid out nodes x trials.
+    """Apply a compiled decision table to one-counts laid out nodes x
+    trials: trial i decides 1 when its uniform is below table[count].
 
-    Node j of the level draws its tie coins from stream uid_base + j,
-    and only when one of its trials is tied: streams are per node, so
-    skipping a node's coins leaves every other draw where it was.
+    Node j of the level draws from stream uid_base + j, and only when one
+    of its trials lands on a fractional entry: streams are per node, so
+    skipping a node's draws leaves every other draw where it was.
     """
-    if isinstance(rule, MajorityOdd):
-        return counts >= (rule.m + 1) // 2
-    if isinstance(rule, MajorityEven):
-        half = rule.m // 2
-        ties = counts == half
-        coins = np.zeros_like(ties)
+    runs, coins = decision
+    hits = [counts >= lo if hi is None else (counts >= lo) & (counts <= hi) for lo, hi in runs]
+    out = hits[0] if hits else np.zeros(counts.shape, dtype=bool)
+    for hit in hits[1:]:
+        out |= hit
+    for s, p in coins:
+        ties = counts == s
+        heads = np.zeros_like(ties)
         for j in np.flatnonzero(ties.any(axis=1)):
-            np.less(streams.fill(uid_base + int(j), start, u), rule.tie_prob, out=coins[j])
-        return (counts > half) | (ties & coins)
-    if isinstance(rule, AlternatingMajority):
-        half = rule.m // 2
-        return counts >= (half if rule.phase is TiePhase.TIES_TO_ONE else half + 1)
-    raise TypeError(f"no count decision for rule {rule!r}")
+            np.less(streams.fill(uid_base + int(j), start, u), p, out=heads[j])
+        out |= ties & heads
+    return out
 
 
-def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
+def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
+             chunk: Optional[int] = None) -> SimResult:
+    """Simulate the tree: exact sums travel upward for k0 - 1 levels and
+    a binary rule decides at every k0-th level, i.e. at every level of a
+    single-bit tree (d = 2)."""
     spec = config.spec
     m = spec.m
     n_leaves = spec.n_leaves
@@ -212,19 +207,16 @@ def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
     chunk = max(4, (chunk + 3) // 4 * 4)  # keep chunk starts block-aligned
     chunk = min(chunk, config.trials)  # a shorter run is a single chunk
 
-    # precompute decision tables for likelihood-ratio levels: the rule at
-    # a deciding level sees messages whose error pair is the reduced
-    # tree's pair below that level
-    tables = {}
+    # a deciding level's table is built for messages whose error pair is
+    # the reduced tree's pair below that level; summing levels have none
+    decisions = []
     reduced_pair = config.leaf_pair
-    for level, rule in enumerate(config.schedule, start=1):
+    for rule in config.schedule:
         if isinstance(rule, Summation):
-            continue
-        if isinstance(rule, BayesianLRT):
-            tables[level] = np.array(
-                lrt_decision_rule(reduced_pair, rule.priors, rule.m), dtype=bool
-            )
-        reduced_pair = apply_rule(reduced_pair, rule)
+            decisions.append(None)
+        else:
+            decisions.append(_compile(rule.table(reduced_pair)))
+            reduced_pair = apply_rule(reduced_pair, rule)
 
     # node uids: leaves first, then each level in order
     level_uid_base = [0]
@@ -248,17 +240,15 @@ def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
         for j in range(n_leaves):
             np.less(streams.fill(j, start, uc), p_one, out=values[j])
         width = n_leaves
-        for level, rule in enumerate(config.schedule, start=1):
+        for level, decision in enumerate(decisions, start=1):
             nodes = width // m
             if values.dtype == bool:
                 values = values.view(np.uint8)  # bits sum as bytes, no cast
             counts = values.reshape(nodes, m, cs).sum(axis=1, dtype=count_dtype)
-            if isinstance(rule, Summation):
+            if decision is None:
                 values = counts
-            elif isinstance(rule, BayesianLRT):
-                values = tables[level][counts]
             else:
-                values = _decide(counts, rule, streams, level_uid_base[level], start, uc)
+                values = _decide(counts, decision, streams, level_uid_base[level], start, uc)
             width = nodes
         ones += int(np.count_nonzero(values))
         start += cs
@@ -267,24 +257,6 @@ def _run(config: SimConfig, budget: int, chunk: Optional[int]) -> SimResult:
     estimate = error_count / config.trials
     ci = 3.0 * math.sqrt(estimate * (1.0 - estimate) / config.trials)
     return SimResult(error_count, config.trials, estimate, ci)
-
-
-def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
-             chunk: Optional[int] = None) -> SimResult:
-    """Simulate a single-bit-message tree (d = 2)."""
-    if config.spec.d != 2:
-        raise ValueError(
-            f"simulate is for binary messages; spec has d={config.spec.d}, "
-            f"use simulate_alphabet"
-        )
-    return _run(config, budget, chunk)
-
-
-def simulate_alphabet(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
-                      chunk: Optional[int] = None) -> SimResult:
-    """Simulate a count-forwarding tree: exact sums travel upward for
-    k0 - 1 levels, a binary rule decides at every k0-th level."""
-    return _run(config, budget, chunk)
 
 
 def reduced_root_pair(config: SimConfig) -> ErrorPair:
@@ -304,7 +276,7 @@ def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
     deviation implied by the analytic probability.  When that deviation
     is zero the z-score is 0 for exact agreement and +/-inf otherwise.
     """
-    result = _run(config, budget, chunk)
+    result = simulate(config, budget=budget, chunk=chunk)
     pair = reduced_root_pair(config)
     analytic = (
         pair.alpha.linear

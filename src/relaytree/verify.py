@@ -40,7 +40,6 @@ from .simulate import (
     SimConfig,
     compare_to_analytic,
     simulate,
-    simulate_alphabet,
 )
 
 GRID = [i / 100.0 for i in range(1, 50)]  # 0.01 .. 0.49
@@ -894,7 +893,7 @@ def check_alphabet_equivalence_sim(trials: int = 10**6) -> list:
         sched = alph.alphabet_schedule(spec, boundary)
         red_spec = alph.equivalent_tree(spec)
         for hyp in (Hypothesis.H0, Hypothesis.H1):
-            full = simulate_alphabet(
+            full = simulate(
                 SimConfig(spec, tuple(sched), _pair(a0, a0), trials, 99, hyp)
             )
             red = simulate(

@@ -134,6 +134,13 @@ class TestRecurseConflicts:
             "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1",
         ], "--pb", "odd")
 
+    @pytest.mark.parametrize("pb", ["0", "1"])
+    def test_pb_endpoints_point_to_alternating(self, capsys, pb):
+        self.conflict(capsys, [
+            "recurse", "--m", "4", "--pb", pb,
+            "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1",
+        ], "--pb", "(0, 1)", "--rule alternating")
+
     def test_alternating_with_odd_m(self, capsys):
         self.conflict(capsys, [
             "recurse", "--m", "3", "--rule", "alternating",

@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaytree.kernel import (
+    AlternatingMajority,
+    BayesianLRT,
     ErrorPair,
+    MajorityEven,
+    MajorityOdd,
     Priors,
+    TiePhase,
+    apply_rule,
     lrt_step,
     majority_step_even,
     majority_step_odd,
@@ -55,6 +61,31 @@ def test_enumerate_matches_kernel_even(a, b, m, w):
     want = majority_step_even(pair(a, b), m, w)
     assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-11)
     assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-11)
+
+
+def rule_family(m):
+    """Every deciding rule family at fan-in m, LRT with asymmetric priors too."""
+    if m % 2:
+        yield MajorityOdd(m)
+    else:
+        yield MajorityEven(m)
+        yield MajorityEven(m, 0.3)
+        yield AlternatingMajority(m, TiePhase.TIES_TO_ONE)
+        yield AlternatingMajority(m, TiePhase.TIES_TO_ZERO)
+    yield BayesianLRT(m, Priors.equal())
+    yield BayesianLRT(m, Priors(0.8, 0.2))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_rule_tables_match_kernel_steps(m):
+    # the simulator decides by these tables; the oracle scores each
+    # table independently of the kernel's closed-form step
+    for a, b in [(0.1, 0.2), (0.3, 0.05), (0.45, 0.4)]:
+        for rule in rule_family(m):
+            got = enumerate_step(pair(a, b), m, count_vector_rule(m, rule.table(pair(a, b))))
+            want = apply_rule(pair(a, b), rule)
+            assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12), rule
+            assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12), rule
 
 
 def test_fanin_caps():

@@ -28,7 +28,6 @@ from relaytree.simulate import (
     compare_to_analytic,
     reduced_root_pair,
     simulate,
-    simulate_alphabet,
 )
 
 
@@ -84,6 +83,12 @@ class TestSimConfig:
             SimConfig(
                 spec,
                 [Summation(2), MajorityEven(2)],
+                ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
+            )
+        with pytest.raises(ValueError, match="level 1 must be a Summation of fan-in 2"):
+            SimConfig(
+                spec,
+                [Summation(5), MajorityEven(4)],
                 ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
             )
         with pytest.raises(ValueError, match="multiple"):
@@ -197,7 +202,7 @@ class TestPinnedCounts:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_exact_count(self, name, chunk):
         config, want = PINNED[name]
-        assert simulate_alphabet(config, chunk=chunk).error_count == want
+        assert simulate(config, chunk=chunk).error_count == want
 
     @pytest.mark.parametrize("name", sorted(WIDE_FAN_IN))
     def test_wide_fan_in_counts(self, name):
@@ -262,16 +267,6 @@ class TestResults:
         assert r.estimate == r.error_count / r.trials
         want_ci = 3 * math.sqrt(r.estimate * (1 - r.estimate) / r.trials)
         assert r.ci_halfwidth_3sigma == pytest.approx(want_ci, rel=1e-12)
-
-    def test_simulate_rejects_wide_alphabet(self):
-        spec = TreeSpec(2, 2, 3)
-        c = SimConfig(
-            spec,
-            alphabet_schedule(spec, [MajorityEven(4)]),
-            ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
-        )
-        with pytest.raises(ValueError, match="simulate_alphabet"):
-            simulate(c)
 
     def test_reduced_root_pair(self):
         spec = TreeSpec(2, 2, 3)
@@ -366,7 +361,3 @@ class TestAlphabetEquivalence:
         assert narrow_report.analytic == pytest.approx(want, rel=1e-12)
         assert abs(wide_report.z_score) <= 4.0
         assert abs(narrow_report.z_score) <= 4.0
-
-    def test_simulate_alphabet_handles_binary_too(self):
-        c = binary_config(3, 1, MajorityOdd(3), trials=100)
-        assert simulate_alphabet(c).trials == 100
