@@ -31,7 +31,7 @@ from .kernel import (
     propagate,
     total_error,
 )
-from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, compare_to_analytic
+from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, _check_budget, compare_to_analytic
 from .verify import SUITES, run_suites
 
 __all__ = ["run", "main"]
@@ -168,6 +168,7 @@ def _cmd_simulate(args) -> int:
     pi0 = _probability("pi0", args.pi0, open_interval=False)
     priors = Priors(pi0, 1.0 - pi0)
     spec = TreeSpec(args.m, args.height, args.d)
+    _check_budget(spec, args.trials, args.budget)  # before any per-level list
     boundary = _rule_schedule(args, args.m**spec.k0, args.height // spec.k0, priors)
     config = SimConfig(
         spec=spec,

@@ -16,17 +16,19 @@ exactly in the log domain:
 
 Propagating a schedule of rules up the tree yields the full per-level
 trace of error pairs.  Every deciding rule also gives its table
-P(output 1 | s ones among m), the form in which the simulator applies it.
+P(output 1 | s ones among m); one step, derived from the table, serves
+every rule, and the simulator decides by the same tables.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .logdomain import LOG_ZERO, LogProb, log_sum_exp
+from .logdomain import LOG_ZERO, LogProb, log1mexp, log_sum_exp
 
 __all__ = [
     "ErrorPair",
@@ -205,10 +207,23 @@ class Summation:
 FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT, Summation]
 
 
+@functools.lru_cache(maxsize=64)
 def _majority_table(m: int, tie: float) -> tuple:
     """P(output 1 | s ones), s = 0..m, for majority with tie entry `tie`
     (the tie at s = m/2 exists for even m only)."""
     return tuple(1.0 if 2 * s > m else tie if 2 * s == m else 0.0 for s in range(m + 1))
+
+
+@functools.lru_cache(maxsize=128)
+def _count_runs(table: tuple) -> tuple:
+    """The maximal runs (lo, hi, p) of equal entries p of a count table."""
+    runs = []
+    lo = 0
+    for s in range(1, len(table) + 1):
+        if s == len(table) or table[s] != table[lo]:
+            runs.append((lo, s - 1, table[lo]))
+            lo = s
+    return tuple(runs)
 
 
 def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
@@ -220,7 +235,7 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     if not 0 <= s_lo <= s_hi <= m:
         raise ValueError(f"count window [{s_lo}, {s_hi}] invalid for m={m}")
     log_p = p.value
-    log_q = p.complement().value
+    log_q = log1mexp(log_p)
     terms = []
     for s in range(s_lo, s_hi + 1):
         t = math.log(math.comb(m, s)) if 0 < s < m else 0.0
@@ -233,19 +248,45 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     return LogProb(log_sum_exp(terms))
 
 
+@functools.lru_cache(maxsize=64)
+def _rule_table(rule_type: type, *args) -> tuple:
+    """The table of rule_type(*args), a rule that ignores the pair; building
+    the rule checks the arguments, and a failed check is not cached."""
+    return rule_type(*args).table(None)
+
+
+def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
+    """One level of fusion by a count rule, table[s] = P(output 1 | s ones).
+
+    A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
+    to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
+    to the outgoing miss: under H1, s ones are m - s draws of beta.
+    """
+    m = len(table) - 1
+    alpha, beta = [], []
+    for lo, hi, p in _count_runs(table):
+        if p > 0.0:
+            alpha.append((p, binom_tail(m, lo, hi, pair.alpha)))
+        if p < 1.0:
+            beta.append((1.0 - p, binom_tail(m, m - hi, m - lo, pair.beta)))
+    return ErrorPair(_weighted_sum(alpha), _weighted_sum(beta))
+
+
+def _weighted_sum(tails: list) -> LogProb:
+    """log of sum w * tail over the (w, tail) pairs; a lone tail of
+    weight 1 is returned as it is."""
+    if len(tails) == 1 and tails[0][0] == 1.0:
+        return tails[0][1]
+    return LogProb(log_sum_exp([math.log(w) + tail.value for w, tail in tails]))
+
+
 def majority_step_odd(pair: ErrorPair, m: int) -> ErrorPair:
     """One level of strict-majority fusion, odd fan-in.
 
     The outgoing false alarm is the upper tail P(Binom(m, alpha) >= (m+1)/2),
     and symmetrically for the miss.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"odd majority needs odd m >= 3, got {m}")
-    half_up = (m + 1) // 2
-    return ErrorPair(
-        binom_tail(m, half_up, m, pair.alpha),
-        binom_tail(m, half_up, m, pair.beta),
-    )
+    return _table_step(pair, _rule_table(MajorityOdd, m))
 
 
 def majority_step_even(pair: ErrorPair, m: int, tie_prob: float) -> ErrorPair:
@@ -263,21 +304,7 @@ def majority_step_even(pair: ErrorPair, m: int, tie_prob: float) -> ErrorPair:
         # exact fixed point: alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha,
         # preserved bit for bit rather than re-rounded through logs
         return pair
-    half = m // 2
-
-    def one_side(err: LogProb, weight: float) -> LogProb:
-        tail = binom_tail(m, half + 1, m, err)
-        if weight == 0.0:
-            return tail
-        tie = (
-            math.log(weight)
-            + math.log(math.comb(m, half))
-            + half * err.value
-            + half * err.complement().value
-        )
-        return LogProb(log_sum_exp([tail.value, tie]))
-
-    return ErrorPair(one_side(pair.alpha, tie_prob), one_side(pair.beta, 1.0 - tie_prob))
+    return _table_step(pair, _majority_table(m, tie_prob))
 
 
 def alternating_step(pair: ErrorPair, m: int, phase: TiePhase) -> ErrorPair:
@@ -287,18 +314,7 @@ def alternating_step(pair: ErrorPair, m: int, phase: TiePhase) -> ErrorPair:
     alpha is the inclusive tail from m/2 while the miss needs a strict
     zero-majority, tail from m/2 + 1.  Ties to 0 mirrors the two roles.
     """
-    if m < 2 or m % 2 == 1:
-        raise ValueError(f"alternating majority needs even m >= 2, got {m}")
-    half = m // 2
-    if phase is TiePhase.TIES_TO_ONE:
-        return ErrorPair(
-            binom_tail(m, half, m, pair.alpha),
-            binom_tail(m, half + 1, m, pair.beta),
-        )
-    return ErrorPair(
-        binom_tail(m, half + 1, m, pair.alpha),
-        binom_tail(m, half, m, pair.beta),
-    )
+    return _table_step(pair, _rule_table(AlternatingMajority, m, phase))
 
 
 def lrt_decision_rule(pair: ErrorPair, priors: Priors, m: int) -> tuple:
@@ -339,19 +355,7 @@ def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     outgoing alpha sums Binom(m, alpha) over counts deciding H1, outgoing
     beta sums Binom(m, 1-beta) over counts deciding H0.
     """
-    table = lrt_decision_rule(pair, priors, m)
-    la, lb = pair.alpha.value, pair.beta.value
-    l1a = pair.alpha.complement().value
-    l1b = pair.beta.complement().value
-    alpha_terms = []
-    beta_terms = []
-    for s in range(m + 1):
-        lc = math.log(math.comb(m, s)) if 0 < s < m else 0.0
-        if table[s]:
-            alpha_terms.append(lc + s * la + (m - s) * l1a)
-        else:
-            beta_terms.append(lc + s * l1b + (m - s) * lb)
-    return ErrorPair(LogProb(log_sum_exp(alpha_terms)), LogProb(log_sum_exp(beta_terms)))
+    return _table_step(pair, lrt_decision_rule(pair, priors, m))
 
 
 def apply_rule(pair: ErrorPair, rule: FusionRule) -> ErrorPair:

@@ -41,8 +41,8 @@ def log_sum_exp(terms) -> float:
     log1p call.
     """
     terms = list(terms)
-    if not terms:
-        return LOG_ZERO
+    if len(terms) < 2:
+        return terms[0] if terms else LOG_ZERO
     m = max(terms)
     if m == LOG_ZERO:
         return LOG_ZERO

@@ -25,12 +25,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .alphabet import TreeSpec, alphabet_schedule
-from .kernel import ErrorPair, Summation, apply_rule
+from .kernel import ErrorPair, Summation, _count_runs, apply_rule
 
 __all__ = [
     "Hypothesis",
@@ -140,45 +142,43 @@ class _Streams:
         return self._gen.random(out=out)
 
 
-def _compile(table: tuple) -> tuple:
-    """Split a decision table P(1 | s ones) into the count runs (lo, hi)
-    that decide 1 outright, hi None when the run reaches the top count,
-    and the fractional (s, P) entries.  Deciding then costs comparisons
-    on the counts rather than a per-element table gather."""
-    runs, coins = [], []
-    for s, p in enumerate(table):
-        if p == 1.0:
-            if runs and runs[-1][1] == s - 1:
-                runs[-1][1] = s
-            else:
-                runs.append([s, s])
-        elif p > 0.0:
-            coins.append((s, p))
-    top = len(table) - 1
-    return [(lo, None if hi == top else hi) for lo, hi in runs], coins
-
-
-def _decide(counts: np.ndarray, decision: tuple, streams: _Streams,
+def _decide(counts: np.ndarray, runs: tuple, streams: _Streams,
             uid_base: int, start: int, u: np.ndarray) -> np.ndarray:
-    """Apply a compiled decision table to one-counts laid out nodes x
-    trials: trial i decides 1 when its uniform is below table[count].
+    """Apply a decision table, split into its runs (lo, hi, P) of equal
+    entries, to one-counts laid out nodes x trials: trial i decides 1
+    when its uniform is below table[count].  Deciding costs comparisons
+    on the counts rather than a per-element table gather.
 
     Node j of the level draws from stream uid_base + j, and only when one
     of its trials lands on a fractional entry: streams are per node, so
     skipping a node's draws leaves every other draw where it was.
     """
-    runs, coins = decision
-    hits = [counts >= lo if hi is None else (counts >= lo) & (counts <= hi) for lo, hi in runs]
-    out = hits[0] if hits else np.zeros(counts.shape, dtype=bool)
-    for hit in hits[1:]:
-        out |= hit
-    for s, p in coins:
-        ties = counts == s
-        heads = np.zeros_like(ties)
-        for j in np.flatnonzero(ties.any(axis=1)):
-            np.less(streams.fill(uid_base + int(j), start, u), p, out=heads[j])
-        out |= ties & heads
-    return out
+    top = runs[-1][1]
+    hits = []
+    for lo, hi, p in runs:
+        if p > 0.0:
+            hit = counts >= lo if hi == top else (counts >= lo) & (counts <= hi)
+            if p < 1.0:
+                heads = np.zeros_like(hit)
+                for j in np.flatnonzero(hit.any(axis=1)):
+                    np.less(streams.fill(uid_base + int(j), start, u), p, out=heads[j])
+                hit &= heads
+            hits.append(hit)
+    return reduce(np.logical_or, hits) if hits else np.zeros(counts.shape, dtype=bool)
+
+
+def _check_budget(spec: TreeSpec, trials: int, budget: int) -> None:
+    """Refuse a run of more than `budget` leaf samples, multiplying the
+    leaf count m**height up a level at a time and never past the budget."""
+    leaves = 1
+    for _ in range(spec.height):
+        leaves *= spec.m
+        if max(trials, 1) * leaves > budget:
+            raise ValueError(
+                f"simulation needs {trials} trials x {spec.m}^{spec.height} "
+                f"leaves, more leaf samples than the budget of {budget}; "
+                f"pass a larger budget to allow it"
+            )
 
 
 def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
@@ -186,16 +186,18 @@ def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
     """Simulate the tree: exact sums travel upward for k0 - 1 levels and
     a binary rule decides at every k0-th level, i.e. at every level of a
     single-bit tree (d = 2)."""
+    _check_budget(config.spec, config.trials, budget)
+    # the top deciding level's table needs the pair below it, not above
+    return _run(config, accumulate(config.boundary_rules[:-1], apply_rule,
+                                   initial=config.leaf_pair), chunk)
+
+
+def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
+    """The simulation proper; the i-th of pairs is the reduced tree's
+    error pair below deciding level i + 1, which its table is fitted to."""
     spec = config.spec
     m = spec.m
     n_leaves = spec.n_leaves
-    required = config.trials * n_leaves
-    if required > budget:
-        raise ValueError(
-            f"simulation needs {required} leaf samples "
-            f"({config.trials} trials x {n_leaves} leaves) but the budget "
-            f"is {budget}; pass budget={required} or more to allow it"
-        )
 
     if config.hypothesis is Hypothesis.H0:
         p_one = config.leaf_pair.alpha.linear
@@ -207,16 +209,9 @@ def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
     chunk = max(4, (chunk + 3) // 4 * 4)  # keep chunk starts block-aligned
     chunk = min(chunk, config.trials)  # a shorter run is a single chunk
 
-    # a deciding level's table is built for messages whose error pair is
-    # the reduced tree's pair below that level; summing levels have none
-    decisions = []
-    reduced_pair = config.leaf_pair
-    for rule in config.schedule:
-        if isinstance(rule, Summation):
-            decisions.append(None)
-        else:
-            decisions.append(_compile(rule.table(reduced_pair)))
-            reduced_pair = apply_rule(reduced_pair, rule)
+    below = iter(pairs)
+    decisions = [None if isinstance(rule, Summation) else _count_runs(rule.table(next(below)))
+                 for rule in config.schedule]
 
     # node uids: leaves first, then each level in order
     level_uid_base = [0]
@@ -262,10 +257,7 @@ def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
 def reduced_root_pair(config: SimConfig) -> ErrorPair:
     """Root error pair predicted by the closed-form recursion over the
     deciding levels (the reduced binary tree)."""
-    pair = config.leaf_pair
-    for rule in config.boundary_rules:
-        pair = apply_rule(pair, rule)
-    return pair
+    return reduce(apply_rule, config.boundary_rules, config.leaf_pair)
 
 
 def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
@@ -276,8 +268,10 @@ def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
     deviation implied by the analytic probability.  When that deviation
     is zero the z-score is 0 for exact agreement and +/-inf otherwise.
     """
-    result = simulate(config, budget=budget, chunk=chunk)
-    pair = reduced_root_pair(config)
+    _check_budget(config.spec, config.trials, budget)
+    pairs = list(accumulate(config.boundary_rules, apply_rule, initial=config.leaf_pair))
+    result = _run(config, pairs, chunk)
+    pair = pairs[-1]
     analytic = (
         pair.alpha.linear
         if config.hypothesis is Hypothesis.H0

@@ -302,6 +302,20 @@ class TestSimulate:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_tall_tree_refused_before_any_per_level_work(self, capsys, monkeypatch):
+        # a schedule, or 2**height written out, would take gigabytes here
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level work before the budget check")
+
+        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "alphabet_schedule", per_level)
+        code = cli.run([
+            "simulate", "--m", "2", "--height", "1000000000", "--alpha0", "0.1",
+            "--beta0", "0.1", "--trials", "1", "--seed", "1",
+        ])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_flag_warning_when_z_large(self, capsys, monkeypatch):
         from relaytree.simulate import ComparisonReport, SimResult
 

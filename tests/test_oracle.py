@@ -17,6 +17,7 @@ from relaytree.kernel import (
     MajorityOdd,
     Priors,
     TiePhase,
+    _table_step,
     apply_rule,
     lrt_step,
     majority_step_even,
@@ -86,6 +87,29 @@ def test_rule_tables_match_kernel_steps(m):
             want = apply_rule(pair(a, b), rule)
             assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12), rule
             assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12), rule
+
+
+@st.composite
+def count_tables(draw):
+    """Tables P(1 | s ones) over a few values: 0, 1 and two fractions,
+    so runs of equal fractions and non-monotone rules (k-out-of-m,
+    parity-like patterns) both occur."""
+    m = draw(st.integers(min_value=2, max_value=10))
+    fraction = st.floats(min_value=1e-3, max_value=1 - 1e-3)
+    values = [0.0, 1.0, draw(fraction), draw(fraction)]
+    return tuple(draw(st.lists(st.sampled_from(values), min_size=m + 1, max_size=m + 1)))
+
+
+@given(count_tables(), st.floats(min_value=0.01, max_value=0.99),
+       st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=300, deadline=None)
+def test_table_step_matches_enumeration(table, a, b):
+    # a + b >= 1 (anti-informative messages) is in range on purpose
+    m = len(table) - 1
+    got = _table_step(pair(a, b), table)
+    want = enumerate_step(pair(a, b), m, count_vector_rule(m, table))
+    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12)
+    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12)
 
 
 def test_fanin_caps():

@@ -4,6 +4,7 @@ Runs here are deliberately small; the statistically heavy agreement
 matrix lives in the verify suite and the acceptance tests.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from relaytree.kernel import (
     Priors,
     Summation,
     alternating_phases,
+    apply_rule,
     majority_step_even,
 )
 from relaytree.simulate import (
@@ -29,6 +31,9 @@ from relaytree.simulate import (
     reduced_root_pair,
     simulate,
 )
+
+# the package re-exports the function simulate under the module's name
+simulate_module = importlib.import_module("relaytree.simulate")
 
 
 def binary_config(m, height, rule, a=0.1, b=0.1, trials=20000, seed=7,
@@ -279,6 +284,20 @@ class TestResults:
         want = majority_step_even(ErrorPair.from_linear(0.1, 0.2), 4, 0.5)
         assert got.alpha.value == want.alpha.value
         assert got.beta.value == want.beta.value
+
+    def test_comparison_runs_the_reduced_recursion_once(self, monkeypatch):
+        calls = []
+
+        def counting(pair, rule):
+            calls.append(rule)
+            return apply_rule(pair, rule)
+
+        monkeypatch.setattr(simulate_module, "apply_rule", counting)
+        compare_to_analytic(binary_config(3, 4, MajorityOdd(3), trials=8))
+        assert len(calls) == 4  # one per deciding level, the root's included
+        calls.clear()
+        simulate(binary_config(3, 4, MajorityOdd(3), trials=8))
+        assert len(calls) == 3  # the root's pair decides no table
 
 
 class TestAgreement:
