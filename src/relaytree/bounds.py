@@ -163,12 +163,12 @@ def _height_of(n: int, m: int) -> int:
     """Exact k with n = m^k, else ValueError."""
     if n < 1:
         raise ValueError(f"leaf count must be >= 1, got {n}")
-    k = 0
-    power = 1
-    while power < n:
-        power *= m
-        k += 1
-    if power != n:
+    if m < 2:
+        raise ValueError(f"fusion needs m >= 2, got {m}")
+    # for n = m^k, log_m n is within ~1e-15 k of k: it rounds to k for
+    # every n that fits in memory, and the power check catches the rest
+    k = round(math.log(n, m))
+    if m**k != n:
         raise ValueError(f"leaf count {n} is not a power of m={m}")
     return k
 

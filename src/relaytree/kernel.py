@@ -226,6 +226,18 @@ def _count_runs(table: tuple) -> tuple:
     return tuple(runs)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_comb_row(m: int) -> tuple:
+    """log C(m, s) for s = 0..m, exactly 0.0 at both ends: the part of
+    every binomial tail that does not depend on p, built once per fan-in."""
+    row = []
+    comb = 1
+    for s in range(m + 1):
+        row.append(math.log(comb))
+        comb = comb * (m - s) // (s + 1)
+    return tuple(row)
+
+
 def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     """log of sum_{s=s_lo}^{s_hi} C(m, s) p^s (1-p)^(m-s).
 
@@ -236,10 +248,14 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         raise ValueError(f"count window [{s_lo}, {s_hi}] invalid for m={m}")
     log_p = p.value
     log_q = log1mexp(log_p)
+    row = _log_comb_row(m)
+    if log_p > LOG_ZERO and log_q > LOG_ZERO:
+        terms = [row[s] + s * log_p + (m - s) * log_q for s in range(s_lo, s_hi + 1)]
+        return LogProb(log_sum_exp(terms))
+    # p = 0 or p = 1: skip multiplications by zero counts, 0 * -inf is NaN
     terms = []
     for s in range(s_lo, s_hi + 1):
-        t = math.log(math.comb(m, s)) if 0 < s < m else 0.0
-        # skip multiplications by zero counts: 0 * -inf is NaN
+        t = row[s]
         if s > 0:
             t += s * log_p
         if s < m:

@@ -19,6 +19,7 @@ from relaytree.bounds import (
     sample_size,
     total_bounds,
 )
+from relaytree.bounds import _height_of
 from relaytree.kernel import Priors
 
 
@@ -136,6 +137,17 @@ class TestTotalBounds:
     def test_rejects_non_power(self):
         with pytest.raises(ValueError):
             total_bounds(0.1, 0.1, Priors.equal(), 3, 80)
+
+    def test_height_is_exact_for_every_power(self):
+        for m in range(2, 301):
+            for k in [*range(0, 400, 7), 400]:
+                n = m**k
+                assert _height_of(n, m) == k
+                for near in (n - 1, n + 1):
+                    if near in (1, m):  # 2 - 1 and 1 + 1, powers of m = 2
+                        continue
+                    with pytest.raises(ValueError):
+                        _height_of(near, m)
 
     def test_vacuous_lower_is_allowed(self):
         # weak leaves push the lower bound negative; still a valid sandwich

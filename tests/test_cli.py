@@ -1,6 +1,7 @@
 """Command-line interface: schemas, golden rows, flag conflicts, exits."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -113,6 +114,22 @@ class TestRecurse:
         assert code == 0
         assert len(rows) == 1
 
+    # sha256 of the whole CSV, recorded before log C(m, s) was cached per
+    # fan-in; the depths are the deepest the benchmark's trace pool runs
+    @pytest.mark.parametrize("flags, digest", [
+        (["--m", "255", "--levels", "140"],
+         "78f972ac58cb67ebb2389794141b159134230e5f31f512fb932f0617664b78b1"),
+        (["--m", "255", "--rule", "lrt", "--pi0", "0.3", "--levels", "140"],
+         "06577b6ccb352c5b5f8198bd506912095dc10480ab439283497be86302f76c06"),
+        (["--m", "3", "--levels", "400"],
+         "ae20d3f28ff2d3358fd928208388c65e23723e11f2ca42d2542a5575f5e264ee"),
+    ], ids=["odd_m255", "lrt_m255_pi0.3", "odd_m3"])
+    def test_deep_trace_is_pinned(self, capsys, flags, digest):
+        code = cli.run(["recurse", "--alpha0", "0.1", "--beta0", "0.1", *flags])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRecurseConflicts:
     def conflict(self, capsys, argv, *needles):
@@ -164,6 +181,30 @@ class TestRecurseConflicts:
             "recurse", "--m", "3", "--rule", "lrt", "--pi0", "1.0",
             "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1",
         ], "--pi0")
+
+    @pytest.mark.parametrize("m, levels", [
+        ("3", "1000000000"),
+        ("1000000000", "0"),  # no level, but each row's bounds are O(m)
+    ])
+    def test_oversized_trace_refused_before_any_per_level_work(
+        self, capsys, monkeypatch, m, levels
+    ):
+        # [rule] * levels alone would take gigabytes here
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level work before the work check")
+
+        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        self.conflict(capsys, [
+            "recurse", "--m", m, "--alpha0", "0.1", "--beta0", "0.1",
+            "--levels", levels,
+        ], "--levels", "--m", "work limit")
+
+    def test_work_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 5 * 4)
+        argv = ["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1"]
+        assert cli.run([*argv, "--levels", "4"]) == 0
+        capsys.readouterr()
+        self.conflict(capsys, [*argv, "--levels", "5"], "work limit")
 
     def test_alpha0_out_of_range(self, capsys):
         self.conflict(capsys, [

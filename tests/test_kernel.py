@@ -29,7 +29,7 @@ from relaytree.kernel import (
     propagate,
     total_error,
 )
-from relaytree.logdomain import LogProb
+from relaytree.logdomain import LogProb, log1mexp, log_sum_exp
 
 error_probs = st.floats(min_value=1e-6, max_value=0.499)
 
@@ -89,6 +89,32 @@ class TestBinomTail:
         )
         assert got.value == pytest.approx(want_log, rel=1e-9)
         assert got.value < -700.0
+
+    @given(
+        st.integers(min_value=2, max_value=1001),
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_per_term_binomials(self, m, p, data):
+        s_lo = data.draw(st.integers(min_value=0, max_value=m))
+        s_hi = data.draw(st.integers(min_value=s_lo, max_value=m))
+        lp = LogProb.from_linear(p)
+        # the sum as it was written before log C(m, s) was cached per fan-in
+        log_q = log1mexp(lp.value)
+        terms = []
+        for s in range(s_lo, s_hi + 1):
+            t = math.log(math.comb(m, s)) if 0 < s < m else 0.0
+            if s > 0:
+                t += s * lp.value
+            if s < m:
+                t += (m - s) * log_q
+            terms.append(t)
+        want = LogProb(log_sum_exp(terms)).value
+        assert binom_tail(m, s_lo, s_hi, lp).value == want
 
 
 class TestErrorPairAndPriors:
