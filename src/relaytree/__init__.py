@@ -6,139 +6,24 @@ it into one message.  This package computes the exact per-level false
 alarm and miss probabilities for the standard fusion rules, the proved
 two-sided bounds and decay exponents, the message-alphabet tradeoff,
 and Monte Carlo corroboration with reproducible counter-based streams.
+
+The public names are those of each module's own __all__.
 """
 
-from .alphabet import (
-    AlphabetRates,
-    TreeSpec,
-    alphabet_schedule,
-    avg_bits,
-    avg_bits_table,
-    bits_bounds,
-    equivalent_tree,
-    k0_of,
-    rates,
-    rates_from_k0,
-)
-from .bounds import (
-    BoundInapplicableError,
-    BoundSandwich,
-    RateKind,
-    RateReport,
-    SampleSize,
-    exponent,
-    exponent_table,
-    level_bounds,
-    lrt_lower_bound,
-    per_level_exponent,
-    ratio_poly,
-    sample_size,
-    total_bounds,
-)
-from .kernel import (
-    AlternatingMajority,
-    BayesianLRT,
-    ErrorPair,
-    FusionRule,
-    LevelTrace,
-    MajorityEven,
-    MajorityOdd,
-    Priors,
-    Summation,
-    TiePhase,
-    alternating_phases,
-    alternating_step,
-    apply_rule,
-    binom_tail,
-    lrt_decision_rule,
-    lrt_step,
-    majority_rule,
-    majority_step_even,
-    majority_step_odd,
-    propagate,
-    total_error,
-)
-from .logdomain import LogProb, log1mexp, log_add, log_sum_exp
-from .oracle import (
-    VectorRule,
-    count_vector_rule,
-    enumerate_step,
-    majority_vector_rule,
-    optimal_step,
-)
-from .simulate import (
-    DEFAULT_BUDGET,
-    ComparisonReport,
-    Hypothesis,
-    SimConfig,
-    SimResult,
-    compare_to_analytic,
-    reduced_root_pair,
-    simulate,
-)
+import sys as _sys
+
+from .alphabet import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .kernel import *  # noqa: F401,F403
+from .logdomain import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+# binds the name `simulate` to the function, over the submodule of that name
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetRates",
-    "AlternatingMajority",
-    "BayesianLRT",
-    "BoundInapplicableError",
-    "BoundSandwich",
-    "ComparisonReport",
-    "DEFAULT_BUDGET",
-    "ErrorPair",
-    "FusionRule",
-    "Hypothesis",
-    "LevelTrace",
-    "LogProb",
-    "MajorityEven",
-    "MajorityOdd",
-    "Priors",
-    "RateKind",
-    "RateReport",
-    "SampleSize",
-    "SimConfig",
-    "SimResult",
-    "Summation",
-    "TiePhase",
-    "TreeSpec",
-    "VectorRule",
-    "alphabet_schedule",
-    "alternating_phases",
-    "alternating_step",
-    "apply_rule",
-    "avg_bits",
-    "avg_bits_table",
-    "binom_tail",
-    "bits_bounds",
-    "compare_to_analytic",
-    "count_vector_rule",
-    "enumerate_step",
-    "equivalent_tree",
-    "exponent",
-    "exponent_table",
-    "k0_of",
-    "level_bounds",
-    "log1mexp",
-    "log_add",
-    "log_sum_exp",
-    "lrt_decision_rule",
-    "lrt_lower_bound",
-    "lrt_step",
-    "majority_rule",
-    "majority_step_even",
-    "majority_step_odd",
-    "majority_vector_rule",
-    "optimal_step",
-    "per_level_exponent",
-    "propagate",
-    "ratio_poly",
-    "rates",
-    "rates_from_k0",
-    "reduced_root_pair",
-    "sample_size",
-    "simulate",
-    "total_bounds",
-    "total_error",
-]
+__all__ = sorted(
+    name
+    for module in ("alphabet", "bounds", "kernel", "logdomain", "oracle", "simulate")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+)

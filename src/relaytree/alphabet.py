@@ -59,8 +59,6 @@ class TreeSpec:
     k0: int = field(init=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"fan-in must be >= 2, got {self.m}")
         if self.height < 1:
             raise ValueError(f"height must be >= 1, got {self.height}")
         object.__setattr__(self, "k0", k0_of(self.m, self.d))
@@ -135,8 +133,11 @@ def avg_bits(m: int, k0: int) -> float:
         raise ValueError(f"fan-in must be >= 2, got {m}")
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
-    numer = math.fsum(m ** (k0 - t) * math.log2(m**t + 1) for t in range(k0))
-    denom = float(sum(m ** (t + 1) for t in range(k0)))
+    try:
+        numer = math.fsum(m ** (k0 - t) * math.log2(m**t + 1) for t in range(k0))
+        denom = float(sum(m ** (t + 1) for t in range(k0)))
+    except OverflowError:
+        raise ValueError(f"avg_bits for m={m}, k0={k0}: m^k0 exceeds double range") from None
     return numer / denom
 
 
@@ -158,28 +159,22 @@ def alphabet_schedule(spec: TreeSpec, boundary_rules: Sequence[FusionRule]) -> l
     """Per-level rule list for an (m, d) tree: counts are summed except
     at every k0-th level, where the given binary rule (fan-in m^k0)
     decides over the accumulated count."""
-    if spec.height % spec.k0 != 0:
+    reduced = equivalent_tree(spec)
+    if len(boundary_rules) != reduced.height:
         raise ValueError(
-            f"height {spec.height} is not a multiple of k0={spec.k0} "
-            f"(remainder {spec.height % spec.k0})"
-        )
-    n_boundaries = spec.height // spec.k0
-    if len(boundary_rules) != n_boundaries:
-        raise ValueError(
-            f"need {n_boundaries} boundary rules for height {spec.height} "
+            f"need {reduced.height} boundary rules for height {spec.height} "
             f"with k0={spec.k0}, got {len(boundary_rules)}"
         )
-    m_eff = spec.m**spec.k0
     schedule = []
     b = 0
     for level in range(1, spec.height + 1):
         if level % spec.k0 == 0:
             rule = boundary_rules[b]
             rule_m = getattr(rule, "m", None)
-            if rule_m != m_eff:
+            if rule_m != reduced.m:
                 raise ValueError(
                     f"boundary rule at level {level} must have fan-in "
-                    f"m^k0 = {m_eff}, got {rule_m}"
+                    f"m^k0 = {reduced.m}, got {rule_m}"
                 )
             if isinstance(rule, Summation):
                 raise ValueError(f"level {level} must decide, not sum")

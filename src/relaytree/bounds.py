@@ -96,13 +96,6 @@ def per_level_exponent(m: int) -> int:
     return (m + 1) // 2
 
 
-def _sandwich_constant(m: int, strategy: RateKind) -> int:
-    lam = per_level_exponent(m)
-    if strategy is RateKind.ALTERNATING and m % 2 == 1:
-        raise ValueError(f"alternating strategy needs even m, got {m}")
-    return math.comb(m, lam)
-
-
 def ratio_poly(m: int, k: int, x: float) -> float:
     """sum_{j=0}^{k} C(m, j) x^(k-j) (1-x)^j for 0 < k < m.
 
@@ -125,19 +118,28 @@ def _bits(p: float, name: str) -> float:
     return -math.log2(p)
 
 
-def _level_factor(m: int, k: int, strategy: RateKind) -> float:
-    """Product of per-level exponents after k levels."""
+def _sandwich(m: int, k: int, strategy: RateKind) -> tuple:
+    """(factor, c) after k levels: factor the product of the per-level
+    exponents, c = C(m, floor((m+1)/2)) the one-level sandwich constant."""
     lam = per_level_exponent(m)
     if strategy is RateKind.MAJORITY_RANDOM:
-        return float(lam**k)
-    if strategy is RateKind.ALTERNATING:
+        power = lam**k
+    elif strategy is RateKind.ALTERNATING:
         if k % 2 == 1:
             raise ValueError(
                 f"alternating bounds hold at even heights only, got k={k}"
             )
+        if m % 2 == 1:
+            raise ValueError(f"alternating strategy needs even m, got {m}")
         # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1
-        return float(lam**(k // 2) * (lam + 1) ** (k // 2))
-    raise ValueError(f"no level bounds for strategy {strategy}")
+        power = lam**(k // 2) * (lam + 1) ** (k // 2)
+    else:
+        raise ValueError(f"no level bounds for strategy {strategy}")
+    try:
+        factor = float(power)
+    except OverflowError:
+        raise ValueError(f"level {k}: bound factor for m={m} exceeds double range") from None
+    return factor, math.comb(m, lam)
 
 
 def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSandwich:
@@ -152,10 +154,9 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     if k < 0:
         raise ValueError(f"level k must be >= 0, got {k}")
     bits0 = _bits(alpha0, "alpha0")
-    factor = _level_factor(m, k, strategy)
-    log2_c = math.log2(_sandwich_constant(m, strategy))
+    factor, c = _sandwich(m, k, strategy)
     return BoundSandwich(
-        factor * (bits0 - log2_c), factor * bits0, f"log2(1/alpha_{k})"
+        factor * (bits0 - math.log2(c)), factor * bits0, f"log2(1/alpha_{k})"
     )
 
 
@@ -185,16 +186,22 @@ def total_bounds(
     height-k tree with N = m^k leaves.
 
     The lower bound runs the level bound from the worse leaf error; the
-    upper bound mixes the per-type upper bounds with the priors.
+    upper bound mixes the per-type upper bounds with the priors.  The
+    alternating sandwich is refused at m = 2, where whichever tie direction
+    comes first, alpha or beta escapes the even-height constant.
     """
+    if strategy is RateKind.ALTERNATING and m == 2:
+        raise BoundInapplicableError(
+            "bound inapplicable: the alternating total-error sandwich does "
+            "not hold at m=2"
+        )
     bits_a = _bits(alpha0, "alpha0")
     bits_b = _bits(beta0, "beta0")
     k = _height_of(n, m)
-    factor = _level_factor(m, k, strategy)
-    log2_c = math.log2(_sandwich_constant(m, strategy))
+    factor, c = _sandwich(m, k, strategy)
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
     upper = factor * (priors.pi0 * bits_a + priors.pi1 * bits_b)
-    return BoundSandwich(factor * (worse - log2_c), upper, "log2(1/P_N)")
+    return BoundSandwich(factor * (worse - math.log2(c)), upper, "log2(1/P_N)")
 
 
 def lrt_lower_bound(total0: float, priors: Priors, m: int, n: int) -> float:
@@ -208,14 +215,15 @@ def lrt_lower_bound(total0: float, priors: Priors, m: int, n: int) -> float:
     priors.require_positive()
     bits0 = _bits(total0, "total0")
     lam = per_level_exponent(m)
-    k = _height_of(n, m)
-    penalty = (
-        2.0
-        * math.comb(m, lam)
-        * max(priors.pi0, priors.pi1)
-        / min(priors.pi0, priors.pi1) ** lam
-    )
-    return float(lam**k) * (bits0 - math.log2(penalty))
+    factor, c = _sandwich(m, _height_of(n, m), RateKind.MAJORITY_RANDOM)
+    lo, hi = sorted((priors.pi0, priors.pi1))
+    try:
+        penalty = 2.0 * c * hi / lo**lam
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"likelihood-ratio penalty for m={m}, min prior {lo} is outside double range"
+        ) from None
+    return factor * (bits0 - math.log2(penalty))
 
 
 def exponent(m: int, which: RateKind) -> float:
@@ -276,6 +284,14 @@ def sample_size(m: int, alpha0: float, beta0: float, epsilon: float) -> SampleSi
     if max(alpha0, beta0) <= epsilon:
         return SampleSize(n_real=1.0, k=0, n_tree=1)
     lam = per_level_exponent(m)
+    # C(m, lam) is the largest of m + 1 terms summing to 2^m, so
+    # log2 c >= m - log2(m + 1): refuse in O(1) what would fail below
+    if m - math.log2(m + 1) >= min(bits_a, bits_b):
+        raise BoundInapplicableError(
+            f"bound inapplicable: leaf errors ({alpha0}, {beta0}) give "
+            f"log2(1/max) = {min(bits_a, bits_b):.6g} <= m - log2(m + 1) "
+            f"<= log2(c) for m={m}"
+        )
     log2_c = math.log2(math.comb(m, lam))
     headroom = min(bits_a, bits_b) - log2_c
     if headroom <= 0.0:
@@ -290,6 +306,8 @@ def sample_size(m: int, alpha0: float, beta0: float, epsilon: float) -> SampleSi
             "(per-level exponent 1)"
         )
     n_real = (math.log2(1.0 / epsilon) / headroom) ** (math.log(m) / math.log(lam))
+    if math.isinf(n_real):  # no tree size ends the loop below
+        raise ValueError(f"epsilon {epsilon} is too small: 1/epsilon overflows a double")
     k = 0
     power = 1
     while power < n_real:

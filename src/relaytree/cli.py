@@ -17,7 +17,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds
-from .alphabet import TreeSpec, alphabet_schedule, avg_bits, bits_bounds, k0_of, rates_from_k0
+from .alphabet import (TreeSpec, alphabet_schedule, avg_bits, bits_bounds, equivalent_tree,
+                       k0_of, rates_from_k0)
 from .kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -136,14 +137,14 @@ def _cmd_recurse(args) -> int:
                 a0, b0, priors, m, leaves, bounds.RateKind.MAJORITY_RANDOM
             )
             thm_lower, thm_upper = sw.lower, sw.upper
-        elif args.rule == "alternating" and k % 2 == 0 and m >= 4:
-            # no columns at m=2: whichever tie direction comes first, one
-            # of alpha/beta follows the order that escapes the even-height
-            # constant, so the total-error sandwich does not hold there
-            sw = bounds.total_bounds(
-                a0, b0, priors, m, leaves, bounds.RateKind.ALTERNATING
-            )
-            thm_lower, thm_upper = sw.lower, sw.upper
+        elif args.rule == "alternating" and k % 2 == 0:
+            try:
+                sw = bounds.total_bounds(
+                    a0, b0, priors, m, leaves, bounds.RateKind.ALTERNATING
+                )
+                thm_lower, thm_upper = sw.lower, sw.upper
+            except bounds.BoundInapplicableError:
+                pass  # m = 2: the columns stay empty
         elif args.rule == "lrt":
             thm_lower = bounds.lrt_lower_bound(leaf_total, priors, m, leaves)
         rows.append(
@@ -182,7 +183,8 @@ def _cmd_simulate(args) -> int:
     priors = Priors(pi0, 1.0 - pi0)
     spec = TreeSpec(args.m, args.height, args.d)
     _check_budget(spec, args.trials, args.budget)  # before any per-level list
-    boundary = _rule_schedule(args, args.m**spec.k0, args.height // spec.k0, priors)
+    reduced = equivalent_tree(spec)
+    boundary = _rule_schedule(args, reduced.m, reduced.height, priors)
     config = SimConfig(
         spec=spec,
         schedule=alphabet_schedule(spec, boundary),
@@ -348,11 +350,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
-        # domain rejections (vacuous bounds, bad shapes) are usage errors too
+        # UsageError, and domain rejections (vacuous bounds, bad shapes) too
         print(f"error: {err}", file=sys.stderr)
         return 2
 

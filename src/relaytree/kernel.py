@@ -248,19 +248,12 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         raise ValueError(f"count window [{s_lo}, {s_hi}] invalid for m={m}")
     log_p = p.value
     log_q = log1mexp(log_p)
+    if log_p == LOG_ZERO or log_q == LOG_ZERO:
+        # point mass: Binom(m, 0) sits at s = 0 and Binom(m, 1) at s = m
+        at = 0 if log_p == LOG_ZERO else m
+        return LogProb(0.0 if s_lo <= at <= s_hi else LOG_ZERO)
     row = _log_comb_row(m)
-    if log_p > LOG_ZERO and log_q > LOG_ZERO:
-        terms = [row[s] + s * log_p + (m - s) * log_q for s in range(s_lo, s_hi + 1)]
-        return LogProb(log_sum_exp(terms))
-    # p = 0 or p = 1: skip multiplications by zero counts, 0 * -inf is NaN
-    terms = []
-    for s in range(s_lo, s_hi + 1):
-        t = row[s]
-        if s > 0:
-            t += s * log_p
-        if s < m:
-            t += (m - s) * log_q
-        terms.append(t)
+    terms = [row[s] + s * log_p + (m - s) * log_q for s in range(s_lo, s_hi + 1)]
     return LogProb(log_sum_exp(terms))
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["LogProb", "log1mexp", "log_add", "log_sum_exp"]
+
 # log of probability zero
 LOG_ZERO = float("-inf")
 

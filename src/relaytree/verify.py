@@ -886,12 +886,9 @@ def check_alphabet_equivalence_sim(trials: int = 10**6) -> list:
     # alphabet run vs simulated reduced twin, both hypotheses
     for m, d, h, a0 in ((2, 3, 4, 0.3), (3, 10, 3, 0.3)):
         spec = alph.TreeSpec(m, h, d)
-        k0 = spec.k0
-        m_eff = m**k0
-        n_bound = h // k0
-        boundary = [majority_rule(m_eff, 0.5)] * n_bound
-        sched = alph.alphabet_schedule(spec, boundary)
         red_spec = alph.equivalent_tree(spec)
+        boundary = [majority_rule(red_spec.m, 0.5)] * red_spec.height
+        sched = alph.alphabet_schedule(spec, boundary)
         for hyp in (Hypothesis.H0, Hypothesis.H1):
             full = simulate(
                 SimConfig(spec, tuple(sched), _pair(a0, a0), trials, 99, hyp)

@@ -150,6 +150,13 @@ class TestAvgBits:
         lo, _ = bits_bounds(10)
         assert avg_bits(10, 1) < lo
 
+    def test_past_double_range_names_m_and_k0(self):
+        avg_bits(2, 1022)  # the block's 2^1023 - 2 nodes still fit a double
+        with pytest.raises(ValueError, match="m=2, k0=1023"):
+            avg_bits(2, 1023)
+        with pytest.raises(ValueError, match="m=1000, k0=103"):
+            avg_bits(1000, 103)
+
     def test_table(self):
         rows = avg_bits_table(3, [1, 2, 3])
         assert [r[0] for r in rows] == [1, 2, 3]

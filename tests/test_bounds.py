@@ -20,7 +20,13 @@ from relaytree.bounds import (
     total_bounds,
 )
 from relaytree.bounds import _height_of
-from relaytree.kernel import Priors
+from relaytree.kernel import (
+    AlternatingMajority,
+    ErrorPair,
+    Priors,
+    alternating_phases,
+    propagate,
+)
 
 
 class TestPerLevelExponent:
@@ -155,6 +161,44 @@ class TestTotalBounds:
         assert b.lower < 0.0
         assert b.upper > 0.0
 
+    def test_alternating_m2_is_refused(self):
+        # the sandwich would claim 4 * (log2(10) - 1) = 9.288 bits at
+        # level 4; the ties-to-one-first trace has only 8.425 there
+        trace = propagate(
+            ErrorPair.from_linear(0.1, 0.1),
+            [AlternatingMajority(2, ph) for ph in alternating_phases(4)],
+            Priors.equal(),
+        )
+        assert trace.totals[4].log2_inverse < 4 * (math.log2(10) - 1)
+        for n in (16, 3):  # refused before the leaf count is checked
+            with pytest.raises(BoundInapplicableError, match="m=2"):
+                total_bounds(0.1, 0.1, Priors.equal(), 2, n, RateKind.ALTERNATING)
+
+
+class TestDoubleRange:
+    """Bound factors past the largest double are refused with the level or
+    fan-in named, never an OverflowError."""
+
+    def test_majority_factor_names_the_level(self):
+        level_bounds(0.1, 3, 1023, RateKind.MAJORITY_RANDOM)  # 2^1023 still fits
+        with pytest.raises(ValueError, match="level 1024"):
+            level_bounds(0.1, 3, 1024, RateKind.MAJORITY_RANDOM)
+        with pytest.raises(ValueError, match="level 147"):
+            total_bounds(0.1, 0.1, Priors.equal(), 255, 255**147)
+        with pytest.raises(ValueError, match="level 1024"):
+            lrt_lower_bound(0.1, Priors.equal(), 3, 3**1024)
+
+    def test_alternating_factor_is_not_an_inapplicable_bound(self):
+        with pytest.raises(ValueError, match="level 794") as err:
+            total_bounds(0.1, 0.1, Priors.equal(), 4, 4**794, RateKind.ALTERNATING)
+        assert err.type is ValueError  # callers that skip inapplicable bounds see it
+
+    def test_lrt_penalty_names_the_fan_in(self):
+        with pytest.raises(ValueError, match="m=1100"):
+            lrt_lower_bound(0.1, Priors.equal(), 1100, 1)  # 2 C(1100, 550) overflows
+        with pytest.raises(ValueError, match="m=301"):
+            lrt_lower_bound(0.1, Priors(0.001, 0.999), 301, 1)  # 0.001^151 underflows
+
 
 class TestLRTLowerBound:
     def test_frozen_m3_equal_priors(self):
@@ -244,6 +288,20 @@ class TestSampleSize:
     def test_inapplicable_m2(self):
         with pytest.raises(BoundInapplicableError, match="m=2"):
             sample_size(2, 0.1, 0.1, 1e-6)
+
+    def test_huge_m_is_refused_without_building_the_coefficient(self, monkeypatch):
+        # m - log2(m + 1) <= log2 C(m, lam) already exceeds the leaf bits
+        def no_comb(*args):
+            raise AssertionError("C(m, lam) was built")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        with pytest.raises(BoundInapplicableError, match="m=1000000000"):
+            sample_size(10**9, 0.1, 0.1, 1e-6)
+
+    def test_subnormal_epsilon_is_refused(self):
+        # 1/epsilon overflows to inf, and no tree size would reach it
+        with pytest.raises(ValueError, match="epsilon"):
+            sample_size(3, 0.1, 0.1, 1e-310)
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):

@@ -301,6 +301,40 @@ class TestSampleSize:
         assert "bound inapplicable" in err
 
 
+    def test_huge_m_refused_without_building_the_coefficient(self, capsys, monkeypatch):
+        # C(m, m/2) alone takes hours at m = 10^9
+        def no_comb(*args):
+            raise AssertionError("C(m, lam) was built")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        code = cli.run([
+            "samplesize", "--m", "1000000000", "--alpha0", "0.1", "--beta0", "0.1",
+            "--epsilon", "1e-6",
+        ])
+        assert code == 2
+        assert "bound inapplicable" in capsys.readouterr().err
+
+
+class TestDoubleRangeRefusals:
+    """Past the largest double a bound or message-cost column is refused
+    with exit 2, naming the level or m and k0, rather than a traceback."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["recurse", "--m", "3", "--levels", "1030"], "level 1024"),
+        (["recurse", "--m", "255", "--levels", "160"], "level 147"),
+        (["recurse", "--m", "1100", "--rule", "lrt", "--levels", "1"], "m=1100"),
+        (["alphabet", "--m", "1000", "--k0-max", "110"], "m=1000, k0=103"),
+    ])
+    def test_exit_2_names_where(self, capsys, argv, needle):
+        if argv[0] == "recurse":
+            argv = [*argv, "--alpha0", "0.1", "--beta0", "0.1"]
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert needle in captured.err
+
+
 class TestSimulate:
     ARGS = [
         "simulate", "--m", "2", "--height", "2", "--alpha0", "0.1",

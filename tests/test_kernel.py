@@ -53,6 +53,26 @@ class TestBinomTail:
         assert binom_tail(5, 3, 5, LogProb.from_linear(1.0)).linear == 1.0
         assert binom_tail(5, 0, 5, LogProb.from_linear(0.0)).linear == 1.0
 
+    def test_point_mass_matches_the_term_sum(self):
+        # Binom(m, 0) sits at s = 0 and Binom(m, 1) at s = m; bit for bit
+        # what summing the terms, without their 0 * -inf products, gives
+        for p in (0.0, 1.0):
+            lp = LogProb.from_linear(p)
+            log_q = log1mexp(lp.value)
+            for m in range(1, 12):
+                for s_lo in range(m + 1):
+                    for s_hi in range(s_lo, m + 1):
+                        terms = [
+                            math.log(math.comb(m, s))
+                            + (s * lp.value if s > 0 else 0.0)
+                            + ((m - s) * log_q if s < m else 0.0)
+                            for s in range(s_lo, s_hi + 1)
+                        ]
+                        want = LogProb(log_sum_exp(terms)).value
+                        got = binom_tail(m, s_lo, s_hi, lp).value
+                        assert math.copysign(1, got) == math.copysign(1, want)
+                        assert got == want
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             binom_tail(3, 3, 2, LogProb.from_linear(0.1))
