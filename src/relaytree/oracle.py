@@ -5,14 +5,26 @@ of the kernel: error probabilities are obtained by enumerating all 2^m
 child-message vectors and summing their probabilities in linear domain
 with compensated summation.  Slow, simple, and independent, which is
 the point; the kernel is tested against these functions.
+
+The oracle lists the vectors and counts their ones itself; it reads no
+kernel table, run or binomial tail, and imports only the ErrorPair and
+Priors value types.  A rule is asked once per vector, and its decisions
+are kept on the rule.  Each step then forms one term per vector with
+numpy (elementwise float64 products, in the same left-to-right order as
+a per-vector loop) and sums the terms with math.fsum.  Elementwise
+products are the same IEEE operations as Python float products, and
+fsum is correctly rounded whatever the order of its terms, so the result
+is bit for bit what a per-vector loop gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
+
+import numpy as np
 
 from .kernel import ErrorPair, Priors
 
@@ -33,11 +45,25 @@ class VectorRule:
 
     decide maps an m-tuple of bits to the probability of outputting 1,
     so deterministic rules return 0.0 or 1.0 and randomized tie-breaks
-    return the tie weight.
+    return the tie weight.  It must be a pure function of the vector:
+    it is called once per vector, and the answers are kept on the rule.
     """
 
     m: int
     decide: Callable[[tuple], float]
+
+    @cached_property
+    def decisions(self) -> np.ndarray:
+        """decide(v) for every vector v, in enumeration order."""
+        _check_fanin(self.m)
+        vectors = _vectors(self.m)[0]
+        d = np.array([self.decide(vec) for vec in vectors], dtype=float)
+        bad = np.flatnonzero(~((d >= 0.0) & (d <= 1.0)))  # NaN is bad too
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"decide({vectors[i]}) = {d[i]} outside [0, 1]")
+        d.flags.writeable = False
+        return d
 
 
 def majority_vector_rule(m: int, tie_weight: float = 0.5) -> VectorRule:
@@ -61,17 +87,20 @@ def count_vector_rule(m: int, table) -> VectorRule:
     probs = tuple(float(x) for x in table)
     if len(probs) != m + 1:
         raise ValueError(f"need {m + 1} entries for fan-in {m}, got {len(probs)}")
+    if not all(0.0 <= p <= 1.0 for p in probs):  # NaN is refused too
+        raise ValueError(f"table entries must lie in [0, 1], got {probs}")
     return VectorRule(m, lambda vector: probs[sum(vector)])
 
 
 @lru_cache(maxsize=32)
 def _vectors(m: int):
-    """All m-bit vectors with their popcounts, lowest bit = first message."""
-    out = []
-    for code in range(1 << m):
-        vec = tuple((code >> t) & 1 for t in range(m))
-        out.append((vec, sum(vec)))
-    return out
+    """All m-bit vectors, lowest bit = first message, with the number of
+    ones and of zeros in each as read-only intp arrays."""
+    vectors = tuple(tuple((code >> t) & 1 for t in range(m)) for code in range(1 << m))
+    ones = np.array([sum(vec) for vec in vectors], dtype=np.intp)
+    zeros = m - ones
+    ones.flags.writeable = zeros.flags.writeable = False
+    return vectors, ones, zeros
 
 
 def _check_fanin(m: int) -> None:
@@ -80,13 +109,20 @@ def _check_fanin(m: int) -> None:
 
 
 def _pow_tables(p: float, m: int):
-    """p^s and (1-p)^s for s = 0..m."""
+    """p^s and (1-p)^s for s = 0..m, as repeated products."""
     direct = [1.0]
     inverse = [1.0]
     for _ in range(m):
         direct.append(direct[-1] * p)
         inverse.append(inverse[-1] * (1.0 - p))
-    return direct, inverse
+    return np.array(direct), np.array(inverse)
+
+
+def _summed(alpha_terms: np.ndarray, beta_terms: np.ndarray) -> ErrorPair:
+    return ErrorPair.from_linear(
+        min(math.fsum(alpha_terms.tolist()), 1.0),
+        min(math.fsum(beta_terms.tolist()), 1.0),
+    )
 
 
 def enumerate_step(pair: ErrorPair, m: int, rule: VectorRule) -> ErrorPair:
@@ -101,25 +137,17 @@ def enumerate_step(pair: ErrorPair, m: int, rule: VectorRule) -> ErrorPair:
     _check_fanin(m)
     if rule.m != m:
         raise ValueError(f"rule fan-in {rule.m} does not match m={m}")
-    a = pair.alpha.linear
-    b = pair.beta.linear
-    a_pow, a_comp = _pow_tables(a, m)
+    d = rule.decisions
+    _, ones, zeros = _vectors(m)
+    a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
     # under H1 a bit is 1 w.p. 1-beta, so "ones" carry 1-beta factors;
     # powering b itself (not 1-(1-b)) keeps exact ties exactly tied
-    b_pow, b_comp = _pow_tables(b, m)
-    alpha_terms = []
-    beta_terms = []
-    for vec, ones in _vectors(m):
-        d = rule.decide(vec)
-        if d < 0.0 or d > 1.0:
-            raise ValueError(f"decide({vec}) = {d} outside [0, 1]")
-        if d > 0.0:
-            alpha_terms.append(d * a_pow[ones] * a_comp[m - ones])
-        if d < 1.0:
-            beta_terms.append((1.0 - d) * b_comp[ones] * b_pow[m - ones])
-    return ErrorPair.from_linear(
-        min(math.fsum(alpha_terms), 1.0),
-        min(math.fsum(beta_terms), 1.0),
+    b_pow, b_comp = _pow_tables(pair.beta.linear, m)
+    to_one = d > 0.0
+    to_zero = d < 1.0
+    return _summed(
+        d[to_one] * a_pow[ones[to_one]] * a_comp[zeros[to_one]],
+        (1.0 - d[to_zero]) * b_comp[ones[to_zero]] * b_pow[zeros[to_zero]],
     )
 
 
@@ -135,22 +163,12 @@ def optimal_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     """
     _check_fanin(m)
     priors.require_positive()
-    a = pair.alpha.linear
-    b = pair.beta.linear
-    a_pow, a_comp = _pow_tables(a, m)
-    b_pow, b_comp = _pow_tables(b, m)
-    alpha_terms = []
-    beta_terms = []
-    for vec, ones in _vectors(m):
-        p0 = a_pow[ones] * a_comp[m - ones]
-        p1 = b_comp[ones] * b_pow[m - ones]
-        mass0 = priors.pi0 * p0
-        mass1 = priors.pi1 * p1
-        if mass1 >= mass0 - 1e-9 * max(mass0, mass1):
-            alpha_terms.append(p0)
-        else:
-            beta_terms.append(p1)
-    return ErrorPair.from_linear(
-        min(math.fsum(alpha_terms), 1.0),
-        min(math.fsum(beta_terms), 1.0),
-    )
+    _, ones, zeros = _vectors(m)
+    a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
+    b_pow, b_comp = _pow_tables(pair.beta.linear, m)
+    p0 = a_pow[ones] * a_comp[zeros]
+    p1 = b_comp[ones] * b_pow[zeros]
+    mass0 = priors.pi0 * p0
+    mass1 = priors.pi1 * p1
+    to_one = mass1 >= mass0 - 1e-9 * np.maximum(mass0, mass1)
+    return _summed(p0[to_one], p1[~to_one])

@@ -9,6 +9,7 @@ numerically on dense grids; they do not re-derive any proofs.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -314,6 +315,7 @@ def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
     """Closed-form steps equal brute-force enumeration over all vectors."""
     fails = []
     priors = Priors.equal()
+    lrt_rules = {}  # decision table -> vector rule, so each is enumerated once
     for m in fanins:
         rules = _rules_for(m)
         for a in grid:
@@ -322,9 +324,11 @@ def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
                 for step, vrule, name in rules:
                     if step is None:  # likelihood-ratio: table per point
                         table = lrt_decision_rule(pair, priors, m)
-                        vrule = oracle.count_vector_rule(
-                            m, [1.0 if d else 0.0 for d in table]
-                        )
+                        if table not in lrt_rules:
+                            lrt_rules[table] = oracle.count_vector_rule(
+                                m, [1.0 if d else 0.0 for d in table]
+                            )
+                        vrule = lrt_rules[table]
                         got = lrt_step(pair, priors, m)
                     else:
                         got = step(pair)
@@ -959,18 +963,18 @@ SUITES = {
 
 
 def run_suites(names, report=print) -> int:
-    """Run the named suites, print one line per check, return failure count."""
+    """Run the named suites, print one line per check with its wall time,
+    return failure count."""
     failures = 0
     for suite in names:
         for name, fn in SUITES[suite]:
+            start = time.perf_counter()
             fails = fn()
-            if fails:
-                failures += len(fails)
-                report(f"FAIL {suite}.{name}")
-                for msg in fails[:10]:
-                    report(f"     {msg}")
-                if len(fails) > 10:
-                    report(f"     ... and {len(fails) - 10} more")
-            else:
-                report(f"ok   {suite}.{name}")
+            took = time.perf_counter() - start
+            report(f"{'FAIL' if fails else 'ok  '} {suite}.{name}  {took:.1f} s")
+            failures += len(fails)
+            for msg in fails[:10]:
+                report(f"     {msg}")
+            if len(fails) > 10:
+                report(f"     ... and {len(fails) - 10} more")
     return failures

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 from fractions import Fraction
@@ -426,6 +427,16 @@ class TestVerifySubcommand:
     def test_unknown_suite_rejected(self, capsys):
         assert cli.run(["verify", "--suite", "bogus"]) == 2
         capsys.readouterr()
+
+    def test_each_check_line_ends_with_its_wall_time(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "alphabet", [
+            ("instant", lambda: []),
+            ("forced_failure", lambda: ["synthetic violation"]),
+        ])
+        cli.run(["verify", "--suite", "alphabet"])
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"ok   alphabet\.instant  \d+\.\d s", lines[0])
+        assert re.fullmatch(r"FAIL alphabet\.forced_failure  \d+\.\d s", lines[1])
 
 
 class TestParser:

@@ -5,6 +5,8 @@ kernel sums binomial tails in log arithmetic.  The two routes share no
 code, so agreement is evidence either is right.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,140 @@ def test_decide_range_checked():
     bad = VectorRule(2, lambda v: 1.5)
     with pytest.raises(ValueError):
         enumerate_step(pair(0.1, 0.1), 2, bad)
+
+
+def test_error_names_first_bad_vector():
+    # vectors run lowest bit first: (0, 0), (1, 0), (0, 1), (1, 1)
+    bad = VectorRule(2, lambda v: -1.0 if v[1] else (2.0 if v[0] else 0.0))
+    with pytest.raises(ValueError, match=r"decide\(\(1, 0\)\) = 2.0 outside"):
+        enumerate_step(pair(0.1, 0.1), 2, bad)
+
+
+def test_nan_decision_rejected():
+    # NaN fails both d > 0 and d < 1, so unchecked it would score as a
+    # perfect rule with alpha' = beta' = 0
+    rule = VectorRule(3, lambda v: float("nan"))
+    with pytest.raises(ValueError, match="outside"):
+        enumerate_step(pair(0.1, 0.2), 3, rule)
+
+
+@pytest.mark.parametrize("table", [
+    [0.0, math.nan, 1.0, 1.0],
+    [0.0, -0.1, 1.0, 1.0],
+    [0.0, 0.5, 1.5, 1.0],
+])
+def test_count_vector_rule_rejects_entries_outside_unit_interval(table):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        count_vector_rule(3, table)
+
+
+def test_decide_called_once_per_vector():
+    m = 5
+    calls = []
+
+    def decide(vec):
+        calls.append(vec)
+        return 1.0 if sum(vec) > 2 else 0.0
+
+    rule = VectorRule(m, decide)
+    for a, b in [(0.1, 0.2), (0.3, 0.05), (0.45, 0.4)]:
+        enumerate_step(pair(a, b), m, rule)
+    assert len(calls) == 1 << m
+
+
+# ---- the per-vector loop the array code replaced, kept as the reference
+
+def _loop_pow_tables(p, m):
+    direct, inverse = [1.0], [1.0]
+    for _ in range(m):
+        direct.append(direct[-1] * p)
+        inverse.append(inverse[-1] * (1.0 - p))
+    return direct, inverse
+
+
+def _loop_vectors(m):
+    for code in range(1 << m):
+        vec = tuple((code >> t) & 1 for t in range(m))
+        yield vec, sum(vec)
+
+
+def loop_enumerate_step(p, m, decide):
+    a_pow, a_comp = _loop_pow_tables(p.alpha.linear, m)
+    b_pow, b_comp = _loop_pow_tables(p.beta.linear, m)
+    alpha_terms, beta_terms = [], []
+    for vec, ones in _loop_vectors(m):
+        d = decide(vec)
+        if d > 0.0:
+            alpha_terms.append(d * a_pow[ones] * a_comp[m - ones])
+        if d < 1.0:
+            beta_terms.append((1.0 - d) * b_comp[ones] * b_pow[m - ones])
+    return ErrorPair.from_linear(
+        min(math.fsum(alpha_terms), 1.0), min(math.fsum(beta_terms), 1.0)
+    )
+
+
+def loop_optimal_step(p, priors, m):
+    a_pow, a_comp = _loop_pow_tables(p.alpha.linear, m)
+    b_pow, b_comp = _loop_pow_tables(p.beta.linear, m)
+    alpha_terms, beta_terms = [], []
+    for _, ones in _loop_vectors(m):
+        p0 = a_pow[ones] * a_comp[m - ones]
+        p1 = b_comp[ones] * b_pow[m - ones]
+        mass0 = priors.pi0 * p0
+        mass1 = priors.pi1 * p1
+        if mass1 >= mass0 - 1e-9 * max(mass0, mass1):
+            alpha_terms.append(p0)
+        else:
+            beta_terms.append(p1)
+    return ErrorPair.from_linear(
+        min(math.fsum(alpha_terms), 1.0), min(math.fsum(beta_terms), 1.0)
+    )
+
+
+# 0, 1, the smallest subnormal, values near both ends, and the open interval
+edge_probs = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1e-17, 0.5, 1 - 1e-16]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def edge_pairs(draw):
+    a = draw(edge_probs)
+    b = a if draw(st.booleans()) else draw(edge_probs)  # a = b: exact ties
+    return pair(a, b)
+
+
+@st.composite
+def fanin_tables(draw):
+    """A fan-in 2..12 and a table over 0, 1 and two fractions."""
+    m = draw(st.integers(min_value=2, max_value=12))
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    values = [0.0, 1.0, draw(fraction), draw(fraction)]
+    return m, draw(st.lists(st.sampled_from(values), min_size=m + 1, max_size=m + 1))
+
+
+@given(edge_pairs(), fanin_tables())
+@settings(max_examples=200, deadline=None)
+def test_enumerate_equals_per_vector_loop(p, fanin_table):
+    m, table = fanin_table
+    # table[0] doubles as a tie weight for the majority rule
+    for rule in (count_vector_rule(m, table), majority_vector_rule(m, table[0])):
+        got = enumerate_step(p, m, rule)
+        want = loop_enumerate_step(p, m, rule.decide)
+        assert got.alpha.value == want.alpha.value
+        assert got.beta.value == want.beta.value
+
+
+@given(edge_pairs(), st.integers(min_value=2, max_value=12),
+       st.sampled_from([(0.5, 0.5), (0.9, 0.1), (0.3, 0.7)]))
+@settings(max_examples=200, deadline=None)
+def test_optimal_equals_per_vector_loop(p, m, prior_pair):
+    priors = Priors(*prior_pair)
+    got = optimal_step(p, priors, m)
+    want = loop_optimal_step(p, priors, m)
+    assert got.alpha.value == want.alpha.value
+    assert got.beta.value == want.beta.value
 
 
 def test_permutation_invariance():
