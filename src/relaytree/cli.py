@@ -23,8 +23,6 @@ from .kernel import (
     AlternatingMajority,
     BayesianLRT,
     ErrorPair,
-    MajorityEven,
-    MajorityOdd,
     Priors,
     TiePhase,
     alternating_phases,
@@ -63,12 +61,24 @@ def _emit_csv(header, rows) -> None:
         writer.writerow([_fmt(x) for x in row])
 
 
-def _probability(name: str, value: float, open_interval: bool = True) -> float:
-    if open_interval and not 0.0 < value < 1.0:
-        raise UsageError(f"--{name} must be inside (0, 1), got {value}")
-    if not open_interval and not 0.0 <= value <= 1.0:
-        raise UsageError(f"--{name} must be inside [0, 1], got {value}")
-    return value
+def _within(cast, low, high=math.inf, closed=True):
+    """argparse type: cast the text, then require low <= x <= high
+    (closed) or low < x < high (open); NaN lies in no range."""
+    if high == math.inf:
+        domain = f">= {low}"
+    elif closed:
+        domain = f"inside [{low}, {high}]"
+    else:
+        domain = f"inside ({low}, {high})"
+
+    def parse(text: str):
+        x = cast(text)
+        if not (low <= x <= high if closed else low < x < high):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {x}")
+        return x
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _phase_of(tag: str) -> TiePhase:
@@ -84,7 +94,7 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
                              "it selects the alternating tie direction")
         if args.pb is not None:
             if m % 2 == 1:
-                raise UsageError(f"--pb conflicts with odd --m {m}; "
+                raise UsageError(f"--pb conflicts with odd deciding fan-in {m}; "
                                  "ties need an even fan-in")
             if not 0.0 < args.pb < 1.0:
                 raise UsageError(f"--pb must be inside (0, 1), got {args.pb}; "
@@ -95,7 +105,8 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
             raise UsageError("--pb conflicts with --rule alternating; "
                              "its tie direction is deterministic")
         if m % 2 == 1:
-            raise UsageError(f"--rule alternating conflicts with odd --m {m}")
+            raise UsageError(
+                f"--rule alternating conflicts with odd deciding fan-in {m}")
         first = _phase_of(args.phase or "one")
         return [AlternatingMajority(m, ph) for ph in alternating_phases(levels, first)]
     # likelihood-ratio rule
@@ -110,19 +121,13 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
 
 def _cmd_recurse(args) -> int:
     m = args.m
-    if m < 2:
-        raise UsageError(f"--m must be >= 2, got {m}")
-    if args.levels < 0:
-        raise UsageError(f"--levels must be >= 0, got {args.levels}")
     if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
         raise UsageError(
             f"--levels {args.levels} with --m {m} exceeds the work limit: "
             f"(levels + 1) x (m + 1) must be at most {RECURSE_WORK_LIMIT}"
         )
-    a0 = _probability("alpha0", args.alpha0)
-    b0 = _probability("beta0", args.beta0)
-    pi0 = _probability("pi0", args.pi0, open_interval=False)
-    priors = Priors(pi0, 1.0 - pi0)
+    a0, b0 = args.alpha0, args.beta0
+    priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = _rule_schedule(args, m, args.levels, priors)
     trace = propagate(ErrorPair.from_linear(a0, b0), schedule, priors)
     leaf_total = total_error(trace.pairs[0], priors).linear
@@ -177,10 +182,7 @@ def _cmd_recurse(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    a0 = _probability("alpha0", args.alpha0)
-    b0 = _probability("beta0", args.beta0)
-    pi0 = _probability("pi0", args.pi0, open_interval=False)
-    priors = Priors(pi0, 1.0 - pi0)
+    priors = Priors(args.pi0, 1.0 - args.pi0)
     spec = TreeSpec(args.m, args.height, args.d)
     _check_budget(spec, args.trials, args.budget)  # before any per-level list
     reduced = equivalent_tree(spec)
@@ -188,7 +190,7 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(
         spec=spec,
         schedule=alphabet_schedule(spec, boundary),
-        leaf_pair=ErrorPair.from_linear(a0, b0),
+        leaf_pair=ErrorPair.from_linear(args.alpha0, args.beta0),
         trials=args.trials,
         seed=args.seed,
         hypothesis=Hypothesis(args.hypothesis),
@@ -215,11 +217,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    if args.m_min < 2 or args.m_max > 64 or args.m_min > args.m_max:
-        raise UsageError(
-            f"need 2 <= --m-min <= --m-max <= 64, got "
-            f"({args.m_min}, {args.m_max})"
-        )
+    if args.m_min > args.m_max:
+        raise UsageError(f"need --m-min <= --m-max, got ({args.m_min}, {args.m_max})")
     rows = [
         [r.m, r.majority_random, r.alternating, r.upper_bound]
         for r in bounds.exponent_table(range(args.m_min, args.m_max + 1))
@@ -229,22 +228,16 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_alphabet(args) -> int:
-    if args.m < 2:
-        raise UsageError(f"--m must be >= 2, got {args.m}")
     if args.k0_max is not None:
         if args.d is not None:
             raise UsageError(
                 "--d conflicts with --k0-max: the sweep ranges over "
                 "counting depths directly"
             )
-        if args.k0_max < 1:
-            raise UsageError(f"--k0-max must be >= 1, got {args.k0_max}")
         k0_values = range(1, args.k0_max + 1)
     else:
         if args.d is None:
             raise UsageError("alphabet needs --d (single row) or --k0-max (sweep)")
-        if args.d < 2:
-            raise UsageError(f"--d must be >= 2, got {args.d}")
         k0_values = [k0_of(args.m, args.d)]
     lo, hi = bits_bounds(args.m)
     rows = []
@@ -259,13 +252,7 @@ def _cmd_alphabet(args) -> int:
 
 
 def _cmd_samplesize(args) -> int:
-    if args.m < 2:
-        raise UsageError(f"--m must be >= 2, got {args.m}")
-    a0 = _probability("alpha0", args.alpha0)
-    b0 = _probability("beta0", args.beta0)
-    if not 0.0 < args.epsilon < 1.0:
-        raise UsageError(f"--epsilon must be inside (0, 1), got {args.epsilon}")
-    res = bounds.sample_size(args.m, a0, b0, args.epsilon)
+    res = bounds.sample_size(args.m, args.alpha0, args.beta0, args.epsilon)
     json.dump({"n_real": res.n_real, "k": res.k, "n_tree": res.n_tree}, sys.stdout)
     sys.stdout.write("\n")
     return 0
@@ -295,14 +282,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tie probability for even-fan-in majority")
         p.add_argument("--phase", choices=["one", "zero"], default=None,
                        help="first tie direction for the alternating rule")
-        p.add_argument("--pi0", type=float, default=0.5)
-        p.add_argument("--alpha0", type=float, required=True)
-        p.add_argument("--beta0", type=float, required=True)
+        p.add_argument("--pi0", type=_within(float, 0, 1), default=0.5)
+        p.add_argument("--alpha0", type=_within(float, 0, 1, closed=False), required=True)
+        p.add_argument("--beta0", type=_within(float, 0, 1, closed=False), required=True)
 
     p = sub.add_parser("recurse", help="per-level error trace with bounds")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_within(int, 2), required=True)
     add_rule_flags(p)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_within(int, 0), required=True)
     p.set_defaults(func=_cmd_recurse)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of one tree")
@@ -318,21 +305,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("exponents", help="decay-exponent table")
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--m-min", type=_within(int, 2, 64), required=True)
+    p.add_argument("--m-max", type=_within(int, 2, 64), required=True)
     p.set_defaults(func=_cmd_exponents)
 
     p = sub.add_parser("alphabet", help="rates and message cost of count forwarding")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k0-max", dest="k0_max", type=int, default=None)
+    p.add_argument("--m", type=_within(int, 2), required=True)
+    p.add_argument("--d", type=_within(int, 2), default=None)
+    p.add_argument("--k0-max", dest="k0_max", type=_within(int, 1), default=None)
     p.set_defaults(func=_cmd_alphabet)
 
     p = sub.add_parser("samplesize", help="leaf budget for a target error")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha0", type=float, required=True)
-    p.add_argument("--beta0", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--m", type=_within(int, 2), required=True)
+    p.add_argument("--alpha0", type=_within(float, 0, 1, closed=False), required=True)
+    p.add_argument("--beta0", type=_within(float, 0, 1, closed=False), required=True)
+    p.add_argument("--epsilon", type=_within(float, 0, 1, closed=False), required=True)
     p.set_defaults(func=_cmd_samplesize)
 
     p = sub.add_parser("verify", help="run the numeric invariant suites")

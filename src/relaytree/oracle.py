@@ -8,17 +8,19 @@ the point; the kernel is tested against these functions.
 
 The oracle lists the vectors and counts their ones itself; it reads no
 kernel table, run or binomial tail, and imports only the ErrorPair and
-Priors value types.  A rule is asked once per vector, and its decisions
-are kept on the rule.  Each step then forms one term per vector with
-numpy (elementwise float64 products, in the same left-to-right order as
-a per-vector loop) and sums the terms with math.fsum.  Elementwise
-products are the same IEEE operations as Python float products, and
-fsum is correctly rounded whatever the order of its terms, so the result
-is bit for bit what a per-vector loop gives.
+Priors value types.  Only the counts of ones and zeros are cached, per
+fan-in.  The vectors are made when a rule is first asked; it is asked
+once per vector and keeps its decisions.  Each step then forms one term
+per vector with numpy (elementwise float64 products, in the same
+left-to-right order as a per-vector loop) and sums the terms with
+math.fsum.  Elementwise products are the same IEEE operations as Python
+float products, and fsum is correctly rounded whatever the order of its
+terms, so the result is bit for bit what a per-vector loop gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -56,12 +58,14 @@ class VectorRule:
     def decisions(self) -> np.ndarray:
         """decide(v) for every vector v, in enumeration order."""
         _check_fanin(self.m)
-        vectors = _vectors(self.m)[0]
-        d = np.array([self.decide(vec) for vec in vectors], dtype=float)
+        # reversed, product's tuples run lowest bit first, the order of _counts
+        vectors = (vec[::-1] for vec in itertools.product((0, 1), repeat=self.m))
+        d = np.fromiter(map(self.decide, vectors), dtype=float, count=1 << self.m)
         bad = np.flatnonzero(~((d >= 0.0) & (d <= 1.0)))  # NaN is bad too
         if bad.size:
-            i = bad[0]
-            raise ValueError(f"decide({vectors[i]}) = {d[i]} outside [0, 1]")
+            i = int(bad[0])
+            vec = tuple((i >> t) & 1 for t in range(self.m))
+            raise ValueError(f"decide({vec}) = {d[i]} outside [0, 1]")
         d.flags.writeable = False
         return d
 
@@ -92,15 +96,15 @@ def count_vector_rule(m: int, table) -> VectorRule:
     return VectorRule(m, lambda vector: probs[sum(vector)])
 
 
-@lru_cache(maxsize=32)
-def _vectors(m: int):
-    """All m-bit vectors, lowest bit = first message, with the number of
-    ones and of zeros in each as read-only intp arrays."""
-    vectors = tuple(tuple((code >> t) & 1 for t in range(m)) for code in range(1 << m))
-    ones = np.array([sum(vec) for vec in vectors], dtype=np.intp)
+@lru_cache(maxsize=None)  # one entry per fan-in, at most 19 under the cap
+def _counts(m: int):
+    """The number of ones and of zeros in each m-bit vector, lowest bit
+    = first message, as read-only intp arrays."""
+    codes = np.arange(1 << m, dtype=np.intp)
+    ones = sum((codes >> t) & 1 for t in range(m))
     zeros = m - ones
     ones.flags.writeable = zeros.flags.writeable = False
-    return vectors, ones, zeros
+    return ones, zeros
 
 
 def _check_fanin(m: int) -> None:
@@ -138,7 +142,7 @@ def enumerate_step(pair: ErrorPair, m: int, rule: VectorRule) -> ErrorPair:
     if rule.m != m:
         raise ValueError(f"rule fan-in {rule.m} does not match m={m}")
     d = rule.decisions
-    _, ones, zeros = _vectors(m)
+    ones, zeros = _counts(m)
     a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
     # under H1 a bit is 1 w.p. 1-beta, so "ones" carry 1-beta factors;
     # powering b itself (not 1-(1-b)) keeps exact ties exactly tied
@@ -163,7 +167,7 @@ def optimal_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     """
     _check_fanin(m)
     priors.require_positive()
-    _, ones, zeros = _vectors(m)
+    ones, zeros = _counts(m)
     a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
     b_pow, b_comp = _pow_tables(pair.beta.linear, m)
     p0 = a_pow[ones] * a_comp[zeros]

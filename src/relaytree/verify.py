@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .kernel import (
     TiePhase,
     alternating_phases,
     alternating_step,
+    apply_rule,
     binom_tail,
     lrt_decision_rule,
     lrt_step,
@@ -48,6 +50,7 @@ GRID_48 = [i / 100.0 for i in range(1, 49)]  # 0.01 .. 0.48, for (alpha, beta) s
 ODD_FANINS = (3, 5, 7, 9)
 EVEN_FANINS = (2, 4, 6, 8, 10)
 TOL = 1e-12
+_TRIALS = 10**6  # per Monte Carlo run of the sim suite
 
 
 def _log_close(x: float, y: float, tol: float = TOL) -> bool:
@@ -285,62 +288,46 @@ def check_totals() -> list:
 
 # ---------------------------------------------------------------- oracle
 
-def _rules_for(m: int, with_lrt: bool = True) -> list:
-    """(kernel step, matching vector rule) pairs valid for fan-in m."""
-    out = []
+@lru_cache(maxsize=None)
+def _rules_for(m: int) -> tuple:
+    """(kernel rule, vector twin) pairs of the majority family at fan-in m.
+
+    Cached per fan-in (at most 19 entries under the oracle's m <= 20
+    cap), so each twin keeps its decisions and asks its rule once per
+    vector for the life of the process.
+    """
     if m % 2 == 1:
-        out.append(
-            (lambda p, m=m: majority_step_odd(p, m),
-             oracle.majority_vector_rule(m), f"majority m={m}")
-        )
-    else:
-        for pb in (0.5, 0.3):
-            out.append(
-                (lambda p, m=m, pb=pb: majority_step_even(p, m, pb),
-                 oracle.majority_vector_rule(m, pb), f"majority m={m} pb={pb}")
-            )
-        for phase in (TiePhase.TIES_TO_ONE, TiePhase.TIES_TO_ZERO):
-            tie = 1.0 if phase is TiePhase.TIES_TO_ONE else 0.0
-            out.append(
-                (lambda p, m=m, ph=phase: alternating_step(p, m, ph),
-                 oracle.majority_vector_rule(m, tie), f"alternating m={m} {phase.value}")
-            )
-    if with_lrt:
-        # the decision table depends on the pair, so build the vector rule per point
-        out.append((None, None, f"lrt m={m}"))
-    return out
+        return ((MajorityOdd(m), oracle.majority_vector_rule(m)),)
+    ties = [(MajorityEven(m, pb), pb) for pb in (0.5, 0.3)]
+    ties += [(AlternatingMajority(m, TiePhase.TIES_TO_ONE), 1.0),
+             (AlternatingMajority(m, TiePhase.TIES_TO_ZERO), 0.0)]
+    return tuple((rule, oracle.majority_vector_rule(m, tie)) for rule, tie in ties)
 
 
 def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
     """Closed-form steps equal brute-force enumeration over all vectors."""
     fails = []
-    priors = Priors.equal()
-    lrt_rules = {}  # decision table -> vector rule, so each is enumerated once
+    lrt_twins = {}  # decision table -> vector rule, so each is enumerated once
     for m in fanins:
-        rules = _rules_for(m)
+        lrt = BayesianLRT(m, Priors.equal())
         for a in grid:
             for b in grid:
                 pair = _pair(a, b)
-                for step, vrule, name in rules:
-                    if step is None:  # likelihood-ratio: table per point
-                        table = lrt_decision_rule(pair, priors, m)
-                        if table not in lrt_rules:
-                            lrt_rules[table] = oracle.count_vector_rule(
-                                m, [1.0 if d else 0.0 for d in table]
-                            )
-                        vrule = lrt_rules[table]
-                        got = lrt_step(pair, priors, m)
-                    else:
-                        got = step(pair)
-                    ref = oracle.enumerate_step(pair, m, vrule)
+                # the likelihood-ratio table depends on the pair
+                table = lrt.table(pair)
+                if table not in lrt_twins:
+                    lrt_twins[table] = oracle.count_vector_rule(m, table)
+                for rule, twin in (*_rules_for(m), (lrt, lrt_twins[table])):
+                    got = apply_rule(pair, rule)
+                    ref = oracle.enumerate_step(pair, m, twin)
                     if not _log_close(got.alpha.value, ref.alpha.value):
                         fails.append(
-                            f"{name} ({a},{b}): alpha {got.alpha.value} "
+                            f"{rule} ({a},{b}): alpha {got.alpha.value} "
                             f"vs oracle {ref.alpha.value}"
                         )
                     if not _log_close(got.beta.value, ref.beta.value):
                         fails.append(
-                            f"{name} ({a},{b}): beta {got.beta.value} "
+                            f"{rule} ({a},{b}): beta {got.beta.value} "
                             f"vs oracle {ref.beta.value}"
                         )
                     if len(fails) > 20:
@@ -403,22 +390,17 @@ def check_lrt_beats_count_rules() -> list:
     return fails
 
 
-def check_lrt_beats_majority(fanins=range(2, 7), grid=GRID_48) -> list:
+def check_lrt_beats_majority() -> list:
     """Per-level total error: likelihood ratio <= fair majority."""
     fails = []
-    for m in fanins:
+    for m in range(2, 7):
+        rule = majority_rule(m)
         for priors in (Priors.equal(), Priors(0.3, 0.7), Priors(0.9, 0.1)):
-            rule = majority_rule(m)
-            for a in grid:
-                for b in grid:
+            for a in GRID_48:
+                for b in GRID_48:
                     pair = _pair(a, b)
                     lrt_total = total_error(lrt_step(pair, priors, m), priors)
-                    maj_total = total_error(
-                        majority_step_odd(pair, m)
-                        if m % 2
-                        else majority_step_even(pair, m, rule.tie_prob),
-                        priors,
-                    )
+                    maj_total = total_error(apply_rule(pair, rule), priors)
                     if lrt_total.value > maj_total.value + 1e-12:
                         fails.append(
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
@@ -839,7 +821,7 @@ def check_sim_budget() -> list:
     return fails
 
 
-def check_sim_agreement(trials: int = 10**6) -> list:
+def check_sim_agreement() -> list:
     """|z| <= 4 between simulation and recursion across the rule matrix.
 
     Each config gets its own seed (20260817, 20260818, ...), so no two
@@ -855,7 +837,7 @@ def check_sim_agreement(trials: int = 10**6) -> list:
             for height in (1, 2, 3):
                 for a0 in (0.1, 0.3):
                     for hyp in (Hypothesis.H0, Hypothesis.H1):
-                        cfg = _binary_config(m, height, a0, kind, trials, seed, hyp)
+                        cfg = _binary_config(m, height, a0, kind, _TRIALS, seed, hyp)
                         seed += 1
                         rep = compare_to_analytic(cfg)
                         if rep.flagged:
@@ -868,20 +850,20 @@ def check_sim_agreement(trials: int = 10**6) -> list:
     return fails
 
 
-def check_alphabet_equivalence_sim(trials: int = 10**6) -> list:
+def check_alphabet_equivalence_sim() -> list:
     """Count-forwarding trees behave like their reduced binary twins."""
     fails = []
     # frozen example: m=2, d=5 gives k0=3, one boundary over 8 leaves,
     # ties to 1 there, so alpha_root = upper tail from 4 of Binom(8, 0.1)
     spec = alph.TreeSpec(2, 3, 5)
     sched = alph.alphabet_schedule(spec, [AlternatingMajority(8, TiePhase.TIES_TO_ONE)])
-    cfg = SimConfig(spec, tuple(sched), _pair(0.1, 0.1), trials, 4242, Hypothesis.H0)
+    cfg = SimConfig(spec, tuple(sched), _pair(0.1, 0.1), _TRIALS, 4242, Hypothesis.H0)
     rep = compare_to_analytic(cfg)
     analytic = binom_tail(8, 4, 8, LogProb.from_linear(0.1)).linear
     if not math.isclose(rep.analytic, analytic, rel_tol=1e-12):
         fails.append(f"reduced analytic {rep.analytic} != direct tail {analytic}")
     if abs(rep.result.estimate - analytic) > 3 * math.sqrt(
-        analytic * (1 - analytic) / trials
+        analytic * (1 - analytic) / _TRIALS
     ):
         fails.append(
             f"(2, d=5, h=3) estimate {rep.result.estimate} not within "
@@ -895,15 +877,15 @@ def check_alphabet_equivalence_sim(trials: int = 10**6) -> list:
         sched = alph.alphabet_schedule(spec, boundary)
         for hyp in (Hypothesis.H0, Hypothesis.H1):
             full = simulate(
-                SimConfig(spec, tuple(sched), _pair(a0, a0), trials, 99, hyp)
+                SimConfig(spec, tuple(sched), _pair(a0, a0), _TRIALS, 99, hyp)
             )
             red = simulate(
-                SimConfig(red_spec, tuple(boundary), _pair(a0, a0), trials, 100, hyp)
+                SimConfig(red_spec, tuple(boundary), _pair(a0, a0), _TRIALS, 100, hyp)
             )
             p = compare_to_analytic(
                 SimConfig(spec, tuple(sched), _pair(a0, a0), 1, 1, hyp)
             ).analytic
-            sd = math.sqrt(max(p * (1 - p), 1e-30) / trials)
+            sd = math.sqrt(max(p * (1 - p), 1e-30) / _TRIALS)
             if abs(full.estimate - red.estimate) > 3 * math.sqrt(2) * sd:
                 fails.append(
                     f"(m={m}, d={d}, h={h}, {hyp.value}): alphabet "

@@ -336,6 +336,43 @@ class TestDoubleRangeRefusals:
         assert needle in captured.err
 
 
+RECURSE = ["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1"]
+SIMULATE = ["simulate", "--m", "2", "--height", "1", "--alpha0", "0.1", "--beta0", "0.1",
+            "--trials", "10", "--seed", "1"]
+SAMPLESIZE = ["samplesize", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1",
+              "--epsilon", "1e-6"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (RECURSE, "--m", "1"),
+    (RECURSE, "--levels", "-1"),
+    (RECURSE, "--alpha0", "0"),
+    (RECURSE, "--alpha0", "nan"),
+    (RECURSE, "--beta0", "1"),
+    (RECURSE, "--pi0", "1.5"),
+    (SIMULATE, "--alpha0", "1"),
+    (SIMULATE, "--beta0", "-0.1"),
+    (SIMULATE, "--pi0", "-0.5"),
+    (SAMPLESIZE, "--m", "0"),
+    (SAMPLESIZE, "--alpha0", "inf"),
+    (SAMPLESIZE, "--beta0", "0"),
+    (SAMPLESIZE, "--epsilon", "0"),
+    (SAMPLESIZE, "--epsilon", "1"),
+    (["alphabet", "--m", "3", "--d", "10"], "--m", "1"),
+    (["alphabet", "--m", "3", "--d", "10"], "--d", "1"),
+    (["alphabet", "--m", "2", "--k0-max", "3"], "--k0-max", "0"),
+    (["exponents", "--m-min", "2", "--m-max", "4"], "--m-min", "1"),
+    (["exponents", "--m-min", "2", "--m-max", "4"], "--m-max", "65"),
+])
+def test_out_of_domain_number_is_refused(capsys, argv, flag, value):
+    # argparse checks every occurrence of a flag, so the appended one is read
+    code = cli.run([*argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
 class TestSimulate:
     ARGS = [
         "simulate", "--m", "2", "--height", "2", "--alpha0", "0.1",
@@ -391,6 +428,22 @@ class TestSimulate:
         ])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, needles", [
+        (["--pb", "0.3"], ("--pb", "odd")),
+        (["--rule", "alternating"], ("alternating", "odd")),
+    ])
+    def test_conflict_names_the_deciding_fan_in(self, capsys, flags, needles):
+        # --d 10 sums counts for k0 = 3 levels, so the deciding fan-in is 3^3
+        code = cli.run([
+            "simulate", "--m", "3", "--height", "3", "--d", "10", "--alpha0", "0.1",
+            "--beta0", "0.1", "--trials", "10", "--seed", "1", *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "fan-in 27" in err and "--m 27" not in err
+        for needle in needles:
+            assert needle in err
 
     def test_flag_warning_when_z_large(self, capsys, monkeypatch):
         from relaytree.simulate import ComparisonReport, SimResult

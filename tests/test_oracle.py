@@ -5,12 +5,15 @@ kernel sums binomial tails in log arithmetic.  The two routes share no
 code, so agreement is evidence either is right.
 """
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaytree import kernel, oracle, verify
 from relaytree.kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -318,3 +321,59 @@ def test_lrt_equals_optimal_on_tie_families():
 def test_lrt_matches_optimal_suite_sample():
     # the acceptance suite runs the full grid; keep a small smoke here
     assert check_lrt_matches_optimal(fanins=(2, 3), grid=[i / 10 for i in range(1, 5)]) == []
+
+
+def test_enumeration_keeps_no_vectors():
+    # only the ones/zeros counts outlive a call: 1 MB at m = 16, where
+    # the 2^16 vector tuples take 12 MB
+    gc.collect()
+    oracle._counts.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rule = majority_vector_rule(16)
+        enumerate_step(pair(0.1, 0.2), 16, rule)
+        del rule
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20
+
+
+# ---- the cross-check in verify, which names each rule as a kernel rule object
+
+def test_cross_check_enumerates_each_majority_twin_once(monkeypatch):
+    calls = []
+    real = oracle.majority_vector_rule
+
+    def counting(m, tie_weight=0.5):
+        rule = real(m, tie_weight)
+
+        def decide(vec):
+            calls.append(vec)
+            return rule.decide(vec)
+
+        return VectorRule(m, decide)
+
+    monkeypatch.setattr(oracle, "majority_vector_rule", counting)
+    verify._rules_for.cache_clear()
+    try:
+        for _ in range(2):
+            fails = verify.check_kernel_matches_enumeration(fanins=(6,), grid=[0.1, 0.3])
+            assert fails == []
+            assert len(calls) == 4 << 6  # two majority and two alternating twins
+    finally:
+        verify._rules_for.cache_clear()  # drop the counting twins
+
+
+def test_cross_check_scores_kernel_rules_through_apply_rule(monkeypatch):
+    # a wrong alternating step must show, so the kernel side is the step
+    # that propagate applies, not a private copy of it
+    def ties_swapped(p, m, phase):
+        return majority_step_even(p, m, 0.0 if phase is TiePhase.TIES_TO_ONE else 1.0)
+
+    monkeypatch.setattr(kernel, "alternating_step", ties_swapped)
+    fails = verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3])
+    assert fails
+    assert all(msg.startswith("AlternatingMajority(m=4") for msg in fails)
