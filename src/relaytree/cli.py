@@ -4,7 +4,8 @@ Subcommands run the error recursion, the exponent and alphabet tables,
 the sample-size planner, Monte Carlo simulations, and the verification
 suites.  Tables go to standard output as CSV with 12-significant-digit
 numerics (the planner emits JSON); diagnostics go to standard error.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
+(as if killed by SIGPIPE) when the reader of standard output goes away.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -344,7 +346,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: write the rest, and the final flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ the point; the kernel is tested against these functions.
 The oracle lists the vectors and counts their ones itself; it reads no
 kernel table, run or binomial tail, and imports only the ErrorPair and
 Priors value types.  Only the counts of ones and zeros are cached, per
-fan-in.  The vectors are made when a rule is first asked; it is asked
-once per vector and keeps its decisions.  Each step then forms one term
+fan-in.  A rule keeps its decisions: a count rule gathers its table over
+them, any other rule is asked once per vector.  Each step forms one term
 per vector with numpy (elementwise float64 products, in the same
 left-to-right order as a per-vector loop) and sums the terms with
 math.fsum.  Elementwise products are the same IEEE operations as Python
@@ -93,7 +93,22 @@ def count_vector_rule(m: int, table) -> VectorRule:
         raise ValueError(f"need {m + 1} entries for fan-in {m}, got {len(probs)}")
     if not all(0.0 <= p <= 1.0 for p in probs):  # NaN is refused too
         raise ValueError(f"table entries must lie in [0, 1], got {probs}")
-    return VectorRule(m, lambda vector: probs[sum(vector)])
+    return _CountRule(m, lambda vector: probs[sum(vector)], probs)
+
+
+@dataclass(frozen=True)
+class _CountRule(VectorRule):
+    """A rule on the count of ones.  Its decisions gather its table over
+    the cached counts: the floats decide gives, without calling it."""
+
+    probs: tuple
+
+    @cached_property
+    def decisions(self) -> np.ndarray:
+        _check_fanin(self.m)
+        d = np.array(self.probs)[_counts(self.m)[0]]
+        d.flags.writeable = False
+        return d
 
 
 @lru_cache(maxsize=None)  # one entry per fan-in, at most 19 under the cap

@@ -26,14 +26,9 @@ from .kernel import (
     Priors,
     TiePhase,
     alternating_phases,
-    alternating_step,
     apply_rule,
     binom_tail,
-    lrt_decision_rule,
-    lrt_step,
     majority_rule,
-    majority_step_even,
-    majority_step_odd,
     propagate,
     total_error,
 )
@@ -60,8 +55,17 @@ def _log_close(x: float, y: float, tol: float = TOL) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
+def _pairs_close(x: ErrorPair, y: ErrorPair) -> bool:
+    return _log_close(x.alpha.value, y.alpha.value) and _log_close(x.beta.value, y.beta.value)
+
+
 def _pair(a: float, b: float) -> ErrorPair:
     return ErrorPair.from_linear(a, b)
+
+
+def _alternating(m: int, height: int, first: TiePhase = TiePhase.TIES_TO_ONE) -> list:
+    """A schedule of `height` alternating-majority levels starting at `first`."""
+    return [AlternatingMajority(m, ph) for ph in alternating_phases(height, first)]
 
 
 def exact_majority_trace(alpha0: Fraction, m: int, levels: int) -> list:
@@ -83,23 +87,20 @@ def exact_majority_trace(alpha0: Fraction, m: int, levels: int) -> list:
 
 def check_step_examples() -> list:
     fails = []
+    leaf = _pair(0.1, 0.1)
     cases = [
-        ("odd m=3", majority_step_odd(_pair(0.1, 0.1), 3).alpha_linear, 0.028),
-        ("odd m=5", majority_step_odd(_pair(0.1, 0.1), 5).alpha_linear, 0.00856),
-        ("odd m=3 x=.05", majority_step_odd(_pair(0.05, 0.05), 3).alpha_linear, 0.00725),
-        ("even m=4 pb=.5", majority_step_even(_pair(0.1, 0.1), 4, 0.5).alpha_linear, 0.028),
+        ("odd m=3", apply_rule(leaf, MajorityOdd(3)).alpha_linear, 0.028),
+        ("odd m=5", apply_rule(leaf, MajorityOdd(5)).alpha_linear, 0.00856),
+        ("odd m=3 x=.05", apply_rule(_pair(0.05, 0.05), MajorityOdd(3)).alpha_linear, 0.00725),
+        ("even m=4 pb=.5", apply_rule(leaf, MajorityEven(4, 0.5)).alpha_linear, 0.028),
     ]
-    ep0 = majority_step_even(_pair(0.1, 0.1), 2, 0.0)
+    ep0 = apply_rule(leaf, AlternatingMajority(2, TiePhase.TIES_TO_ZERO))
     cases.append(("even m=2 pb=0 alpha", ep0.alpha_linear, 0.01))
     cases.append(("even m=2 pb=0 beta", ep0.beta_linear, 0.19))
-    alt = alternating_step(_pair(0.1, 0.1), 4, TiePhase.TIES_TO_ONE)
+    alt = apply_rule(leaf, AlternatingMajority(4, TiePhase.TIES_TO_ONE))
     cases.append(("alt m=4 ties-one alpha", alt.alpha_linear, 0.0523))
     cases.append(("alt m=4 ties-one beta", alt.beta_linear, 0.0037))
-    two = alternating_step(
-        alternating_step(_pair(0.1, 0.1), 2, TiePhase.TIES_TO_ONE),
-        2,
-        TiePhase.TIES_TO_ZERO,
-    )
+    two = propagate(leaf, _alternating(2, 2), Priors.equal()).root
     cases.append(("alt m=2 two levels alpha", two.alpha_linear, 0.0361))
     cases.append(("alt m=2 two levels beta", two.beta_linear, 0.0199))
     for name, got, want in cases:
@@ -114,65 +115,50 @@ def check_step_examples() -> list:
 def check_lrt_examples() -> list:
     fails = []
     pair = _pair(0.01, 0.3)
-    table = lrt_decision_rule(pair, Priors.equal(), 3)
-    if table != (False, True, True, True):
+    lrt = BayesianLRT(3, Priors.equal())
+    table = lrt.table(pair)
+    if table != (0.0, 1.0, 1.0, 1.0):
         fails.append(f"lrt table for (0.01, 0.3): {table}")
-    step = lrt_step(pair, Priors.equal(), 3)
+    step = apply_rule(pair, lrt)
     if not math.isclose(step.alpha_linear, 0.029701, rel_tol=1e-9):
         fails.append(f"lrt alpha: {step.alpha_linear}")
     if not math.isclose(step.beta_linear, 0.027, rel_tol=1e-9):
         fails.append(f"lrt beta: {step.beta_linear}")
     # uninformative messages with a skewed prior: always decide H0
-    coin = lrt_step(_pair(0.5, 0.5), Priors(0.9, 0.1), 2)
+    coin = apply_rule(_pair(0.5, 0.5), BayesianLRT(2, Priors(0.9, 0.1)))
     if coin.alpha.value != LOG_ZERO or coin.beta.value != 0.0:
         fails.append(f"coin leaf lrt: ({coin.alpha_linear}, {coin.beta_linear})")
     return fails
 
 
+def _ratio_fails(rule, lam: int, log_lo: float, log_hi: float) -> list:
+    """Grid points where one step of `rule` puts log(alpha' / alpha^lam)
+    outside [log_lo, log_hi], with 1e-9 slack."""
+    fails = []
+    for x in GRID:
+        pair = _pair(x, x)
+        ratio = apply_rule(pair, rule).alpha.value - lam * pair.alpha.value
+        if ratio < log_lo - 1e-9 or ratio > log_hi + 1e-9:
+            fails.append(f"{rule!r}, alpha={x}: log-ratio {ratio}")
+    return fails
+
+
 def check_odd_majority_sandwich() -> list:
     """1 <= alpha' / alpha^((m+1)/2) <= C(m, (m-1)/2) on the grid."""
-    fails = []
-    for m in ODD_FANINS:
-        lam = (m + 1) // 2
-        log_c = math.log(math.comb(m, (m - 1) // 2))
-        for x in GRID:
-            pair = _pair(x, x)
-            ratio = majority_step_odd(pair, m).alpha.value - lam * pair.alpha.value
-            if ratio < -1e-9 or ratio > log_c + 1e-9:
-                fails.append(f"m={m}, alpha={x}: log-ratio {ratio}")
-    return fails
+    return [msg for m in ODD_FANINS for msg in _ratio_fails(
+        MajorityOdd(m), (m + 1) // 2, 0.0, math.log(math.comb(m, (m - 1) // 2)))]
 
 
 def check_even_majority_sandwich() -> list:
     """1 <= alpha' / alpha^(m/2) <= C(m, m/2)/2 for the fair tie coin."""
-    fails = []
-    for m in EVEN_FANINS:
-        log_c = math.log(math.comb(m, m // 2) / 2.0)
-        for x in GRID:
-            pair = _pair(x, x)
-            ratio = (
-                majority_step_even(pair, m, 0.5).alpha.value
-                - (m // 2) * pair.alpha.value
-            )
-            if ratio < -1e-9 or ratio > log_c + 1e-9:
-                fails.append(f"m={m}, alpha={x}: log-ratio {ratio}")
-    return fails
+    return [msg for m in EVEN_FANINS for msg in _ratio_fails(
+        MajorityEven(m, 0.5), m // 2, 0.0, math.log(math.comb(m, m // 2) / 2.0))]
 
 
 def check_tie_weight_sandwich() -> list:
     """P_b <= alpha' / alpha^(m/2) <= 2^m for biased tie coins."""
-    fails = []
-    for m in EVEN_FANINS:
-        for pb in (0.1, 0.3, 0.7, 0.9):
-            for x in GRID:
-                pair = _pair(x, x)
-                ratio = (
-                    majority_step_even(pair, m, pb).alpha.value
-                    - (m // 2) * pair.alpha.value
-                )
-                if ratio < math.log(pb) - 1e-9 or ratio > m * math.log(2) + 1e-9:
-                    fails.append(f"m={m}, pb={pb}, alpha={x}: log-ratio {ratio}")
-    return fails
+    return [msg for m in EVEN_FANINS for pb in (0.1, 0.3, 0.7, 0.9)
+            for msg in _ratio_fails(MajorityEven(m, pb), m // 2, math.log(pb), m * math.log(2))]
 
 
 def check_alternating_sandwich() -> list:
@@ -180,22 +166,10 @@ def check_alternating_sandwich() -> list:
     fails = []
     for m in EVEN_FANINS:
         half = m // 2
-        log_c_one = math.log(math.comb(m, half))
-        log_c_zero = math.log(math.comb(m, half - 1)) if half >= 1 else 0.0
-        for x in GRID:
-            pair = _pair(x, x)
-            r1 = (
-                alternating_step(pair, m, TiePhase.TIES_TO_ONE).alpha.value
-                - half * pair.alpha.value
-            )
-            if r1 < -1e-9 or r1 > log_c_one + 1e-9:
-                fails.append(f"m={m} ties-one alpha={x}: log-ratio {r1}")
-            r0 = (
-                alternating_step(pair, m, TiePhase.TIES_TO_ZERO).alpha.value
-                - (half + 1) * pair.alpha.value
-            )
-            if r0 < -1e-9 or r0 > log_c_zero + 1e-9:
-                fails.append(f"m={m} ties-zero alpha={x}: log-ratio {r0}")
+        fails += _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ONE),
+                              half, 0.0, math.log(math.comb(m, half)))
+        fails += _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ZERO),
+                              half + 1, 0.0, math.log(math.comb(m, half - 1)))
     return fails
 
 
@@ -229,10 +203,11 @@ def check_lrt_majority_symmetry() -> list:
     """Equal errors and equal priors reduce the LRT to plain majority."""
     fails = []
     for m in ODD_FANINS:
+        lrt_rule, maj_rule = BayesianLRT(m, Priors.equal()), MajorityOdd(m)
         for x in GRID:
             pair = _pair(x, x)
-            lrt = lrt_step(pair, Priors.equal(), m)
-            maj = majority_step_odd(pair, m)
+            lrt = apply_rule(pair, lrt_rule)
+            maj = apply_rule(pair, maj_rule)
             if not _log_close(lrt.alpha.value, lrt.beta.value):
                 fails.append(f"m={m}, x={x}: lrt alpha != beta")
             if not _log_close(lrt.alpha.value, maj.alpha.value):
@@ -244,11 +219,12 @@ def check_lrt_threshold_structure() -> list:
     """Informative messages give a monotone (threshold) decision table."""
     fails = []
     for m in (2, 3, 4, 5, 6):
+        lrt = BayesianLRT(m, Priors(0.3, 0.7))
         for a in GRID:
             for b in (0.05, 0.25, 0.45):
                 if a + b >= 1.0:
                     continue
-                table = lrt_decision_rule(_pair(a, b), Priors(0.3, 0.7), m)
+                table = lrt.table(_pair(a, b))
                 if any(table[s] and not table[s + 1] for s in range(m)):
                     fails.append(f"m={m}, pair=({a},{b}): non-threshold {table}")
     return fails
@@ -265,7 +241,7 @@ def check_boundary_pairs() -> list:
             fails.append(f"{rule}: boundary pair moved to "
                          f"({root.alpha_linear}, {root.beta_linear})")
     try:
-        lrt_step(zero_one, Priors.equal(), 3)
+        apply_rule(zero_one, BayesianLRT(3, Priors.equal()))
         fails.append("lrt accepted a boundary pair")
     except ValueError:
         pass
@@ -278,9 +254,7 @@ def check_totals() -> list:
     priors = Priors(0.25, 0.75)
     trace = propagate(_pair(0.2, 0.05), [MajorityOdd(3)] * 5, priors)
     for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
-        direct = math.log(
-            0.25 * pair.alpha_linear + 0.75 * pair.beta_linear
-        )
+        direct = math.log(0.25 * pair.alpha_linear + 0.75 * pair.beta_linear)
         if not _log_close(tot.value, direct, 1e-12):
             fails.append(f"level {k}: total {tot.value} vs {direct}")
     return fails
@@ -307,29 +281,20 @@ def _rules_for(m: int) -> tuple:
 def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
     """Closed-form steps equal brute-force enumeration over all vectors."""
     fails = []
-    lrt_twins = {}  # decision table -> vector rule, so each is enumerated once
     for m in fanins:
         lrt = BayesianLRT(m, Priors.equal())
         for a in grid:
             for b in grid:
                 pair = _pair(a, b)
                 # the likelihood-ratio table depends on the pair
-                table = lrt.table(pair)
-                if table not in lrt_twins:
-                    lrt_twins[table] = oracle.count_vector_rule(m, table)
-                for rule, twin in (*_rules_for(m), (lrt, lrt_twins[table])):
+                lrt_twin = oracle.count_vector_rule(m, lrt.table(pair))
+                for rule, twin in (*_rules_for(m), (lrt, lrt_twin)):
                     got = apply_rule(pair, rule)
                     ref = oracle.enumerate_step(pair, m, twin)
-                    if not _log_close(got.alpha.value, ref.alpha.value):
-                        fails.append(
-                            f"{rule} ({a},{b}): alpha {got.alpha.value} "
-                            f"vs oracle {ref.alpha.value}"
-                        )
-                    if not _log_close(got.beta.value, ref.beta.value):
-                        fails.append(
-                            f"{rule} ({a},{b}): beta {got.beta.value} "
-                            f"vs oracle {ref.beta.value}"
-                        )
+                    for side in ("alpha", "beta"):
+                        ours, theirs = getattr(got, side).value, getattr(ref, side).value
+                        if not _log_close(ours, theirs):
+                            fails.append(f"{rule} ({a},{b}): {side} {ours} vs oracle {theirs}")
                     if len(fails) > 20:
                         return fails
     return fails
@@ -341,15 +306,13 @@ def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> list:
     priors_list = [Priors.equal(), Priors(0.9, 0.1), Priors(0.3, 0.7)]
     for m in fanins:
         for priors in priors_list:
+            lrt = BayesianLRT(m, priors)
             for a in grid:
                 for b in grid:
                     pair = _pair(a, b)
-                    got = lrt_step(pair, priors, m)
+                    got = apply_rule(pair, lrt)
                     ref = oracle.optimal_step(pair, priors, m)
-                    if not (
-                        _log_close(got.alpha.value, ref.alpha.value)
-                        and _log_close(got.beta.value, ref.beta.value)
-                    ):
+                    if not _pairs_close(got, ref):
                         fails.append(
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
                             f"pair=({a},{b}): lrt != optimal"
@@ -365,14 +328,12 @@ def check_lrt_beats_count_rules() -> list:
     grid = [i / 20.0 for i in range(1, 10)]  # 0.05 .. 0.45
     priors_list = [Priors.equal(), Priors(0.9, 0.1), Priors(0.3, 0.7)]
     for m in range(2, 7):
-        n_rules = 1 << (m + 1)
-        tables = np.array(
-            [[(r >> s) & 1 for s in range(m + 1)] for r in range(n_rules)],
-            dtype=float,
-        )
-        combs = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
         s_arr = np.arange(m + 1)
+        # row r is the rule deciding 1 at count s iff bit s of r is set
+        tables = ((np.arange(1 << (m + 1))[:, None] >> s_arr) & 1).astype(float)
+        combs = np.array([math.comb(m, s) for s in range(m + 1)], dtype=float)
         for priors in priors_list:
+            lrt = BayesianLRT(m, priors)
             for a in grid:
                 for b in grid:
                     pmf0 = combs * a**s_arr * (1 - a) ** (m - s_arr)
@@ -380,8 +341,7 @@ def check_lrt_beats_count_rules() -> list:
                     alpha_all = tables @ pmf0
                     beta_all = (1.0 - tables) @ pmf1
                     best = np.min(priors.pi0 * alpha_all + priors.pi1 * beta_all)
-                    pair = lrt_step(_pair(a, b), priors, m)
-                    ours = total_error(pair, priors).linear
+                    ours = total_error(apply_rule(_pair(a, b), lrt), priors).linear
                     if ours > best * (1 + 1e-12) + 1e-15:
                         fails.append(
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
@@ -396,10 +356,11 @@ def check_lrt_beats_majority() -> list:
     for m in range(2, 7):
         rule = majority_rule(m)
         for priors in (Priors.equal(), Priors(0.3, 0.7), Priors(0.9, 0.1)):
+            lrt = BayesianLRT(m, priors)
             for a in GRID_48:
                 for b in GRID_48:
                     pair = _pair(a, b)
-                    lrt_total = total_error(lrt_step(pair, priors, m), priors)
+                    lrt_total = total_error(apply_rule(pair, lrt), priors)
                     maj_total = total_error(apply_rule(pair, rule), priors)
                     if lrt_total.value > maj_total.value + 1e-12:
                         fails.append(
@@ -417,16 +378,11 @@ def check_permutation_invariance() -> list:
     m = 5
     base = oracle.VectorRule(m, lambda v: 1.0 if v[0] and v[1] else 0.0)
     perm = (3, 1, 4, 0, 2)
-    shuffled = oracle.VectorRule(
-        m, lambda v: 1.0 if v[perm[0]] and v[perm[1]] else 0.0
-    )
+    shuffled = oracle.VectorRule(m, lambda v: 1.0 if v[perm[0]] and v[perm[1]] else 0.0)
     for a, b in ((0.1, 0.2), (0.45, 0.05), (0.3, 0.3)):
         one = oracle.enumerate_step(_pair(a, b), m, base)
         two = oracle.enumerate_step(_pair(a, b), m, shuffled)
-        if not (
-            _log_close(one.alpha.value, two.alpha.value)
-            and _log_close(one.beta.value, two.beta.value)
-        ):
+        if not _pairs_close(one, two):
             fails.append(f"pair=({a},{b}): permutation changed the step")
     return fails
 
@@ -507,11 +463,7 @@ def check_sandwich_on_traces() -> list:
                 firsts.append(TiePhase.TIES_TO_ONE)
             for a0 in alphas:
                 for first in firsts:
-                    sched = [
-                        AlternatingMajority(m, ph)
-                        for ph in alternating_phases(12, first)
-                    ]
-                    trace = propagate(_pair(a0, a0), sched, Priors.equal())
+                    trace = propagate(_pair(a0, a0), _alternating(m, 12, first), Priors.equal())
                     for k in range(0, 13, 2):
                         sw = bounds.level_bounds(
                             a0, m, k, bounds.RateKind.ALTERNATING
@@ -566,10 +518,7 @@ def check_total_bounds() -> list:
     for m in (4, 6):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
             for first in (TiePhase.TIES_TO_ONE, TiePhase.TIES_TO_ZERO):
-                sched = [
-                    AlternatingMajority(m, ph) for ph in alternating_phases(4, first)
-                ]
-                trace = propagate(_pair(0.1, 0.15), sched, priors)
+                trace = propagate(_pair(0.1, 0.15), _alternating(m, 4, first), priors)
                 for k in (2, 4):
                     sw = bounds.total_bounds(
                         0.1, 0.15, priors, m, m**k, bounds.RateKind.ALTERNATING
@@ -784,7 +733,7 @@ def _binary_config(m, height, a0, rule_kind, trials, seed, hyp=Hypothesis.H0):
     elif rule_kind == "majority_biased":
         schedule = [MajorityEven(m, 0.3)] * height
     elif rule_kind == "alternating":
-        schedule = [AlternatingMajority(m, ph) for ph in alternating_phases(height)]
+        schedule = _alternating(m, height)
     elif rule_kind == "lrt":
         schedule = [BayesianLRT(m, Priors.equal())] * height
     else:
@@ -876,15 +825,13 @@ def check_alphabet_equivalence_sim() -> list:
         boundary = [majority_rule(red_spec.m, 0.5)] * red_spec.height
         sched = alph.alphabet_schedule(spec, boundary)
         for hyp in (Hypothesis.H0, Hypothesis.H1):
-            full = simulate(
+            rep = compare_to_analytic(
                 SimConfig(spec, tuple(sched), _pair(a0, a0), _TRIALS, 99, hyp)
             )
+            full, p = rep.result, rep.analytic
             red = simulate(
                 SimConfig(red_spec, tuple(boundary), _pair(a0, a0), _TRIALS, 100, hyp)
             )
-            p = compare_to_analytic(
-                SimConfig(spec, tuple(sched), _pair(a0, a0), 1, 1, hyp)
-            ).analytic
             sd = math.sqrt(max(p * (1 - p), 1e-30) / _TRIALS)
             if abs(full.estimate - red.estimate) > 3 * math.sqrt(2) * sd:
                 fails.append(

@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -501,6 +504,24 @@ class TestParser:
         assert cli.run(["exponents", "--m-min", "2", "--m-max", "4",
                         "--wat", "1"]) == 2
         capsys.readouterr()
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # ~110 KB of rows, more than a pipe holds, so the writer must
+        # meet the closed pipe
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "relaytree.cli", "recurse", "--m", "3",
+             "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"level,alpha,beta")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_console_script_installed(self):
         exe = shutil.which("relaytree")

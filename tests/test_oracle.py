@@ -5,6 +5,7 @@ kernel sums binomial tails in log arithmetic.  The two routes share no
 code, so agreement is evidence either is right.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -264,6 +265,23 @@ def test_enumerate_equals_per_vector_loop(p, fanin_table):
         assert got.beta.value == want.beta.value
 
 
+@given(fanin_tables())
+@settings(max_examples=200, deadline=None)
+def test_count_twin_gathers_its_table_without_deciding(fanin_table):
+    m, table = fanin_table
+    twin = count_vector_rule(m, table)
+    per_vector = [twin.decide(vec) for vec, _ in _loop_vectors(m)]
+    calls = []
+
+    def counting(vec):
+        calls.append(vec)
+        return twin.decide(vec)
+
+    counted = dataclasses.replace(twin, decide=counting)
+    assert counted.decisions.tolist() == per_vector
+    assert calls == []
+
+
 @given(edge_pairs(), st.integers(min_value=2, max_value=12),
        st.sampled_from([(0.5, 0.5), (0.9, 0.1), (0.3, 0.7)]))
 @settings(max_examples=200, deadline=None)
@@ -377,3 +395,14 @@ def test_cross_check_scores_kernel_rules_through_apply_rule(monkeypatch):
     fails = verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3])
     assert fails
     assert all(msg.startswith("AlternatingMajority(m=4") for msg in fails)
+
+
+def test_sandwich_checks_step_kernel_rules_through_apply_rule(monkeypatch):
+    # a wrong even-majority step must show in the sandwich check too
+    def ties_to_one(p, m, tie_prob):
+        return majority_step_even(p, m, 1.0)
+
+    monkeypatch.setattr(kernel, "majority_step_even", ties_to_one)
+    fails = verify.check_even_majority_sandwich()
+    assert fails
+    assert all(msg.startswith("MajorityEven(m=") for msg in fails)
