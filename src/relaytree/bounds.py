@@ -119,11 +119,13 @@ def _bits(p: float, name: str) -> float:
 
 
 def _sandwich(m: int, k: int, strategy: RateKind) -> tuple:
-    """(factor, c) after k levels: factor the product of the per-level
+    """(factor, c) after k >= 0 levels: factor the product of the per-level
     exponents, c = C(m, floor((m+1)/2)) the one-level sandwich constant."""
+    if k < 0:
+        raise ValueError(f"level k must be >= 0, got {k}")
     lam = per_level_exponent(m)
     if strategy is RateKind.MAJORITY_RANDOM:
-        power = lam**k
+        steps, base = k, lam
     elif strategy is RateKind.ALTERNATING:
         if k % 2 == 1:
             raise ValueError(
@@ -131,12 +133,15 @@ def _sandwich(m: int, k: int, strategy: RateKind) -> tuple:
             )
         if m % 2 == 1:
             raise ValueError(f"alternating strategy needs even m, got {m}")
-        # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1
-        power = lam**(k // 2) * (lam + 1) ** (k // 2)
+        # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1,
+        # so each pair of levels multiplies the factor by lam (lam + 1)
+        steps, base = k // 2, lam * (lam + 1)
     else:
         raise ValueError(f"no level bounds for strategy {strategy}")
     try:
-        factor = float(power)
+        if base > 1 and steps > 1025 / math.log2(base):
+            raise OverflowError  # above 2^1025: refused before it is built
+        factor = float(base**steps)
     except OverflowError:
         raise ValueError(f"level {k}: bound factor for m={m} exceeds double range") from None
     return factor, math.comb(m, lam)
@@ -151,8 +156,6 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     constant C(m, floor((m+1)/2)).  Valid for the randomized-tie majority
     family at any k >= 0 and for the alternating family at even k.
     """
-    if k < 0:
-        raise ValueError(f"level k must be >= 0, got {k}")
     bits0 = _bits(alpha0, "alpha0")
     factor, c = _sandwich(m, k, strategy)
     return BoundSandwich(
@@ -160,26 +163,12 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     )
 
 
-def _height_of(n: int, m: int) -> int:
-    """Exact k with n = m^k, else ValueError."""
-    if n < 1:
-        raise ValueError(f"leaf count must be >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"fusion needs m >= 2, got {m}")
-    # for n = m^k, log_m n is within ~1e-15 k of k: it rounds to k for
-    # every n that fits in memory, and the power check catches the rest
-    k = round(math.log(n, m))
-    if m**k != n:
-        raise ValueError(f"leaf count {n} is not a power of m={m}")
-    return k
-
-
 def total_bounds(
     alpha0: float,
     beta0: float,
     priors: Priors,
     m: int,
-    n: int,
+    k: int,
     strategy: RateKind = RateKind.MAJORITY_RANDOM,
 ) -> BoundSandwich:
     """Two-sided bound on log2(1/P_N), the total error at the root of a
@@ -197,15 +186,15 @@ def total_bounds(
         )
     bits_a = _bits(alpha0, "alpha0")
     bits_b = _bits(beta0, "beta0")
-    k = _height_of(n, m)
     factor, c = _sandwich(m, k, strategy)
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
     upper = factor * (priors.pi0 * bits_a + priors.pi1 * bits_b)
     return BoundSandwich(factor * (worse - math.log2(c)), upper, "log2(1/P_N)")
 
 
-def lrt_lower_bound(total0: float, priors: Priors, m: int, n: int) -> float:
-    """Guaranteed bits at the root under likelihood-ratio fusion.
+def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
+    """Guaranteed bits at the root of a height-k tree, N = m^k leaves,
+    under likelihood-ratio fusion.
 
     log2(1/P_N) >= N^(log_M lambda) * (log2(1/L0) - log2(penalty)) with
     penalty = 2 C(m, lambda) max(pi) / min(pi)^lambda and L0 the total
@@ -215,7 +204,7 @@ def lrt_lower_bound(total0: float, priors: Priors, m: int, n: int) -> float:
     priors.require_positive()
     bits0 = _bits(total0, "total0")
     lam = per_level_exponent(m)
-    factor, c = _sandwich(m, _height_of(n, m), RateKind.MAJORITY_RANDOM)
+    factor, c = _sandwich(m, k, RateKind.MAJORITY_RANDOM)
     lo, hi = sorted((priors.pi0, priors.pi1))
     try:
         penalty = 2.0 * c * hi / lo**lam

@@ -38,9 +38,8 @@ from .verify import SUITES, run_suites
 __all__ = ["run", "main"]
 
 # Most (levels + 1) x (m + 1) count terms a recurse trace may take.  Its
-# costliest corners on a 2-vCPU Xeon: m=2 at 99,999 levels, 22 s and
-# 106 MB (each row checks its leaf count m^k exactly), and m=149,999 at
-# one level, 7 s.
+# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 7 s and
+# 41 MB peak RSS, and m=2 at 99,999 levels, 2.5 s and 84 MB.
 RECURSE_WORK_LIMIT = 300_000
 
 
@@ -135,25 +134,20 @@ def _cmd_recurse(args) -> int:
     leaf_total = total_error(trace.pairs[0], priors).linear
 
     rows = []
-    leaves = 1  # m**k, one multiply per row
     for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
         thm_lower: Optional[float] = None
         thm_upper: Optional[float] = None
         if args.rule == "majority" and (args.pb is None or args.pb == 0.5):
-            sw = bounds.total_bounds(
-                a0, b0, priors, m, leaves, bounds.RateKind.MAJORITY_RANDOM
-            )
+            sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.MAJORITY_RANDOM)
             thm_lower, thm_upper = sw.lower, sw.upper
         elif args.rule == "alternating" and k % 2 == 0:
             try:
-                sw = bounds.total_bounds(
-                    a0, b0, priors, m, leaves, bounds.RateKind.ALTERNATING
-                )
+                sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.ALTERNATING)
                 thm_lower, thm_upper = sw.lower, sw.upper
             except bounds.BoundInapplicableError:
                 pass  # m = 2: the columns stay empty
         elif args.rule == "lrt":
-            thm_lower = bounds.lrt_lower_bound(leaf_total, priors, m, leaves)
+            thm_lower = bounds.lrt_lower_bound(leaf_total, priors, m, k)
         rows.append(
             [
                 k,
@@ -166,7 +160,6 @@ def _cmd_recurse(args) -> int:
                 thm_upper,
             ]
         )
-        leaves *= m
     _emit_csv(
         [
             "level",

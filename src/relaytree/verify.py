@@ -32,7 +32,7 @@ from .kernel import (
     propagate,
     total_error,
 )
-from .logdomain import LOG_ZERO, LogProb
+from .logdomain import LOG_ZERO, LogProb, log_sum_exp
 from .simulate import (
     Hypothesis,
     SimConfig,
@@ -156,9 +156,26 @@ def check_even_majority_sandwich() -> list:
 
 
 def check_tie_weight_sandwich() -> list:
-    """P_b <= alpha' / alpha^(m/2) <= 2^m for biased tie coins."""
-    return [msg for m in EVEN_FANINS for pb in (0.1, 0.3, 0.7, 0.9)
-            for msg in _ratio_fails(MajorityEven(m, pb), m // 2, math.log(pb), m * math.log(2))]
+    """P_b <= alpha' / alpha^(m/2) <= 2^m for biased tie coins, and each
+    biased step is the P_b-mixture of the two deterministic tie steps:
+    alpha'(P_b) = (1 - P_b) alpha'(ties to zero) + P_b alpha'(ties to one),
+    and the same for beta'."""
+    fails = []
+    for m in EVEN_FANINS:
+        rules = [MajorityEven(m, pb) for pb in (0.1, 0.3, 0.7, 0.9)]
+        for rule in rules:
+            fails += _ratio_fails(rule, m // 2, math.log(rule.tie_prob), m * math.log(2))
+        for x in GRID:
+            pair = _pair(x, x)
+            zero = apply_rule(pair, AlternatingMajority(m, TiePhase.TIES_TO_ZERO))
+            one = apply_rule(pair, AlternatingMajority(m, TiePhase.TIES_TO_ONE))
+            for rule in rules:
+                got, pb = apply_rule(pair, rule), rule.tie_prob
+                mix = [log_sum_exp([math.log1p(-pb) + z.value, math.log(pb) + o.value])
+                       for z, o in ((zero.alpha, one.alpha), (zero.beta, one.beta))]
+                if not (_log_close(got.alpha.value, mix[0]) and _log_close(got.beta.value, mix[1])):
+                    fails.append(f"{rule!r}, alpha={x}: step is not the tie-weight mixture")
+    return fails
 
 
 def check_alternating_sandwich() -> list:
@@ -504,7 +521,7 @@ def check_exponent_ratio_convergence() -> list:
 
 def check_total_bounds() -> list:
     fails = []
-    sw = bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 81)
+    sw = bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
     if not math.isclose(sw.lower, 16 * (math.log2(10) - math.log2(3)), rel_tol=1e-12):
         fails.append(f"total lower {sw.lower}")
     if not math.isclose(sw.upper, 16 * math.log2(10), rel_tol=1e-12):
@@ -520,9 +537,7 @@ def check_total_bounds() -> list:
             for first in (TiePhase.TIES_TO_ONE, TiePhase.TIES_TO_ZERO):
                 trace = propagate(_pair(0.1, 0.15), _alternating(m, 4, first), priors)
                 for k in (2, 4):
-                    sw = bounds.total_bounds(
-                        0.1, 0.15, priors, m, m**k, bounds.RateKind.ALTERNATING
-                    )
+                    sw = bounds.total_bounds(0.1, 0.15, priors, m, k, bounds.RateKind.ALTERNATING)
                     got = trace.totals[k].log2_inverse
                     if not sw.contains(got, tol=1e-9):
                         fails.append(
@@ -530,8 +545,8 @@ def check_total_bounds() -> list:
                             f"k={k}: {got} outside [{sw.lower}, {sw.upper}]"
                         )
     try:
-        bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 80)
-        fails.append("non-power leaf count did not raise")
+        bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, -1)
+        fails.append("negative height did not raise")
     except ValueError:
         pass
     return fails
@@ -539,11 +554,11 @@ def check_total_bounds() -> list:
 
 def check_lrt_lower_bound() -> list:
     fails = []
-    got = bounds.lrt_lower_bound(0.05, Priors.equal(), 3, 3)
+    got = bounds.lrt_lower_bound(0.05, Priors.equal(), 3, 1)
     want = 2 * (math.log2(20) - math.log2(12))
     if not math.isclose(got, want, rel_tol=1e-12):
         fails.append(f"lrt bound {got} != {want}")
-    at_edge = bounds.lrt_lower_bound(1.0 / 12.0, Priors.equal(), 3, 3)
+    at_edge = bounds.lrt_lower_bound(1.0 / 12.0, Priors.equal(), 3, 1)
     if abs(at_edge) > 1e-9:
         fails.append(f"edge bound {at_edge} != 0")
     # the guarantee must hold on actual traces
@@ -553,7 +568,7 @@ def check_lrt_lower_bound() -> list:
             leaf_total = total_error(pair0, priors).linear
             trace = propagate(pair0, [BayesianLRT(m, priors)] * 3, priors)
             for k in range(1, 4):
-                guar = bounds.lrt_lower_bound(leaf_total, priors, m, m**k)
+                guar = bounds.lrt_lower_bound(leaf_total, priors, m, k)
                 actual = trace.totals[k].log2_inverse
                 if actual < guar - 1e-9:
                     fails.append(

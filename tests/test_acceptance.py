@@ -74,7 +74,7 @@ def test_c03_deep_trace_value_and_total_bound():
     assert float(exact[4]) == pytest.approx(7.639009737159088e-10, rel=1e-12)
 
     bits = trace.totals[4].log2_inverse
-    sandwich = total_bounds(0.1, 0.1, Priors.equal(), 3, 81)
+    sandwich = total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
     assert sandwich.contains(bits, tol=1e-9)
     assert 27.79 < bits < 53.15
     assert bits == pytest.approx(30.29, abs=0.005)

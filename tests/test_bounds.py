@@ -1,6 +1,7 @@
 """Closed-form error-decay bounds, exponents, and sample sizes."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from relaytree.bounds import (
     sample_size,
     total_bounds,
 )
-from relaytree.bounds import _height_of
 from relaytree.kernel import (
     AlternatingMajority,
     ErrorPair,
@@ -129,35 +129,41 @@ class TestLevelBounds:
 
 class TestTotalBounds:
     def test_m3_height4(self):
-        b = total_bounds(0.1, 0.1, Priors.equal(), 3, 81)
+        b = total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
         assert b.lower == pytest.approx(16 * (math.log2(10) - math.log2(3)), rel=1e-14)
         assert b.upper == pytest.approx(16 * math.log2(10), rel=1e-14)
 
     def test_asymmetric_pair_uses_worse_side(self):
-        b = total_bounds(0.2, 0.05, Priors(0.3, 0.7), 3, 9)
+        b = total_bounds(0.2, 0.05, Priors(0.3, 0.7), 3, 2)
         worse = math.log2(5)  # bits of max(alpha0, beta0) = 0.2
         mix = 0.3 * math.log2(5) + 0.7 * math.log2(20)
         assert b.lower == pytest.approx(4 * (worse - math.log2(3)), rel=1e-14)
         assert b.upper == pytest.approx(4 * mix, rel=1e-14)
 
-    def test_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            total_bounds(0.1, 0.1, Priors.equal(), 3, 80)
+    def test_rejects_negative_height(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            total_bounds(0.1, 0.1, Priors.equal(), 3, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            lrt_lower_bound(0.1, Priors.equal(), 3, -1)
 
-    def test_height_is_exact_for_every_power(self):
-        for m in range(2, 301):
-            for k in [*range(0, 400, 7), 400]:
-                n = m**k
-                assert _height_of(n, m) == k
-                for near in (n - 1, n + 1):
-                    if near in (1, m):  # 2 - 1 and 1 + 1, powers of m = 2
-                        continue
-                    with pytest.raises(ValueError):
-                        _height_of(near, m)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([RateKind.MAJORITY_RANDOM, RateKind.ALTERNATING]),
+    )
+    @settings(max_examples=300)
+    def test_lower_is_the_level_bound_of_the_worse_leaf(self, a, b, pi0, m, k, strategy):
+        if strategy is RateKind.ALTERNATING:
+            m, k = max(4, m + m % 2), k + k % 2  # even m >= 4, even height
+        got = total_bounds(a, b, Priors(pi0, 1.0 - pi0), m, k, strategy)
+        assert got.lower == level_bounds(max(a, b), m, k, strategy).lower
 
     def test_vacuous_lower_is_allowed(self):
         # weak leaves push the lower bound negative; still a valid sandwich
-        b = total_bounds(0.45, 0.45, Priors.equal(), 3, 3)
+        b = total_bounds(0.45, 0.45, Priors.equal(), 3, 1)
         assert b.lower < 0.0
         assert b.upper > 0.0
 
@@ -170,9 +176,9 @@ class TestTotalBounds:
             Priors.equal(),
         )
         assert trace.totals[4].log2_inverse < 4 * (math.log2(10) - 1)
-        for n in (16, 3):  # refused before the leaf count is checked
+        for k in (4, 3):  # refused before the height is checked
             with pytest.raises(BoundInapplicableError, match="m=2"):
-                total_bounds(0.1, 0.1, Priors.equal(), 2, n, RateKind.ALTERNATING)
+                total_bounds(0.1, 0.1, Priors.equal(), 2, k, RateKind.ALTERNATING)
 
 
 class TestDoubleRange:
@@ -184,38 +190,53 @@ class TestDoubleRange:
         with pytest.raises(ValueError, match="level 1024"):
             level_bounds(0.1, 3, 1024, RateKind.MAJORITY_RANDOM)
         with pytest.raises(ValueError, match="level 147"):
-            total_bounds(0.1, 0.1, Priors.equal(), 255, 255**147)
+            total_bounds(0.1, 0.1, Priors.equal(), 255, 147)
         with pytest.raises(ValueError, match="level 1024"):
-            lrt_lower_bound(0.1, Priors.equal(), 3, 3**1024)
+            lrt_lower_bound(0.1, Priors.equal(), 3, 1024)
 
     def test_alternating_factor_is_not_an_inapplicable_bound(self):
         with pytest.raises(ValueError, match="level 794") as err:
-            total_bounds(0.1, 0.1, Priors.equal(), 4, 4**794, RateKind.ALTERNATING)
+            total_bounds(0.1, 0.1, Priors.equal(), 4, 794, RateKind.ALTERNATING)
         assert err.type is ValueError  # callers that skip inapplicable bounds see it
+
+    def test_huge_height_is_refused_before_the_power_is_built(self):
+        # 3^(10^7) takes seconds to build and 3^(10^12) more memory than a
+        # machine has; a factor that cannot fit is refused from its log
+        calls = [
+            lambda k: level_bounds(0.1, 3, k, RateKind.MAJORITY_RANDOM),
+            lambda k: total_bounds(0.1, 0.1, Priors.equal(), 4, k, RateKind.ALTERNATING),
+            lambda k: lrt_lower_bound(0.1, Priors.equal(), 3, k),
+        ]
+        for call in calls:
+            for k in (10**7, 10**12):  # the one that is only slow to build first
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=f"level {k}:"):
+                    call(k)
+                assert time.perf_counter() - start < 0.5
 
     def test_lrt_penalty_names_the_fan_in(self):
         with pytest.raises(ValueError, match="m=1100"):
-            lrt_lower_bound(0.1, Priors.equal(), 1100, 1)  # 2 C(1100, 550) overflows
+            lrt_lower_bound(0.1, Priors.equal(), 1100, 0)  # 2 C(1100, 550) overflows
         with pytest.raises(ValueError, match="m=301"):
-            lrt_lower_bound(0.1, Priors(0.001, 0.999), 301, 1)  # 0.001^151 underflows
+            lrt_lower_bound(0.1, Priors(0.001, 0.999), 301, 0)  # 0.001^151 underflows
 
 
 class TestLRTLowerBound:
     def test_frozen_m3_equal_priors(self):
         # penalty = 2 * C(3,2) * max(pi) / min(pi)^2 = 12
-        got = lrt_lower_bound(0.05, Priors.equal(), 3, 3)
+        got = lrt_lower_bound(0.05, Priors.equal(), 3, 1)
         assert got == pytest.approx(2 * (math.log2(20) - math.log2(12)), rel=1e-14)
 
     def test_vanishes_at_penalty_inverse(self):
-        got = lrt_lower_bound(1 / 12, Priors.equal(), 3, 3)
+        got = lrt_lower_bound(1 / 12, Priors.equal(), 3, 1)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_vacuous_is_returned_not_raised(self):
-        assert lrt_lower_bound(0.2, Priors.equal(), 3, 3) < 0.0
+        assert lrt_lower_bound(0.2, Priors.equal(), 3, 1) < 0.0
 
     def test_rejects_degenerate_priors(self):
         with pytest.raises(ValueError):
-            lrt_lower_bound(0.05, Priors(1.0, 0.0), 3, 3)
+            lrt_lower_bound(0.05, Priors(1.0, 0.0), 3, 1)
 
 
 class TestExponents:

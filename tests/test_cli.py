@@ -118,8 +118,10 @@ class TestRecurse:
         assert code == 0
         assert len(rows) == 1
 
-    # sha256 of the whole CSV, recorded before log C(m, s) was cached per
-    # fan-in; the depths are the deepest the benchmark's trace pool runs
+    # sha256 of the whole CSV: the first three recorded before log C(m, s)
+    # was cached per fan-in, at the deepest the benchmark's trace pool
+    # runs; the last two before the bounds took the height k, covering
+    # the even-row alternating bound and the lambda = 1 rows of m = 2
     @pytest.mark.parametrize("flags, digest", [
         (["--m", "255", "--levels", "140"],
          "78f972ac58cb67ebb2389794141b159134230e5f31f512fb932f0617664b78b1"),
@@ -127,7 +129,11 @@ class TestRecurse:
          "06577b6ccb352c5b5f8198bd506912095dc10480ab439283497be86302f76c06"),
         (["--m", "3", "--levels", "400"],
          "ae20d3f28ff2d3358fd928208388c65e23723e11f2ca42d2542a5575f5e264ee"),
-    ], ids=["odd_m255", "lrt_m255_pi0.3", "odd_m3"])
+        (["--m", "4", "--rule", "alternating", "--levels", "400"],
+         "1cfce28afebcbd4b9b355cb422c6d9ca2e878c209d16a1db0f091166bfc4d3aa"),
+        (["--m", "2", "--levels", "5000"],
+         "f563205fca06df1b54cd9d10c77b8ad0dd6cb8968c7731e355723da59268a916"),
+    ], ids=["odd_m255", "lrt_m255_pi0.3", "odd_m3", "alternating_m4", "fair_m2"])
     def test_deep_trace_is_pinned(self, capsys, flags, digest):
         code = cli.run(["recurse", "--alpha0", "0.1", "--beta0", "0.1", *flags])
         out = capsys.readouterr().out

@@ -406,3 +406,15 @@ def test_sandwich_checks_step_kernel_rules_through_apply_rule(monkeypatch):
     fails = verify.check_even_majority_sandwich()
     assert fails
     assert all(msg.startswith("MajorityEven(m=") for msg in fails)
+
+
+def test_tie_weight_check_sees_a_step_that_ignores_the_coin(monkeypatch):
+    # a fair coin for every tie weight stays inside [log pb, m log 2], so
+    # only the mixture identity against the two tie directions shows it
+    def fair_coin(p, m, tie_prob):
+        return majority_step_even(p, m, 0.5)
+
+    monkeypatch.setattr(kernel, "majority_step_even", fair_coin)
+    fails = verify.check_tie_weight_sandwich()
+    assert len(fails) == len(verify.EVEN_FANINS) * 4 * len(verify.GRID)
+    assert all(msg.endswith("not the tie-weight mixture") for msg in fails)
