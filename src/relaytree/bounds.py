@@ -143,8 +143,21 @@ def _sandwich(m: int, k: int, strategy: RateKind) -> tuple:
             raise OverflowError  # above 2^1025: refused before it is built
         factor = float(base**steps)
     except OverflowError:
-        raise ValueError(f"level {k}: bound factor for m={m} exceeds double range") from None
+        raise _out_of_range(m, k) from None
     return factor, math.comb(m, lam)
+
+
+def _out_of_range(m: int, k: int) -> ValueError:
+    return ValueError(f"level {k}: bound factor for m={m} exceeds double range")
+
+
+def _scaled(factor: float, bits: float, m: int, k: int) -> float:
+    """factor * bits, refused like a factor past double range when the
+    product is: a bound column never reads inf."""
+    value = factor * bits
+    if not math.isfinite(value):
+        raise _out_of_range(m, k)
+    return value
 
 
 def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSandwich:
@@ -159,7 +172,9 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     bits0 = _bits(alpha0, "alpha0")
     factor, c = _sandwich(m, k, strategy)
     return BoundSandwich(
-        factor * (bits0 - math.log2(c)), factor * bits0, f"log2(1/alpha_{k})"
+        _scaled(factor, bits0 - math.log2(c), m, k),
+        _scaled(factor, bits0, m, k),
+        f"log2(1/alpha_{k})",
     )
 
 
@@ -188,8 +203,8 @@ def total_bounds(
     bits_b = _bits(beta0, "beta0")
     factor, c = _sandwich(m, k, strategy)
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
-    upper = factor * (priors.pi0 * bits_a + priors.pi1 * bits_b)
-    return BoundSandwich(factor * (worse - math.log2(c)), upper, "log2(1/P_N)")
+    upper = _scaled(factor, priors.pi0 * bits_a + priors.pi1 * bits_b, m, k)
+    return BoundSandwich(_scaled(factor, worse - math.log2(c), m, k), upper, "log2(1/P_N)")
 
 
 def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
@@ -209,10 +224,12 @@ def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
     try:
         penalty = 2.0 * c * hi / lo**lam
     except (OverflowError, ZeroDivisionError):
+        penalty = math.inf
+    if penalty == math.inf:  # the quotient overflows to inf without raising
         raise ValueError(
             f"likelihood-ratio penalty for m={m}, min prior {lo} is outside double range"
-        ) from None
-    return factor * (bits0 - math.log2(penalty))
+        )
+    return _scaled(factor, bits0 - math.log2(penalty), m, k)
 
 
 def exponent(m: int, which: RateKind) -> float:

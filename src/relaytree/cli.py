@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -262,6 +263,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args builds a fresh Namespace on every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaytree",

@@ -186,7 +186,7 @@ class BayesianLRT:
 
     def table(self, pair: ErrorPair) -> tuple:
         """The test fitted to messages with error pair `pair`."""
-        return tuple(float(x) for x in lrt_decision_rule(pair, self.priors, self.m))
+        return tuple(map(float, lrt_decision_rule(pair, self.priors, self.m)))
 
 
 @dataclass(frozen=True)
@@ -345,16 +345,37 @@ def lrt_decision_rule(pair: ErrorPair, priors: Priors, m: int) -> tuple:
         raise ValueError(
             "likelihood-ratio rule undefined for boundary error probabilities"
         )
-    l1a = pair.alpha.complement().value
-    l1b = pair.beta.complement().value
+    l1a, l1b = log1mexp(la), log1mexp(lb)
     lp0, lp1 = math.log(priors.pi0), math.log(priors.pi1)
-    table = []
-    for s in range(m + 1):
+    # h1_side - h0_side is c0 + c1 s, so the table is one threshold (or its
+    # complement) and only counts near the crossing x = -c0 / c1 need the
+    # comparison.  Every term of a side is <= 0, so |side| peaks at s = 0 or
+    # s = m; M (`peak`) is the largest of 1 and those four ends.  The slack
+    # is at most 1e-9 M, and the rounding of the sides, of c0 + c1 s and of
+    # x is below 1e-13 M (each term carries relative error of order 1e-16),
+    # so the comparison can differ from the sign of the exact c0 + c1 s only
+    # where |c0 + c1 s| <= 2e-9 M, i.e. within w = 2e-9 M / |c1| of x.
+    # The comparison runs on [x - w, x + w] widened by one count each way,
+    # clipped to [0, m]; every count below or above that range takes the
+    # entry at its near end.  A zero slope, or an overflow in M, c0, c1 or
+    # the edges, leaves every count to the comparison.
+    peak = max(1.0, abs(m * lb + lp1), abs(m * l1a + lp0),
+               abs(m * l1b + lp1), abs(m * la + lp0))
+    c0 = m * (lb - l1a) + (lp1 - lp0)
+    c1 = (l1b - lb) + (l1a - la)
+    lo, hi = 0, m
+    if 0.0 < abs(c1) < math.inf:
+        x, w = -c0 / c1, 2e-9 * peak / abs(c1)
+        if math.isfinite(x - w) and math.isfinite(x + w):
+            lo = min(max(math.floor(x - w) - 1, 0), m)
+            hi = max(min(math.ceil(x + w) + 1, m), lo)
+    decided = []
+    for s in range(lo, hi + 1):
         h1_side = s * l1b + (m - s) * lb + lp1
         h0_side = s * la + (m - s) * l1a + lp0
         slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
-        table.append(h1_side >= h0_side - slack)
-    return tuple(table)
+        decided.append(h1_side >= h0_side - slack)
+    return (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
 
 
 def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:

@@ -49,7 +49,11 @@ def log_sum_exp(terms) -> float:
     if m == LOG_ZERO:
         return LOG_ZERO
     # sum of expm1 keeps full precision for terms close to the max
-    rest = math.fsum(math.expm1(t - m) for t in terms)
+    if len(terms) == 2:
+        # one addition is already exactly rounded, so it equals the fsum
+        rest = math.expm1(terms[0] - m) + math.expm1(terms[1] - m)
+    else:
+        rest = math.fsum(math.expm1(t - m) for t in terms)
     return m + math.log1p(rest + (len(terms) - 1))
 
 

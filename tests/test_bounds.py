@@ -186,13 +186,33 @@ class TestDoubleRange:
     fan-in named, never an OverflowError."""
 
     def test_majority_factor_names_the_level(self):
-        level_bounds(0.1, 3, 1023, RateKind.MAJORITY_RANDOM)  # 2^1023 still fits
+        level_bounds(0.3, 3, 1023, RateKind.MAJORITY_RANDOM)  # 2^1023 * 1.74 bits still fits
         with pytest.raises(ValueError, match="level 1024"):
             level_bounds(0.1, 3, 1024, RateKind.MAJORITY_RANDOM)
         with pytest.raises(ValueError, match="level 147"):
             total_bounds(0.1, 0.1, Priors.equal(), 255, 147)
         with pytest.raises(ValueError, match="level 1024"):
             lrt_lower_bound(0.1, Priors.equal(), 3, 1024)
+
+    def test_factor_times_bits_past_double_range_names_the_level(self):
+        # 2^1023 fits a double, but 2^1023 * log2(10) does not: the bound is
+        # refused rather than printed as inf
+        with pytest.raises(ValueError, match="level 1023: bound factor for m=3"):
+            level_bounds(0.1, 3, 1023, RateKind.MAJORITY_RANDOM)
+        with pytest.raises(ValueError, match="level 1023: bound factor for m=3"):
+            total_bounds(0.1, 0.1, Priors.equal(), 3, 1023)
+        # (2 * 3)^396 = 2^1023.6 fits; times log2(10) it does not
+        with pytest.raises(ValueError, match="level 792: bound factor for m=4"):
+            total_bounds(0.1, 0.1, Priors.equal(), 4, 792, RateKind.ALTERNATING)
+        # a vacuous lower bound far below -1.8e308: leaves past 1/penalty
+        with pytest.raises(ValueError, match="level 1023: bound factor for m=3"):
+            lrt_lower_bound(0.45, Priors.equal(), 3, 1023)
+        # one row earlier every product still fits
+        assert math.isfinite(total_bounds(0.1, 0.1, Priors.equal(), 3, 1022).upper)
+        assert math.isfinite(
+            total_bounds(0.1, 0.1, Priors.equal(), 4, 790, RateKind.ALTERNATING).upper
+        )
+        assert math.isfinite(lrt_lower_bound(0.45, Priors.equal(), 3, 1022))
 
     def test_alternating_factor_is_not_an_inapplicable_bound(self):
         with pytest.raises(ValueError, match="level 794") as err:
@@ -219,6 +239,13 @@ class TestDoubleRange:
             lrt_lower_bound(0.1, Priors.equal(), 1100, 0)  # 2 C(1100, 550) overflows
         with pytest.raises(ValueError, match="m=301"):
             lrt_lower_bound(0.1, Priors(0.001, 0.999), 301, 0)  # 0.001^151 underflows
+
+    def test_lrt_penalty_quotient_overflow_names_the_fan_in(self):
+        # 2 C(687, 344) * 0.5 fits, but dividing by 0.5^344 gives inf
+        # without an OverflowError; one fan-in lower the penalty fits
+        with pytest.raises(ValueError, match="penalty for m=687"):
+            lrt_lower_bound(0.1, Priors.equal(), 687, 0)
+        assert math.isfinite(lrt_lower_bound(0.1, Priors.equal(), 686, 0))
 
 
 class TestLRTLowerBound:

@@ -330,13 +330,19 @@ class TestDoubleRangeRefusals:
     with exit 2, naming the level or m and k0, rather than a traceback."""
 
     @pytest.mark.parametrize("argv, needle", [
-        (["recurse", "--m", "3", "--levels", "1030"], "level 1024"),
-        (["recurse", "--m", "255", "--levels", "160"], "level 147"),
+        # weak leaves: 2^1023 times their 1.74 bits fits, 2^1024 does not
+        (["recurse", "--m", "3", "--alpha0", "0.3", "--beta0", "0.3", "--levels", "1030"],
+         "level 1024"),
+        # 128^146 = 2^1022 fits, but times the 248 bits by which log2 C(255, 128)
+        # exceeds log2(10) the lower bound does not
+        (["recurse", "--m", "255", "--levels", "160"], "level 146"),
         (["recurse", "--m", "1100", "--rule", "lrt", "--levels", "1"], "m=1100"),
         (["alphabet", "--m", "1000", "--k0-max", "110"], "m=1000, k0=103"),
+        # 2^1023 fits, but its product with log2(10) bits does not
+        (["recurse", "--m", "3", "--levels", "1023"], "level 1023"),
     ])
     def test_exit_2_names_where(self, capsys, argv, needle):
-        if argv[0] == "recurse":
+        if argv[0] == "recurse" and "--alpha0" not in argv:
             argv = [*argv, "--alpha0", "0.1", "--beta0", "0.1"]
         code = cli.run(argv)
         captured = capsys.readouterr()
@@ -502,6 +508,36 @@ class TestVerifySubcommand:
 
 
 class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_carries_nothing_between_calls(self, capsys):
+        # an LRT run with its own prior, the default majority run, a refused
+        # value, then a valid run: each prints what it prints with a parser
+        # built for it alone
+        leaves = ["--alpha0", "0.1", "--beta0", "0.2", "--levels", "3"]
+        calls = [
+            ["recurse", "--m", "4", "--rule", "lrt", "--pi0", "0.3", *leaves],
+            ["recurse", "--m", "4", *leaves],
+            ["recurse", "--m", "4", "--pi0", "1.5", *leaves],
+            ["recurse", "--m", "6", "--rule", "alternating", *leaves],
+        ]
+
+        def outcome(argv):
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(outcome(argv))
+        parser = cli._build_parser()
+        assert [outcome(argv) for argv in calls] == alone
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+        assert alone[0][1] != alone[1][1]  # the prior of the first run did not stick
+
     def test_no_subcommand(self, capsys):
         assert cli.run([]) == 2
         capsys.readouterr()

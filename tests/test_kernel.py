@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -273,6 +273,56 @@ class TestRuleTypes:
             apply_rule(pair(0.1, 0.1), Summation(3))
 
 
+def lrt_table_per_count(pair, priors, m):
+    """The likelihood-ratio table by one slack comparison per count
+    s = 0..m: the reference for the windowed table."""
+    la, lb = pair.alpha.value, pair.beta.value
+    l1a = pair.alpha.complement().value
+    l1b = pair.beta.complement().value
+    lp0, lp1 = math.log(priors.pi0), math.log(priors.pi1)
+    table = []
+    for s in range(m + 1):
+        h1_side = s * l1b + (m - s) * lb + lp1
+        h0_side = s * la + (m - s) * l1a + lp0
+        slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
+        table.append(h1_side >= h0_side - slack)
+    return tuple(table)
+
+
+# log error probabilities strictly inside (-inf, 0) whose complements are too:
+# moderate ones, alpha near 1, and logs down to -1e307
+lrt_logs = st.one_of(
+    st.floats(min_value=math.log(1e-6), max_value=math.log(1 - 1e-6)),
+    st.floats(min_value=-1e-6, max_value=-1e-300),
+    st.floats(min_value=-1e307, max_value=-1.0),
+    st.sampled_from([math.log(p) for p in (0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.9)]),
+)
+
+
+@st.composite
+def lrt_cases(draw):
+    """(log alpha, log beta, pi0, m) with exact ties, alpha + beta = 1 (a zero
+    slope) and pairs a hair off it, anti-informative pairs and overflow."""
+    la = draw(lrt_logs)
+    kind = draw(st.sampled_from(["free", "tie", "sum_one", "near_sum_one"]))
+    pi0 = draw(st.one_of(st.sampled_from([0.5, 0.3, 0.7, 0.01, 0.999]),
+                         st.floats(min_value=1e-3, max_value=1 - 1e-3)))
+    if kind == "free":
+        lb = draw(lrt_logs)
+    elif kind == "tie":
+        lb, pi0 = la, 0.5
+    else:
+        lb = log1mexp(la)
+        if kind == "near_sum_one":
+            # a slope small enough that the slack decides a run of counts
+            exp10 = draw(st.floats(min_value=-13.0, max_value=-4.0))
+            lb *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0**exp10
+    assume(-math.inf < lb < 0.0 and log1mexp(lb) > -math.inf)
+    m = draw(st.one_of(st.integers(min_value=2, max_value=300),
+                       st.integers(min_value=2, max_value=10_000)))
+    return la, lb, pi0, m
+
+
 class TestLRT:
     def test_tie_goes_to_one(self):
         # symmetric pair, equal priors: s = m/2 is an exact tie
@@ -299,6 +349,20 @@ class TestLRT:
     def test_requires_positive_priors(self):
         with pytest.raises(ValueError):
             lrt_step(pair(0.1, 0.2), Priors(0.0, 1.0), 3)
+
+    @given(lrt_cases())
+    @example((math.log(0.2), math.log(0.2), 0.5, 4))  # exact tie at s = 2
+    @example((math.log(0.3), math.log(0.7), 0.3, 9))  # alpha + beta = 1
+    @example((math.log(0.9), math.log(0.6), 0.7, 33))  # anti-informative
+    # alpha + beta = 1 + 5e-10: the slack, not the sign, decides thousands of counts
+    @example((-1.6094379124341003, -0.2231435507283747, 0.5, 10_000))
+    @example((-1e307, math.log(0.2), 0.5, 10_000))  # s * log(alpha) overflows
+    @example((-1e308, -1e308, 0.5, 3))  # c0, c1 and M overflow
+    @settings(max_examples=400, deadline=None)
+    def test_table_equals_the_per_count_comparison(self, case):
+        la, lb, pi0, m = case
+        args = ErrorPair(LogProb(la), LogProb(lb)), Priors(pi0, 1.0 - pi0), m
+        assert lrt_decision_rule(*args) == lrt_table_per_count(*args)
 
     def test_equals_majority_when_symmetric(self):
         got = lrt_step(pair(0.2, 0.2), Priors.equal(), 5)

@@ -118,3 +118,44 @@ def test_log_sum_exp_deep_tail():
 def test_log_sum_exp_matches_fsum(terms):
     linear = math.fsum(math.exp(t) for t in terms)
     assert math.exp(log_sum_exp(terms)) == pytest.approx(linear, rel=1e-12)
+
+
+def log_sum_exp_by_fsum(terms):
+    """log_sum_exp as written for any number of terms: expm1 differences
+    from the maximum, summed by math.fsum."""
+    m = max(terms)
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    return m + math.log1p(math.fsum(math.expm1(t - m) for t in terms) + (len(terms) - 1))
+
+
+log_values = st.one_of(
+    st.sampled_from([LOG_ZERO, 0.0, -0.0, -5e-324, -745.2, -1e308]),
+    st.floats(max_value=0.0),
+)
+
+
+@st.composite
+def two_terms(draw):
+    """Two log terms, often equal or apart by more than 745, in either order."""
+    a = draw(log_values)
+    b = draw(st.one_of(
+        log_values,
+        st.just(a),
+        st.floats(min_value=-2000.0, max_value=0.0).map(lambda d: a + d),
+    ))
+    return draw(st.permutations([a, b]))
+
+
+@pytest.mark.parametrize("terms", [
+    [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [LOG_ZERO, LOG_ZERO], [LOG_ZERO, -0.0],
+    [-3.5, -3.5], [0.0, -746.0], [-1.0, -801.0], [-1e308, -1e308], [-5e-324, 0.0],
+])
+def test_two_term_sum_is_the_fsum_bit_for_bit(terms):
+    assert log_sum_exp(terms).hex() == log_sum_exp_by_fsum(terms).hex()
+
+
+@given(two_terms())
+@settings(max_examples=300)
+def test_two_term_sum_matches_fsum_property(terms):
+    assert log_sum_exp(terms).hex() == log_sum_exp_by_fsum(terms).hex()
