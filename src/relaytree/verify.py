@@ -2,8 +2,11 @@
 
 Each check returns a list of failure messages (empty means pass), so
 the same functions back both the command-line `verify` subcommand and
-the test suite.  Checks validate the proved inequalities and identities
-numerically on dense grids; they do not re-derive any proofs.
+the test suite.  A check here reaches its answer by a route independent
+of the code it checks: 2^m enumeration, exact `Fraction` traces, the
+proved sandwiches on dense grids and on traces, identities between the
+closed forms of two modules, or Monte Carlo.  Hand-computed example
+values and refusal messages are pinned in `tests/`, not here.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .kernel import (
     propagate,
     total_error,
 )
-from .logdomain import LOG_ZERO, LogProb, log_sum_exp
+from .logdomain import LogProb, log_sum_exp
 from .simulate import (
     Hypothesis,
     SimConfig,
@@ -84,52 +87,6 @@ def exact_majority_trace(alpha0: Fraction, m: int, levels: int) -> list:
 
 
 # ---------------------------------------------------------------- kernel
-
-def check_step_examples() -> list:
-    fails = []
-    leaf = _pair(0.1, 0.1)
-    cases = [
-        ("odd m=3", apply_rule(leaf, MajorityOdd(3)).alpha_linear, 0.028),
-        ("odd m=5", apply_rule(leaf, MajorityOdd(5)).alpha_linear, 0.00856),
-        ("odd m=3 x=.05", apply_rule(_pair(0.05, 0.05), MajorityOdd(3)).alpha_linear, 0.00725),
-        ("even m=4 pb=.5", apply_rule(leaf, MajorityEven(4, 0.5)).alpha_linear, 0.028),
-    ]
-    ep0 = apply_rule(leaf, AlternatingMajority(2, TiePhase.TIES_TO_ZERO))
-    cases.append(("even m=2 pb=0 alpha", ep0.alpha_linear, 0.01))
-    cases.append(("even m=2 pb=0 beta", ep0.beta_linear, 0.19))
-    alt = apply_rule(leaf, AlternatingMajority(4, TiePhase.TIES_TO_ONE))
-    cases.append(("alt m=4 ties-one alpha", alt.alpha_linear, 0.0523))
-    cases.append(("alt m=4 ties-one beta", alt.beta_linear, 0.0037))
-    two = propagate(leaf, _alternating(2, 2), Priors.equal()).root
-    cases.append(("alt m=2 two levels alpha", two.alpha_linear, 0.0361))
-    cases.append(("alt m=2 two levels beta", two.beta_linear, 0.0199))
-    for name, got, want in cases:
-        if not math.isclose(got, want, rel_tol=1e-9):
-            fails.append(f"{name}: got {got!r}, expected {want!r}")
-    full = binom_tail(4, 0, 4, LogProb.from_linear(0.1))
-    if abs(full.value) > 1e-12:
-        fails.append(f"binom_tail full window: log={full.value}, expected 0")
-    return fails
-
-
-def check_lrt_examples() -> list:
-    fails = []
-    pair = _pair(0.01, 0.3)
-    lrt = BayesianLRT(3, Priors.equal())
-    table = lrt.table(pair)
-    if table != (0.0, 1.0, 1.0, 1.0):
-        fails.append(f"lrt table for (0.01, 0.3): {table}")
-    step = apply_rule(pair, lrt)
-    if not math.isclose(step.alpha_linear, 0.029701, rel_tol=1e-9):
-        fails.append(f"lrt alpha: {step.alpha_linear}")
-    if not math.isclose(step.beta_linear, 0.027, rel_tol=1e-9):
-        fails.append(f"lrt beta: {step.beta_linear}")
-    # uninformative messages with a skewed prior: always decide H0
-    coin = apply_rule(_pair(0.5, 0.5), BayesianLRT(2, Priors(0.9, 0.1)))
-    if coin.alpha.value != LOG_ZERO or coin.beta.value != 0.0:
-        fails.append(f"coin leaf lrt: ({coin.alpha_linear}, {coin.beta_linear})")
-    return fails
-
 
 def _ratio_fails(rule, lam: int, log_lo: float, log_hi: float) -> list:
     """Grid points where one step of `rule` puts log(alpha' / alpha^lam)
@@ -190,19 +147,6 @@ def check_alternating_sandwich() -> list:
     return fails
 
 
-def check_m2_fixed_point() -> list:
-    """Fair-coin tie-breaking at m=2 is the identity map, bit for bit."""
-    fails = []
-    for a0, b0 in ((0.1, 0.1), (0.37, 0.02), (0.005, 0.49)):
-        pair0 = _pair(a0, b0)
-        trace = propagate(pair0, [MajorityEven(2, 0.5)] * 20, Priors.equal())
-        for k, pair in enumerate(trace.pairs):
-            if pair.alpha.value != pair0.alpha.value or pair.beta.value != pair0.beta.value:
-                fails.append(f"leaf ({a0}, {b0}) moved at level {k}")
-                break
-    return fails
-
-
 def check_deep_trace() -> list:
     """Five-level m=3 trace against exact rational arithmetic."""
     fails = []
@@ -244,36 +188,6 @@ def check_lrt_threshold_structure() -> list:
                 table = lrt.table(_pair(a, b))
                 if any(table[s] and not table[s + 1] for s in range(m)):
                     fails.append(f"m={m}, pair=({a},{b}): non-threshold {table}")
-    return fails
-
-
-def check_boundary_pairs() -> list:
-    """Degenerate leaves stay degenerate under majority; LRT refuses them."""
-    fails = []
-    zero_one = _pair(0.0, 1.0)
-    for rule in (MajorityOdd(3), MajorityEven(4, 0.3), AlternatingMajority(2)):
-        trace = propagate(zero_one, [rule] * 3, Priors.equal())
-        root = trace.root
-        if root.alpha.value != LOG_ZERO or root.beta.value != 0.0:
-            fails.append(f"{rule}: boundary pair moved to "
-                         f"({root.alpha_linear}, {root.beta_linear})")
-    try:
-        apply_rule(zero_one, BayesianLRT(3, Priors.equal()))
-        fails.append("lrt accepted a boundary pair")
-    except ValueError:
-        pass
-    return fails
-
-
-def check_totals() -> list:
-    """Trace totals equal pi0 alpha + pi1 beta recomputed independently."""
-    fails = []
-    priors = Priors(0.25, 0.75)
-    trace = propagate(_pair(0.2, 0.05), [MajorityOdd(3)] * 5, priors)
-    for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
-        direct = math.log(0.25 * pair.alpha_linear + 0.75 * pair.beta_linear)
-        if not _log_close(tot.value, direct, 1e-12):
-            fails.append(f"level {k}: total {tot.value} vs {direct}")
     return fails
 
 
@@ -429,31 +343,6 @@ def check_ratio_poly() -> list:
     return fails
 
 
-def check_level_bounds_values() -> list:
-    fails = []
-    sw = bounds.level_bounds(0.1, 3, 4, bounds.RateKind.MAJORITY_RANDOM)
-    want_lo = 16 * (math.log2(10) - math.log2(3))
-    want_hi = 16 * math.log2(10)
-    if not math.isclose(sw.lower, want_lo, rel_tol=1e-12):
-        fails.append(f"majority lower {sw.lower} != {want_lo}")
-    if not math.isclose(sw.upper, want_hi, rel_tol=1e-12):
-        fails.append(f"majority upper {sw.upper} != {want_hi}")
-    sw0 = bounds.level_bounds(0.1, 5, 0, bounds.RateKind.MAJORITY_RANDOM)
-    if not math.isclose(sw0.upper, math.log2(10), rel_tol=1e-12):
-        fails.append("k=0 upper is not log2(1/alpha0)")
-    alt = bounds.level_bounds(0.1, 2, 2, bounds.RateKind.ALTERNATING)
-    if not math.isclose(alt.lower, 2 * (math.log2(10) - 1.0), rel_tol=1e-12):
-        fails.append(f"alternating lower {alt.lower}")
-    if not math.isclose(alt.upper, 2 * math.log2(10), rel_tol=1e-12):
-        fails.append(f"alternating upper {alt.upper}")
-    try:
-        bounds.level_bounds(0.1, 2, 3, bounds.RateKind.ALTERNATING)
-        fails.append("odd-height alternating bound did not raise")
-    except ValueError:
-        pass
-    return fails
-
-
 def check_sandwich_on_traces() -> list:
     """Traced log2(1/alpha_k) lies inside the telescoped level bounds."""
     fails = []
@@ -520,12 +409,9 @@ def check_exponent_ratio_convergence() -> list:
 
 
 def check_total_bounds() -> list:
+    """Traced root totals lie inside their total-error sandwiches."""
     fails = []
     sw = bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
-    if not math.isclose(sw.lower, 16 * (math.log2(10) - math.log2(3)), rel_tol=1e-12):
-        fails.append(f"total lower {sw.lower}")
-    if not math.isclose(sw.upper, 16 * math.log2(10), rel_tol=1e-12):
-        fails.append(f"total upper {sw.upper}")
     trace = propagate(_pair(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
     bits = trace.totals[-1].log2_inverse
     if not sw.contains(bits, tol=1e-9):
@@ -544,24 +430,12 @@ def check_total_bounds() -> list:
                             f"alternating total m={m}, first={first.value}, "
                             f"k={k}: {got} outside [{sw.lower}, {sw.upper}]"
                         )
-    try:
-        bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, -1)
-        fails.append("negative height did not raise")
-    except ValueError:
-        pass
     return fails
 
 
 def check_lrt_lower_bound() -> list:
+    """The LRT guarantee holds on traced likelihood-ratio totals."""
     fails = []
-    got = bounds.lrt_lower_bound(0.05, Priors.equal(), 3, 1)
-    want = 2 * (math.log2(20) - math.log2(12))
-    if not math.isclose(got, want, rel_tol=1e-12):
-        fails.append(f"lrt bound {got} != {want}")
-    at_edge = bounds.lrt_lower_bound(1.0 / 12.0, Priors.equal(), 3, 1)
-    if abs(at_edge) > 1e-9:
-        fails.append(f"edge bound {at_edge} != 0")
-    # the guarantee must hold on actual traces
     for m in (3, 5):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
             pair0 = _pair(0.1, 0.1)
@@ -578,123 +452,7 @@ def check_lrt_lower_bound() -> list:
     return fails
 
 
-def check_exponents() -> list:
-    fails = []
-    cases = [
-        (3, bounds.RateKind.MAJORITY_RANDOM, math.log(2) / math.log(3)),
-        (5, bounds.RateKind.MAJORITY_RANDOM, math.log(3) / math.log(5)),
-        (2, bounds.RateKind.MAJORITY_RANDOM, 0.0),
-        (4, bounds.RateKind.MAJORITY_RANDOM, 0.5),
-        (4, bounds.RateKind.ALTERNATING, math.log(math.sqrt(6)) / math.log(4)),
-        (4, bounds.RateKind.UPPER_BOUND, math.log(2.5) / math.log(4)),
-        (2, bounds.RateKind.ALTERNATING, 0.5),
-    ]
-    for m, kind, want in cases:
-        got = bounds.exponent(m, kind)
-        if not math.isclose(got, want, rel_tol=0, abs_tol=1e-12):
-            fails.append(f"exponent({m}, {kind.value}) = {got}, want {want}")
-    for row in bounds.exponent_table(range(2, 65)):
-        if row.m % 2 == 0:
-            if not row.majority_random <= row.alternating <= row.upper_bound:
-                fails.append(f"m={row.m}: exponent ordering broken")
-        else:
-            if row.alternating is not None:
-                fails.append(f"m={row.m}: odd fan-in reported alternating rate")
-            if row.majority_random != row.upper_bound:
-                fails.append(f"m={row.m}: odd majority rate != upper bound")
-        if row.lrt_lower != row.majority_random:
-            fails.append(f"m={row.m}: lrt rate != majority rate")
-    return fails
-
-
-def check_sample_size() -> list:
-    fails = []
-    res = bounds.sample_size(3, 0.1, 0.1, 1e-6)
-    n_want = (math.log2(1e6) / (math.log2(10) - math.log2(3))) ** (
-        math.log(3) / math.log(2)
-    )
-    if not math.isclose(res.n_real, n_want, rel_tol=1e-12):
-        fails.append(f"n_real {res.n_real} != {n_want}")
-    if (res.k, res.n_tree) != (4, 81):
-        fails.append(f"(k, n_tree) = ({res.k}, {res.n_tree}), want (4, 81)")
-    trace = propagate(_pair(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
-    if not trace.pairs[4].alpha_linear <= 1e-6 < trace.pairs[3].alpha_linear:
-        fails.append("certified height does not bracket the target")
-    triv = bounds.sample_size(3, 0.1, 0.1, 0.1)
-    if not (triv.n_real <= 1.0 and triv.k == 0 and triv.n_tree == 1):
-        fails.append(f"trivial target: {triv}")
-    for m, a in ((3, 0.4), (2, 0.1)):
-        try:
-            bounds.sample_size(m, a, a, 1e-6)
-            fails.append(f"vacuous bound (m={m}, a0={a}) did not raise")
-        except bounds.BoundInapplicableError:
-            pass
-    return fails
-
-
 # -------------------------------------------------------------- alphabet
-
-def check_k0() -> list:
-    fails = []
-    for (m, d), want in {(2, 2): 1, (2, 5): 3, (3, 10): 3, (10, 11): 2}.items():
-        got = alph.k0_of(m, d)
-        if got != want:
-            fails.append(f"k0_of({m}, {d}) = {got}, want {want}")
-    for m in range(2, 13):
-        for d in range(2, 201):
-            k0 = alph.k0_of(m, d)
-            if not m ** (k0 - 1) + 1 <= d <= m**k0:
-                fails.append(f"k0_of({m}, {d}) = {k0} outside its window")
-    return fails
-
-
-def check_equivalent_tree() -> list:
-    fails = []
-    eq = alph.equivalent_tree(alph.TreeSpec(3, 6, 10))
-    if (eq.m, eq.height, eq.d) != (27, 2, 2):
-        fails.append(f"(3, 10, h=6) reduced to ({eq.m}, {eq.height}, {eq.d})")
-    for m, d, h in ((2, 5, 6), (3, 4, 8), (5, 25, 4), (4, 17, 6)):
-        spec = alph.TreeSpec(m, h, d)
-        if h % spec.k0:
-            continue
-        red = alph.equivalent_tree(spec)
-        if red.n_leaves != spec.n_leaves:
-            fails.append(f"({m},{d},h={h}): leaf count changed")
-    try:
-        alph.equivalent_tree(alph.TreeSpec(3, 7, 10))
-        fails.append("indivisible height did not raise")
-    except ValueError as err:
-        if "remainder 1" not in str(err):
-            fails.append(f"remainder missing from message: {err}")
-    return fails
-
-
-def check_alphabet_rates() -> list:
-    fails = []
-    r34 = alph.rates(3, 4)
-    want = math.log(10) / math.log(9) - math.log(2) / (2 * math.log(3))
-    if not math.isclose(r34.rho, want, rel_tol=1e-12):
-        fails.append(f"rho(3,4) {r34.rho} != {want}")
-    if r34.varrho != r34.rho or r34.sigma is not None:
-        fails.append("odd fan-in rate structure wrong")
-    r10 = alph.rates(10, 11)
-    want = 1.0 - math.log(2) / (2 * math.log(10))
-    if not math.isclose(r10.varrho, want, rel_tol=1e-12):
-        fails.append(f"varrho(10,11) {r10.varrho} != {want}")
-    r42 = alph.rates(4, 2)
-    want = 0.5 * (1 + math.log(6) / math.log(4)) - 0.5
-    if not math.isclose(r42.sigma, want, rel_tol=1e-12):
-        fails.append(f"sigma(4,2) {r42.sigma} != {want}")
-    for m in range(2, 21):
-        for d in (2, 3, 7, 50):
-            r = alph.rates(m, d)
-            if m % 2 == 0:
-                if not r.varrho <= r.sigma <= r.rho + 1e-12:
-                    fails.append(f"rate ordering broken at m={m}, d={d}")
-            elif r.varrho != r.rho or r.sigma is not None:
-                fails.append(f"odd-m rates malformed at m={m}, d={d}")
-    return fails
-
 
 def check_rate_collapse() -> list:
     """d=2 alphabet rates must equal the binary exponents."""
@@ -717,28 +475,6 @@ def check_rate_collapse() -> list:
     return fails
 
 
-def check_avg_bits() -> list:
-    fails = []
-    got = alph.avg_bits(10, 3)
-    want = (1000 + 100 * math.log2(11) + 10 * math.log2(101)) / 1110
-    if not math.isclose(got, want, rel_tol=1e-12):
-        fails.append(f"avg_bits(10,3) {got} != {want}")
-    if abs(got - 1.27255) > 1e-4:
-        fails.append(f"avg_bits(10,3) {got} far from 1.27255")
-    if abs(alph.avg_bits(2, 10) - 1.6916709959845238) > 1e-9:
-        fails.append(f"avg_bits(2,10) = {alph.avg_bits(2, 10)}")
-    lo, hi = alph.bits_bounds(2)
-    if (lo, hi) != (1.5, 2.0):
-        fails.append(f"bits_bounds(2) = ({lo}, {hi})")
-    for m in range(2, 21):
-        lo, hi = alph.bits_bounds(m)
-        for k0 in range(8, 15):
-            val = alph.avg_bits(m, k0)
-            if not lo - 1e-12 <= val <= hi + 1e-12:
-                fails.append(f"avg_bits({m}, {k0}) = {val} outside [{lo}, {hi}]")
-    return fails
-
-
 # ------------------------------------------------------------------- sim
 
 def _binary_config(m, height, a0, rule_kind, trials, seed, hyp=Hypothesis.H0):
@@ -754,35 +490,6 @@ def _binary_config(m, height, a0, rule_kind, trials, seed, hyp=Hypothesis.H0):
     else:
         raise ValueError(rule_kind)
     return SimConfig(spec, tuple(schedule), _pair(a0, a0), trials, seed, hyp)
-
-
-def check_sim_determinism() -> list:
-    fails = []
-    cfg = _binary_config(3, 2, 0.2, "majority", 40_000, seed=7)
-    first = simulate(cfg)
-    again = simulate(cfg)
-    if first != again:
-        fails.append("same seed, different results")
-    for chunk in (4, 52, 1000, 39996):
-        alt = simulate(cfg, chunk=chunk)
-        if alt.error_count != first.error_count:
-            fails.append(f"chunk={chunk} changed the count")
-    other = simulate(_binary_config(3, 2, 0.2, "majority", 40_000, seed=8))
-    if other.error_count == first.error_count:
-        fails.append("seed change left the count identical (suspicious)")
-    return fails
-
-
-def check_sim_budget() -> list:
-    fails = []
-    cfg = _binary_config(5, 6, 0.1, "majority", 10**9, seed=1)
-    try:
-        simulate(cfg)
-        fails.append("over-budget run was not refused")
-    except ValueError as err:
-        if "budget" not in str(err):
-            fails.append(f"refusal does not name the budget: {err}")
-    return fails
 
 
 def check_sim_agreement() -> list:
@@ -860,18 +567,13 @@ def check_alphabet_equivalence_sim() -> list:
 
 SUITES = {
     "kernel": [
-        ("step_examples", check_step_examples),
-        ("lrt_examples", check_lrt_examples),
         ("odd_majority_sandwich", check_odd_majority_sandwich),
         ("even_majority_sandwich", check_even_majority_sandwich),
         ("tie_weight_sandwich", check_tie_weight_sandwich),
         ("alternating_sandwich", check_alternating_sandwich),
-        ("m2_fixed_point", check_m2_fixed_point),
         ("deep_trace", check_deep_trace),
         ("lrt_majority_symmetry", check_lrt_majority_symmetry),
         ("lrt_threshold_structure", check_lrt_threshold_structure),
-        ("boundary_pairs", check_boundary_pairs),
-        ("totals", check_totals),
     ],
     "oracle": [
         ("kernel_matches_enumeration", check_kernel_matches_enumeration),
@@ -882,24 +584,15 @@ SUITES = {
     ],
     "bounds": [
         ("ratio_poly", check_ratio_poly),
-        ("level_bounds_values", check_level_bounds_values),
         ("sandwich_on_traces", check_sandwich_on_traces),
         ("exponent_ratio_convergence", check_exponent_ratio_convergence),
         ("total_bounds", check_total_bounds),
         ("lrt_lower_bound", check_lrt_lower_bound),
-        ("exponents", check_exponents),
-        ("sample_size", check_sample_size),
     ],
     "alphabet": [
-        ("k0", check_k0),
-        ("equivalent_tree", check_equivalent_tree),
-        ("alphabet_rates", check_alphabet_rates),
         ("rate_collapse", check_rate_collapse),
-        ("avg_bits", check_avg_bits),
     ],
     "sim": [
-        ("determinism", check_sim_determinism),
-        ("budget", check_sim_budget),
         ("agreement", check_sim_agreement),
         ("alphabet_equivalence", check_alphabet_equivalence_sim),
     ],
@@ -913,7 +606,10 @@ def run_suites(names, report=print) -> int:
     for suite in names:
         for name, fn in SUITES[suite]:
             start = time.perf_counter()
-            fails = fn()
+            try:
+                fails = fn()
+            except Exception as err:  # a check that raises fails once; the rest still run
+                fails = [f"{type(err).__name__}: {err}"]
             took = time.perf_counter() - start
             report(f"{'FAIL' if fails else 'ok  '} {suite}.{name}  {took:.1f} s")
             failures += len(fails)

@@ -3,8 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from relaytree.alphabet import (
     TreeSpec,
@@ -36,12 +34,11 @@ class TestK0:
         with pytest.raises(ValueError):
             k0_of(3, 1)
 
-    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=200))
-    @settings(max_examples=300)
-    def test_window(self, m, d):
-        k0 = k0_of(m, d)
-        assert m ** (k0 - 1) + 1 <= d
-        assert d < m**k0 + 1
+    def test_window(self):
+        for m in range(2, 13):
+            for d in range(2, 201):
+                k0 = k0_of(m, d)
+                assert m ** (k0 - 1) + 1 <= d <= m**k0, (m, d, k0)
 
 
 class TestTreeSpec:
@@ -64,7 +61,9 @@ class TestEquivalentTree:
         got = equivalent_tree(TreeSpec(3, 6, 10))
         assert (got.m, got.height, got.d) == (27, 2, 2)
         # leaf count is preserved by the collapse
-        assert got.n_leaves == TreeSpec(3, 6, 10).n_leaves
+        for m, d, h in ((3, 10, 6), (2, 5, 6), (3, 4, 8), (5, 25, 4), (4, 17, 6)):
+            spec = TreeSpec(m, h, d)
+            assert equivalent_tree(spec).n_leaves == spec.n_leaves, (m, d, h)
 
     def test_identity_when_binary(self):
         got = equivalent_tree(TreeSpec(4, 3, 2))
@@ -106,6 +105,13 @@ class TestRates:
             for k0 in (1, 2, 3):
                 r = rates_from_k0(m, k0)
                 assert r.varrho <= r.sigma <= r.rho + 1e-12
+        for m in range(2, 21):
+            for d in (2, 3, 7, 50):
+                r = rates(m, d)
+                if m % 2 == 0:
+                    assert r.varrho <= r.sigma <= r.rho + 1e-12, (m, d)
+                else:
+                    assert r.varrho == r.rho and r.sigma is None, (m, d)
 
     def test_closed_form(self):
         r = rates_from_k0(2, 3)
@@ -116,6 +122,15 @@ class TestRates:
         assert r.sigma == pytest.approx(
             0.5 * (1 + math.log(10) / log_m_eff) - log2_term, rel=1e-14
         )
+        # through k0_of: (3, 4) and (10, 11) count two levels, (4, 2) one
+        r = rates(3, 4)
+        want = math.log(10) / math.log(9) - math.log(2) / (2 * math.log(3))
+        assert r.rho == pytest.approx(want, rel=1e-12, abs=0)
+        assert r.varrho == r.rho and r.sigma is None
+        want = 1.0 - math.log(2) / (2 * math.log(10))
+        assert rates(10, 11).varrho == pytest.approx(want, rel=1e-12, abs=0)
+        want = 0.5 * (1 + math.log(6) / math.log(4)) - 0.5
+        assert rates(4, 2).sigma == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -136,6 +151,7 @@ class TestAvgBits:
     def test_m2_band(self):
         lo, hi = bits_bounds(2)
         assert (lo, hi) == (1.5, 2.0)
+        assert avg_bits(2, 10) == pytest.approx(1.6916709959845238, rel=0, abs=1e-9)
 
     def test_band_holds_for_deep_counting(self):
         for m in range(2, 21):

@@ -23,6 +23,7 @@ from relaytree.bounds import (
 from relaytree.kernel import (
     AlternatingMajority,
     ErrorPair,
+    MajorityOdd,
     Priors,
     alternating_phases,
     propagate,
@@ -95,24 +96,27 @@ class TestLevelBounds:
     def test_majority_m3(self):
         bits0 = math.log2(10)
         c = math.log2(3)  # C(3, 2)
-        b0 = level_bounds(0.1, 3, 0, RateKind.MAJORITY_RANDOM)
-        assert b0.lower == pytest.approx(bits0 - c, rel=1e-14)
+        for k in (0, 2, 4):
+            b = level_bounds(0.1, 3, k, RateKind.MAJORITY_RANDOM)
+            assert b.lower == pytest.approx(2**k * (bits0 - c), rel=1e-14)
+            assert b.upper == pytest.approx(2**k * bits0, rel=1e-14)
+        # at k = 0 the upper bound is the leaf's own bits at any fan-in
+        b0 = level_bounds(0.1, 5, 0, RateKind.MAJORITY_RANDOM)
         assert b0.upper == pytest.approx(bits0, rel=1e-14)
-        b2 = level_bounds(0.1, 3, 2, RateKind.MAJORITY_RANDOM)
-        assert b2.lower == pytest.approx(4 * (bits0 - c), rel=1e-14)
-        assert b2.upper == pytest.approx(4 * bits0, rel=1e-14)
 
     def test_alternating_m4(self):
         bits0 = math.log2(10)
-        c = math.log2(6)  # C(4, 2)
-        b = level_bounds(0.1, 4, 4, RateKind.ALTERNATING)
-        # two tie-one levels contribute 2 each, two tie-zero levels 3
-        assert b.lower == pytest.approx(36 * (bits0 - c), rel=1e-14)
-        assert b.upper == pytest.approx(36 * bits0, rel=1e-14)
+        # m=4: two tie-one levels contribute 2 each, two tie-zero levels 3,
+        # against C(4, 2) = 6; m=2: one level each of 1 and 2, against C(2, 1)
+        for m, k, factor, c in ((4, 4, 36, math.log2(6)), (2, 2, 2, 1.0)):
+            b = level_bounds(0.1, m, k, RateKind.ALTERNATING)
+            assert b.lower == pytest.approx(factor * (bits0 - c), rel=1e-14)
+            assert b.upper == pytest.approx(factor * bits0, rel=1e-14)
 
     def test_alternating_rejects_odd_height(self):
-        with pytest.raises(ValueError):
-            level_bounds(0.1, 4, 3, RateKind.ALTERNATING)
+        for m in (4, 2):
+            with pytest.raises(ValueError):
+                level_bounds(0.1, m, 3, RateKind.ALTERNATING)
 
     def test_alternating_rejects_odd_m(self):
         with pytest.raises(ValueError):
@@ -275,6 +279,15 @@ class TestExponents:
             math.log(2.5) / math.log(4), rel=1e-14
         )
 
+    def test_small_m_closed_forms(self):
+        for m, kind, want in (
+            (3, RateKind.MAJORITY_RANDOM, math.log(2) / math.log(3)),
+            (5, RateKind.MAJORITY_RANDOM, math.log(3) / math.log(5)),
+            (2, RateKind.MAJORITY_RANDOM, 0.0),
+            (2, RateKind.ALTERNATING, 0.5),
+        ):
+            assert exponent(m, kind) == pytest.approx(want, rel=0, abs=1e-12), (m, kind)
+
     def test_m5_majority_hits_upper(self):
         # floor((5+1)/2) = 3 = (5+1)/2, so the two logs coincide exactly
         assert exponent(5, RateKind.MAJORITY_RANDOM) == exponent(
@@ -294,11 +307,12 @@ class TestExponents:
     def test_table(self):
         rows = exponent_table(range(2, 65))
         assert len(rows) == 63
-        by_m = {r.m: r for r in rows}
-        assert by_m[3].alternating is None
         for r in rows:
             if r.m % 2 == 0:
                 assert r.majority_random <= r.alternating <= r.upper_bound
+            else:
+                assert r.alternating is None
+                assert r.majority_random == r.upper_bound
             assert r.lrt_lower == r.majority_random
 
     def test_table_rejects_out_of_range(self):
@@ -316,6 +330,9 @@ class TestSampleSize:
         assert got.n_real == pytest.approx(want, rel=1e-14)
         assert got.k == 4
         assert got.n_tree == 81
+        # the recursion certifies the height: level 4 reaches the target, level 3 not
+        trace = propagate(ErrorPair.from_linear(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
+        assert trace.pairs[4].alpha_linear <= 1e-6 < trace.pairs[3].alpha_linear
 
     def test_tree_brackets_n_real(self):
         # m=5 needs leaf errors below 1/C(5,3) = 0.1 for any headroom
@@ -325,8 +342,9 @@ class TestSampleSize:
         assert got.n_tree == 5**got.k
 
     def test_leaves_already_good_enough(self):
-        got = sample_size(3, 0.001, 0.002, 0.01)
-        assert got == type(got)(n_real=1.0, k=0, n_tree=1)
+        for args in ((0.001, 0.002, 0.01), (0.1, 0.1, 0.1)):  # the target may equal the leaf
+            got = sample_size(3, *args)
+            assert got == type(got)(n_real=1.0, k=0, n_tree=1)
 
     def test_inapplicable_weak_leaves(self):
         # log2(1/0.4) < log2 C(3,2): the bound certifies nothing

@@ -475,8 +475,14 @@ class TestSimulate:
 
 
 class TestVerifySubcommand:
-    def test_fast_suite_passes(self, capsys):
-        code = cli.run(["verify", "--suite", "alphabet"])
+    def test_suite_names_are_the_cli_choices(self):
+        # scripts pass these to --suite; each must stay and hold a check
+        assert list(SUITES) == ["kernel", "oracle", "bounds", "alphabet", "sim"]
+        assert all(SUITES.values())
+
+    @pytest.mark.parametrize("suite", ["alphabet", "bounds"])
+    def test_fast_suite_passes(self, capsys, suite):
+        code = cli.run(["verify", "--suite", suite])
         out = capsys.readouterr().out
         assert code == 0
         assert "ok" in out and "FAIL" not in out
@@ -490,6 +496,19 @@ class TestVerifySubcommand:
         assert code == 1
         assert "FAIL alphabet.forced_failure" in captured.out
         assert "synthetic violation" in captured.out
+        assert "1 failure(s)" in captured.err
+
+    def test_raising_check_fails_and_the_run_goes_on(self, capsys, monkeypatch):
+        def broken():
+            raise ValueError("synthetic crash")
+
+        monkeypatch.setitem(SUITES, "alphabet", [("raises", broken), ("passes", lambda: [])])
+        code = cli.run(["verify", "--suite", "alphabet"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAIL alphabet.raises" in captured.out
+        assert "ValueError: synthetic crash" in captured.out
+        assert "ok   alphabet.passes" in captured.out
         assert "1 failure(s)" in captured.err
 
     def test_unknown_suite_rejected(self, capsys):

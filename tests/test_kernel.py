@@ -29,7 +29,7 @@ from relaytree.kernel import (
     propagate,
     total_error,
 )
-from relaytree.logdomain import LogProb, log1mexp, log_sum_exp
+from relaytree.logdomain import LOG_ZERO, LogProb, log1mexp, log_sum_exp
 
 error_probs = st.floats(min_value=1e-6, max_value=0.499)
 
@@ -45,8 +45,9 @@ class TestBinomTail:
         assert got.linear == pytest.approx(0.028, rel=1e-14)
 
     def test_full_range_is_one(self):
-        got = binom_tail(7, 0, 7, LogProb.from_linear(0.37))
-        assert got.linear == pytest.approx(1.0, rel=1e-14)
+        for m, p in ((7, 0.37), (4, 0.1)):
+            got = binom_tail(m, 0, m, LogProb.from_linear(p))
+            assert got.linear == pytest.approx(1.0, rel=1e-14)
 
     def test_degenerate_p(self):
         assert binom_tail(5, 3, 5, LogProb.from_linear(0.0)).linear == 0.0
@@ -340,6 +341,20 @@ class TestLRT:
         with pytest.raises(ValueError):
             lrt_step(pair(0.1, 1.0), Priors.equal(), 3)
 
+    def test_frozen_m3_step(self):
+        # one fired child already decides 1: alpha' = 1 - 0.99^3, beta' = 0.3^3
+        p = pair(0.01, 0.3)
+        lrt = BayesianLRT(3, Priors.equal())
+        assert lrt.table(p) == (0.0, 1.0, 1.0, 1.0)
+        out = apply_rule(p, lrt)
+        assert out.alpha_linear == pytest.approx(0.029701, rel=1e-12, abs=0)
+        assert out.beta_linear == pytest.approx(0.027, rel=1e-12, abs=0)
+
+    def test_uninformative_pair_follows_a_skewed_prior(self):
+        out = apply_rule(pair(0.5, 0.5), BayesianLRT(2, Priors(0.9, 0.1)))
+        assert out.alpha.value == LOG_ZERO  # decides H0 at every count
+        assert out.beta.value == 0.0
+
     def test_uninformative_pair_decides_one_everywhere(self):
         # alpha = beta = 1/2 makes every count an exact tie
         out = lrt_step(pair(0.5, 0.5), Priors.equal(), 3)
@@ -397,6 +412,31 @@ class TestPropagate:
             for level_pair in trace.pairs:
                 assert level_pair.alpha.value == trace.pairs[0].alpha.value
                 assert level_pair.beta.value == trace.pairs[0].beta.value
+
+    @pytest.mark.parametrize("schedule, x, want", [
+        ([MajorityOdd(5)], 0.1, (0.00856, 0.00856)),
+        ([MajorityOdd(3)], 0.05, (0.00725, 0.00725)),
+        ([MajorityEven(4, 0.5)], 0.1, (0.028, 0.028)),
+        ([AlternatingMajority(2, TiePhase.TIES_TO_ZERO)], 0.1, (0.01, 0.19)),
+        ([AlternatingMajority(4, TiePhase.TIES_TO_ONE)], 0.1, (0.0523, 0.0037)),
+        ([AlternatingMajority(2, ph) for ph in alternating_phases(2)], 0.1, (0.0361, 0.0199)),
+    ])
+    def test_hand_computed_roots(self, schedule, x, want):
+        root = propagate(pair(x, x), schedule, Priors.equal()).root
+        assert (root.alpha_linear, root.beta_linear) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_totals_mix_each_level(self):
+        priors = Priors(0.25, 0.75)
+        trace = propagate(pair(0.2, 0.05), [MajorityOdd(3)] * 5, priors)
+        for p, total in zip(trace.pairs, trace.totals, strict=True):
+            want = 0.25 * p.alpha_linear + 0.75 * p.beta_linear
+            assert total.linear == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_boundary_pair_is_a_fixed_point(self):
+        for rule in (MajorityOdd(3), MajorityEven(4, 0.3), AlternatingMajority(2)):
+            root = propagate(pair(0.0, 1.0), [rule] * 3, Priors.equal()).root
+            assert root.alpha.value == LOG_ZERO, rule
+            assert root.beta.value == 0.0, rule
 
     def test_error_names_the_level(self):
         # alpha = 0 survives the majority level, then the ratio rule

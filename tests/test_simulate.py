@@ -230,12 +230,14 @@ class TestPinnedCounts:
 class TestDeterminism:
     def test_same_seed_same_count(self):
         c = binary_config(3, 2, MajorityOdd(3))
-        assert simulate(c).error_count == simulate(c).error_count
+        assert simulate(c) == simulate(c)
 
     def test_chunking_is_invisible(self):
         c = binary_config(3, 2, MajorityOdd(3))
         want = simulate(c).error_count
-        for chunk in (4, 52, 1000, 7):  # 7 rounds up to 8 internally
+        # 7 rounds up to 8 internally; 19996 leaves a last chunk of 4
+        # trials, and 39996 is cut to the 20000-trial run
+        for chunk in (4, 52, 1000, 7, 19996, 39996):
             assert simulate(c, chunk=chunk).error_count == want
 
     def test_chunking_is_invisible_with_tie_draws(self):
