@@ -8,14 +8,24 @@ the point; the kernel is tested against these functions.
 
 The oracle lists the vectors and counts their ones itself; it reads no
 kernel table, run or binomial tail, and imports only the ErrorPair and
-Priors value types.  Only the counts of ones and zeros are cached, per
-fan-in.  A rule keeps its decisions: a count rule gathers its table over
-them, any other rule is asked once per vector.  Each step forms one term
-per vector with numpy (elementwise float64 products, in the same
-left-to-right order as a per-vector loop) and sums the terms with
-math.fsum.  Elementwise products are the same IEEE operations as Python
-float products, and fsum is correctly rounded whatever the order of its
-terms, so the result is bit for bit what a per-vector loop gives.
+Priors value types.  A rule keeps its decisions: a count rule gathers
+its table over the counts of ones, any other rule is asked once per
+vector.  Each sum forms one term per vector with numpy (elementwise
+float64 products, in the same left-to-right order as a per-vector loop)
+and adds the terms with math.fsum.  Elementwise products are the same
+IEEE operations as Python float products, and fsum is correctly rounded
+whatever the order of its terms, so the result is bit for bit what a
+per-vector loop gives.
+
+The work is split into one-sided pieces.  alpha' reads only the rule's
+decisions and alpha (`enumerate_alpha`), beta' only the decisions and
+beta (`enumerate_beta`); `enumerate_step` is the two together.  Likewise
+P(v | H0) reads only alpha (`h0_likelihoods`) and P(v | H1) only beta
+(`h1_likelihoods`), and `map_step` scores the per-vector MAP rule on
+them; `optimal_step` is the three together.  `verify` computes each
+one-sided piece once per distinct value within one check call and
+keeps nothing after it.  Here only the counts of ones and zeros are
+cached, per fan-in.
 """
 
 from __future__ import annotations
@@ -34,7 +44,12 @@ __all__ = [
     "VectorRule",
     "majority_vector_rule",
     "count_vector_rule",
+    "enumerate_alpha",
+    "enumerate_beta",
     "enumerate_step",
+    "h0_likelihoods",
+    "h1_likelihoods",
+    "map_step",
     "optimal_step",
 ]
 
@@ -137,57 +152,94 @@ def _pow_tables(p: float, m: int):
     return np.array(direct), np.array(inverse)
 
 
-def _summed(alpha_terms: np.ndarray, beta_terms: np.ndarray) -> ErrorPair:
-    return ErrorPair.from_linear(
-        min(math.fsum(alpha_terms.tolist()), 1.0),
-        min(math.fsum(beta_terms.tolist()), 1.0),
-    )
+def _fsum(terms: np.ndarray) -> float:
+    return min(math.fsum(terms.tolist()), 1.0)
+
+
+def enumerate_alpha(rule: VectorRule, alpha: float) -> float:
+    """Exact alpha' of a vector rule, in linear domain:
+
+    alpha' = sum over vectors of P(v | H0) * decide(v)
+
+    where P(v | H0) makes each bit Bernoulli(alpha).  It reads no beta.
+    """
+    d = rule.decisions
+    ones, zeros = _counts(rule.m)
+    a_pow, a_comp = _pow_tables(alpha, rule.m)
+    to_one = d > 0.0
+    return _fsum(d[to_one] * a_pow[ones[to_one]] * a_comp[zeros[to_one]])
+
+
+def enumerate_beta(rule: VectorRule, beta: float) -> float:
+    """Exact beta' of a vector rule, in linear domain:
+
+    beta' = sum over vectors of P(v | H1) * (1 - decide(v))
+
+    where P(v | H1) makes each bit Bernoulli(1 - beta).  It reads no alpha.
+    """
+    d = rule.decisions
+    ones, zeros = _counts(rule.m)
+    # under H1 a bit is 1 w.p. 1-beta, so "ones" carry 1-beta factors;
+    # powering b itself (not 1-(1-b)) keeps exact ties exactly tied
+    b_pow, b_comp = _pow_tables(beta, rule.m)
+    to_zero = d < 1.0
+    return _fsum((1.0 - d[to_zero]) * b_comp[ones[to_zero]] * b_pow[zeros[to_zero]])
 
 
 def enumerate_step(pair: ErrorPair, m: int, rule: VectorRule) -> ErrorPair:
-    """Exact one-level error pair of an arbitrary vector rule.
-
-    alpha' = sum over vectors of P(v | H0) * decide(v)
-    beta'  = sum over vectors of P(v | H1) * (1 - decide(v))
-
-    where P(v | H0) makes each bit Bernoulli(alpha) and P(v | H1) each
-    bit Bernoulli(1 - beta), independently.
-    """
+    """Exact one-level error pair of an arbitrary vector rule: the pair
+    (enumerate_alpha, enumerate_beta)."""
     _check_fanin(m)
     if rule.m != m:
         raise ValueError(f"rule fan-in {rule.m} does not match m={m}")
-    d = rule.decisions
-    ones, zeros = _counts(m)
-    a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
-    # under H1 a bit is 1 w.p. 1-beta, so "ones" carry 1-beta factors;
-    # powering b itself (not 1-(1-b)) keeps exact ties exactly tied
-    b_pow, b_comp = _pow_tables(pair.beta.linear, m)
-    to_one = d > 0.0
-    to_zero = d < 1.0
-    return _summed(
-        d[to_one] * a_pow[ones[to_one]] * a_comp[zeros[to_one]],
-        (1.0 - d[to_zero]) * b_comp[ones[to_zero]] * b_pow[zeros[to_zero]],
+    return ErrorPair.from_linear(
+        enumerate_alpha(rule, pair.alpha.linear),
+        enumerate_beta(rule, pair.beta.linear),
     )
 
 
-def optimal_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
-    """Error pair of the best possible fusion rule, found by brute force.
+def h0_likelihoods(alpha: float, m: int) -> np.ndarray:
+    """P(v | H0) for every vector v, in enumeration order: each bit is
+    Bernoulli(alpha)."""
+    _check_fanin(m)
+    ones, zeros = _counts(m)
+    a_pow, a_comp = _pow_tables(alpha, m)
+    return a_pow[ones] * a_comp[zeros]
+
+
+def h1_likelihoods(beta: float, m: int) -> np.ndarray:
+    """P(v | H1) for every vector v, in enumeration order: each bit is
+    Bernoulli(1 - beta)."""
+    _check_fanin(m)
+    ones, zeros = _counts(m)
+    b_pow, b_comp = _pow_tables(beta, m)
+    return b_comp[ones] * b_pow[zeros]
+
+
+def map_step(p0: np.ndarray, p1: np.ndarray, priors: Priors) -> ErrorPair:
+    """Error pair of the per-vector MAP rule on the likelihood vectors
+    p0 = P(v | H0) and p1 = P(v | H1).
 
     Per vector, decide the hypothesis with the larger posterior mass
     pi_i * P(v | Hi), ties to H1.  Masses within 1e-9 relative count as
     tied, the same indifference convention as the likelihood-ratio rule,
     so the two routes agree at exact-arithmetic ties however the float
-    products round.  This is the exact one-level optimum, so it doubles
-    as an independent check of the likelihood-ratio step.
+    products round.
     """
-    _check_fanin(m)
     priors.require_positive()
-    ones, zeros = _counts(m)
-    a_pow, a_comp = _pow_tables(pair.alpha.linear, m)
-    b_pow, b_comp = _pow_tables(pair.beta.linear, m)
-    p0 = a_pow[ones] * a_comp[zeros]
-    p1 = b_comp[ones] * b_pow[zeros]
     mass0 = priors.pi0 * p0
     mass1 = priors.pi1 * p1
     to_one = mass1 >= mass0 - 1e-9 * np.maximum(mass0, mass1)
-    return _summed(p0[to_one], p1[~to_one])
+    return ErrorPair.from_linear(_fsum(p0[to_one]), _fsum(p1[~to_one]))
+
+
+def optimal_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
+    """Error pair of the best possible fusion rule, found by brute force:
+    map_step on the two likelihood vectors of `pair`.
+
+    This is the exact one-level optimum, so it doubles as an independent
+    check of the likelihood-ratio step.
+    """
+    return map_step(
+        h0_likelihoods(pair.alpha.linear, m), h1_likelihoods(pair.beta.linear, m), priors
+    )

@@ -209,19 +209,41 @@ def _rules_for(m: int) -> tuple:
     return tuple((rule, oracle.majority_vector_rule(m, tie)) for rule, tie in ties)
 
 
+def _once(memo: dict, key: tuple, fn, *args):
+    """fn(*args), computed once per key of `memo`, a dict that lives for
+    one check call, so nothing is carried from one call to the next."""
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
 def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
-    """Closed-form steps equal brute-force enumeration over all vectors."""
+    """Closed-form steps equal brute-force enumeration over all vectors.
+
+    Every pair is stepped through `apply_rule` and compared with its own
+    oracle pair.  The oracle's alpha' reads only the twin and alpha, and
+    its beta' only the twin and beta, so each one-sided sum is computed
+    once per twin and value within the call.  A likelihood-ratio twin is
+    shared by the pairs whose tables coincide; twins are keyed by identity.
+    """
     fails = []
     for m in fanins:
         lrt = BayesianLRT(m, Priors.equal())
+        count_twins = {}  # likelihood-ratio table -> its count twin
+        sums = {}  # (side, id(twin), value) -> one-sided oracle sum
         for a in grid:
             for b in grid:
                 pair = _pair(a, b)
+                a_lin, b_lin = pair.alpha.linear, pair.beta.linear
                 # the likelihood-ratio table depends on the pair
-                lrt_twin = oracle.count_vector_rule(m, lrt.table(pair))
+                table = lrt.table(pair)
+                lrt_twin = _once(count_twins, table, oracle.count_vector_rule, m, table)
                 for rule, twin in (*_rules_for(m), (lrt, lrt_twin)):
                     got = apply_rule(pair, rule)
-                    ref = oracle.enumerate_step(pair, m, twin)
+                    ref = ErrorPair.from_linear(
+                        _once(sums, ("alpha", id(twin), a_lin), oracle.enumerate_alpha, twin, a_lin),
+                        _once(sums, ("beta", id(twin), b_lin), oracle.enumerate_beta, twin, b_lin),
+                    )
                     for side in ("alpha", "beta"):
                         ours, theirs = getattr(got, side).value, getattr(ref, side).value
                         if not _log_close(ours, theirs):
@@ -232,17 +254,29 @@ def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
 
 
 def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> list:
-    """The count-threshold LRT equals the per-vector MAP optimum."""
+    """The count-threshold LRT equals the per-vector MAP optimum.
+
+    Every (pair, priors) cell is stepped through `apply_rule` and compared
+    with its own MAP pair.  P(v | H0) reads only alpha and P(v | H1) only
+    beta, so each likelihood vector is built once per value within the
+    call; the MAP mask and its two sums are formed per cell.
+    """
     fails = []
     priors_list = [Priors.equal(), Priors(0.9, 0.1), Priors(0.3, 0.7)]
     for m in fanins:
+        likelihoods = {}  # (hypothesis, value) -> likelihood vector
         for priors in priors_list:
             lrt = BayesianLRT(m, priors)
             for a in grid:
                 for b in grid:
                     pair = _pair(a, b)
+                    a_lin, b_lin = pair.alpha.linear, pair.beta.linear
                     got = apply_rule(pair, lrt)
-                    ref = oracle.optimal_step(pair, priors, m)
+                    ref = oracle.map_step(
+                        _once(likelihoods, ("h0", a_lin), oracle.h0_likelihoods, a_lin, m),
+                        _once(likelihoods, ("h1", b_lin), oracle.h1_likelihoods, b_lin, m),
+                        priors,
+                    )
                     if not _pairs_close(got, ref):
                         fails.append(
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "

@@ -79,14 +79,14 @@ class TestRates:
         for m in range(2, 21):
             r = rates(m, 2)
             assert r.rho == pytest.approx(
-                exponent(m, RateKind.UPPER_BOUND), rel=1e-12
+                exponent(m, RateKind.UPPER_BOUND), rel=1e-12, abs=0
             )
             if m % 2 == 0:
                 assert r.varrho == pytest.approx(
-                    exponent(m, RateKind.MAJORITY_RANDOM), rel=1e-12
+                    exponent(m, RateKind.MAJORITY_RANDOM), rel=1e-12, abs=0
                 )
                 assert r.sigma == pytest.approx(
-                    exponent(m, RateKind.ALTERNATING), rel=1e-12
+                    exponent(m, RateKind.ALTERNATING), rel=1e-12, abs=0
                 )
             else:
                 assert r.varrho == r.rho
@@ -117,10 +117,10 @@ class TestRates:
         r = rates_from_k0(2, 3)
         log_m_eff = math.log(8)
         log2_term = math.log(2) / log_m_eff
-        assert r.rho == pytest.approx(math.log(9) / log_m_eff - log2_term, rel=1e-14)
-        assert r.varrho == pytest.approx(1 - log2_term, rel=1e-14)
+        assert r.rho == pytest.approx(math.log(9) / log_m_eff - log2_term, rel=1e-14, abs=0)
+        assert r.varrho == pytest.approx(1 - log2_term, rel=1e-14, abs=0)
         assert r.sigma == pytest.approx(
-            0.5 * (1 + math.log(10) / log_m_eff) - log2_term, rel=1e-14
+            0.5 * (1 + math.log(10) / log_m_eff) - log2_term, rel=1e-14, abs=0
         )
         # through k0_of: (3, 4) and (10, 11) count two levels, (4, 2) one
         r = rates(3, 4)
@@ -146,7 +146,7 @@ class TestAvgBits:
 
     def test_m10_k3_exact(self):
         want = (1000 + 100 * math.log2(11) + 10 * math.log2(101)) / 1110
-        assert avg_bits(10, 3) == pytest.approx(want, rel=1e-14)
+        assert avg_bits(10, 3) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_m2_band(self):
         lo, hi = bits_bounds(2)

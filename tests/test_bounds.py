@@ -49,12 +49,12 @@ class TestRatioPoly:
             want = sum(
                 math.comb(m, j) * x ** (k - j) * (1 - x) ** j for j in range(k + 1)
             )
-            assert ratio_poly(m, k, x) == pytest.approx(want, rel=1e-14)
+            assert ratio_poly(m, k, x) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_endpoint_limits(self):
         # C(m, k) at x -> 0 and 1 at x -> 1
-        assert ratio_poly(6, 2, 1e-12) == pytest.approx(math.comb(6, 2), rel=1e-9)
-        assert ratio_poly(6, 2, 1.0 - 1e-12) == pytest.approx(1.0, rel=1e-9)
+        assert ratio_poly(6, 2, 1e-12) == pytest.approx(math.comb(6, 2), rel=1e-9, abs=0)
+        assert ratio_poly(6, 2, 1.0 - 1e-12) == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_domain(self):
         for bad in [(3, 0, 0.5), (3, 3, 0.5), (2, 2, 0.5)]:
@@ -98,11 +98,11 @@ class TestLevelBounds:
         c = math.log2(3)  # C(3, 2)
         for k in (0, 2, 4):
             b = level_bounds(0.1, 3, k, RateKind.MAJORITY_RANDOM)
-            assert b.lower == pytest.approx(2**k * (bits0 - c), rel=1e-14)
-            assert b.upper == pytest.approx(2**k * bits0, rel=1e-14)
+            assert b.lower == pytest.approx(2**k * (bits0 - c), rel=1e-14, abs=0)
+            assert b.upper == pytest.approx(2**k * bits0, rel=1e-14, abs=0)
         # at k = 0 the upper bound is the leaf's own bits at any fan-in
         b0 = level_bounds(0.1, 5, 0, RateKind.MAJORITY_RANDOM)
-        assert b0.upper == pytest.approx(bits0, rel=1e-14)
+        assert b0.upper == pytest.approx(bits0, rel=1e-14, abs=0)
 
     def test_alternating_m4(self):
         bits0 = math.log2(10)
@@ -110,8 +110,8 @@ class TestLevelBounds:
         # against C(4, 2) = 6; m=2: one level each of 1 and 2, against C(2, 1)
         for m, k, factor, c in ((4, 4, 36, math.log2(6)), (2, 2, 2, 1.0)):
             b = level_bounds(0.1, m, k, RateKind.ALTERNATING)
-            assert b.lower == pytest.approx(factor * (bits0 - c), rel=1e-14)
-            assert b.upper == pytest.approx(factor * bits0, rel=1e-14)
+            assert b.lower == pytest.approx(factor * (bits0 - c), rel=1e-14, abs=0)
+            assert b.upper == pytest.approx(factor * bits0, rel=1e-14, abs=0)
 
     def test_alternating_rejects_odd_height(self):
         for m in (4, 2):
@@ -134,15 +134,15 @@ class TestLevelBounds:
 class TestTotalBounds:
     def test_m3_height4(self):
         b = total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
-        assert b.lower == pytest.approx(16 * (math.log2(10) - math.log2(3)), rel=1e-14)
-        assert b.upper == pytest.approx(16 * math.log2(10), rel=1e-14)
+        assert b.lower == pytest.approx(16 * (math.log2(10) - math.log2(3)), rel=1e-14, abs=0)
+        assert b.upper == pytest.approx(16 * math.log2(10), rel=1e-14, abs=0)
 
     def test_asymmetric_pair_uses_worse_side(self):
         b = total_bounds(0.2, 0.05, Priors(0.3, 0.7), 3, 2)
         worse = math.log2(5)  # bits of max(alpha0, beta0) = 0.2
         mix = 0.3 * math.log2(5) + 0.7 * math.log2(20)
-        assert b.lower == pytest.approx(4 * (worse - math.log2(3)), rel=1e-14)
-        assert b.upper == pytest.approx(4 * mix, rel=1e-14)
+        assert b.lower == pytest.approx(4 * (worse - math.log2(3)), rel=1e-14, abs=0)
+        assert b.upper == pytest.approx(4 * mix, rel=1e-14, abs=0)
 
     def test_rejects_negative_height(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -256,7 +256,7 @@ class TestLRTLowerBound:
     def test_frozen_m3_equal_priors(self):
         # penalty = 2 * C(3,2) * max(pi) / min(pi)^2 = 12
         got = lrt_lower_bound(0.05, Priors.equal(), 3, 1)
-        assert got == pytest.approx(2 * (math.log2(20) - math.log2(12)), rel=1e-14)
+        assert got == pytest.approx(2 * (math.log2(20) - math.log2(12)), rel=1e-14, abs=0)
 
     def test_vanishes_at_penalty_inverse(self):
         got = lrt_lower_bound(1 / 12, Priors.equal(), 3, 1)
@@ -274,9 +274,9 @@ class TestExponents:
     def test_m4_closed_forms(self):
         assert exponent(4, RateKind.MAJORITY_RANDOM) == pytest.approx(0.5, abs=1e-15)
         want_alt = math.log(math.sqrt(4 * 6) / 2) / math.log(4)
-        assert exponent(4, RateKind.ALTERNATING) == pytest.approx(want_alt, rel=1e-13)
+        assert exponent(4, RateKind.ALTERNATING) == pytest.approx(want_alt, rel=1e-13, abs=0)
         assert exponent(4, RateKind.UPPER_BOUND) == pytest.approx(
-            math.log(2.5) / math.log(4), rel=1e-14
+            math.log(2.5) / math.log(4), rel=1e-14, abs=0
         )
 
     def test_small_m_closed_forms(self):
@@ -327,7 +327,7 @@ class TestSampleSize:
         got = sample_size(3, 0.1, 0.1, 1e-6)
         headroom = math.log2(10) - math.log2(3)
         want = (math.log2(1e6) / headroom) ** (math.log(3) / math.log(2))
-        assert got.n_real == pytest.approx(want, rel=1e-14)
+        assert got.n_real == pytest.approx(want, rel=1e-14, abs=0)
         assert got.k == 4
         assert got.n_tree == 81
         # the recursion certifies the height: level 4 reaches the target, level 3 not

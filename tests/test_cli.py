@@ -40,14 +40,14 @@ class TestRecurse:
         assert [r[0] for r in rows] == ["0", "1", "2", "3", "4"]
         exact = exact_majority_trace(Fraction(1, 10), 3, 4)
         last = rows[4]
-        assert float(last[1]) == pytest.approx(float(exact[4]), rel=1e-9)
-        assert float(last[2]) == pytest.approx(float(exact[4]), rel=1e-9)
+        assert float(last[1]) == pytest.approx(float(exact[4]), rel=1e-9, abs=0)
+        assert float(last[2]) == pytest.approx(float(exact[4]), rel=1e-9, abs=0)
         # symmetric pair and equal priors: total error equals alpha
-        assert float(last[5]) == pytest.approx(-math.log2(float(exact[4])), rel=1e-9)
+        assert float(last[5]) == pytest.approx(-math.log2(float(exact[4])), rel=1e-9, abs=0)
         assert float(last[6]) == pytest.approx(
-            16 * (math.log2(10) - math.log2(3)), rel=1e-9
+            16 * (math.log2(10) - math.log2(3)), rel=1e-9, abs=0
         )
-        assert float(last[7]) == pytest.approx(16 * math.log2(10), rel=1e-9)
+        assert float(last[7]) == pytest.approx(16 * math.log2(10), rel=1e-9, abs=0)
         # the root sits inside its own sandwich
         assert float(last[6]) <= float(last[5]) <= float(last[7])
 
@@ -58,7 +58,7 @@ class TestRecurse:
         ])
         assert rows[1][1] == "0.028"
         cell = rows[0][3]
-        assert float(cell) == pytest.approx(math.log2(10), rel=1e-11)
+        assert float(cell) == pytest.approx(math.log2(10), rel=1e-11, abs=0)
         digits = cell.replace("-", "").replace(".", "").lstrip("0")
         assert len(digits) <= 12
 
@@ -107,7 +107,7 @@ class TestRecurse:
         assert code == 0
         assert all(r[6] != "" and r[7] == "" for r in rows)
         assert float(rows[1][6]) == pytest.approx(
-            2 * (math.log2(20) - math.log2(12)), rel=1e-9
+            2 * (math.log2(20) - math.log2(12)), rel=1e-9, abs=0
         )
 
     def test_zero_levels(self, capsys):
@@ -233,10 +233,10 @@ class TestExponents:
         by_m = {r[0]: r for r in rows}
         assert float(by_m["4"][1]) == pytest.approx(0.5, abs=1e-12)
         assert float(by_m["4"][2]) == pytest.approx(
-            math.log(math.sqrt(24) / 2) / math.log(4), rel=1e-9
+            math.log(math.sqrt(24) / 2) / math.log(4), rel=1e-9, abs=0
         )
         assert float(by_m["4"][3]) == pytest.approx(
-            math.log(2.5) / math.log(4), rel=1e-9
+            math.log(2.5) / math.log(4), rel=1e-9, abs=0
         )
         assert by_m["3"][2] == ""  # no alternating rule at odd fan-in
         assert float(by_m["5"][1]) == float(by_m["5"][3])
@@ -259,7 +259,7 @@ class TestAlphabet:
         assert rows[0][0] == "3"
         assert rows[0][3] == ""  # sigma undefined at odd fan-in
         assert float(rows[0][4]) == pytest.approx(
-            (27 + 9 * math.log2(4) + 3 * math.log2(10)) / 39, rel=1e-9
+            (27 + 9 * math.log2(4) + 3 * math.log2(10)) / 39, rel=1e-9, abs=0
         )
 
     def test_sweep(self, capsys):
@@ -290,7 +290,7 @@ class TestSampleSize:
         got = json.loads(out)
         headroom = math.log2(10) - math.log2(3)
         want = (math.log2(1e6) / headroom) ** (math.log(3) / math.log(2))
-        assert got["n_real"] == pytest.approx(want, rel=1e-12)
+        assert got["n_real"] == pytest.approx(want, rel=1e-12, abs=0)
         assert got["k"] == 4
         assert got["n_tree"] == 81
 
@@ -401,7 +401,7 @@ class TestSimulate:
         assert len(rows) == 1
         est, ci, analytic, z = (float(x) for x in rows[0])
         # m=2 majority with a fair coin keeps the leaf error exactly
-        assert analytic == pytest.approx(0.1, rel=1e-12)
+        assert analytic == pytest.approx(0.1, rel=1e-12, abs=0)
         assert abs(z) <= 4.0
         assert est == pytest.approx(analytic, abs=ci * 2)
 

@@ -42,12 +42,12 @@ class TestBinomTail:
     def test_exact_small(self):
         # tail s >= 2 of Binom(3, 0.1): 3 * 0.01 * 0.9 + 0.001
         got = binom_tail(3, 2, 3, LogProb.from_linear(0.1))
-        assert got.linear == pytest.approx(0.028, rel=1e-14)
+        assert got.linear == pytest.approx(0.028, rel=1e-14, abs=0)
 
     def test_full_range_is_one(self):
         for m, p in ((7, 0.37), (4, 0.1)):
             got = binom_tail(m, 0, m, LogProb.from_linear(p))
-            assert got.linear == pytest.approx(1.0, rel=1e-14)
+            assert got.linear == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_degenerate_p(self):
         assert binom_tail(5, 3, 5, LogProb.from_linear(0.0)).linear == 0.0
@@ -108,7 +108,7 @@ class TestBinomTail:
             - math.log(den >> shift_d)
             - shift_d * math.log(2)
         )
-        assert got.value == pytest.approx(want_log, rel=1e-9)
+        assert got.value == pytest.approx(want_log, rel=1e-9, abs=0)
         assert got.value < -700.0
 
     @given(
@@ -141,8 +141,8 @@ class TestBinomTail:
 class TestErrorPairAndPriors:
     def test_pair_accessors(self):
         p = pair(0.1, 0.2)
-        assert p.alpha_linear == pytest.approx(0.1, rel=1e-15)
-        assert p.beta_linear == pytest.approx(0.2, rel=1e-15)
+        assert p.alpha_linear == pytest.approx(0.1, rel=1e-15, abs=0)
+        assert p.beta_linear == pytest.approx(0.2, rel=1e-15, abs=0)
         assert p.is_informative()
         assert not pair(0.5, 0.5).is_informative()
         assert not pair(0.6, 0.6).is_informative()
@@ -170,14 +170,14 @@ class TestErrorPairAndPriors:
 
     def test_total_error(self):
         t = total_error(pair(0.1, 0.3), Priors(0.25, 0.75))
-        assert t.linear == pytest.approx(0.25 * 0.1 + 0.75 * 0.3, rel=1e-14)
+        assert t.linear == pytest.approx(0.25 * 0.1 + 0.75 * 0.3, rel=1e-14, abs=0)
 
 
 class TestMajoritySteps:
     def test_odd_m3(self):
         out = majority_step_odd(pair(0.1, 0.2), 3)
-        assert out.alpha_linear == pytest.approx(3 * 0.01 * 0.9 + 0.001, rel=1e-14)
-        assert out.beta_linear == pytest.approx(3 * 0.04 * 0.8 + 0.008, rel=1e-14)
+        assert out.alpha_linear == pytest.approx(3 * 0.01 * 0.9 + 0.001, rel=1e-14, abs=0)
+        assert out.beta_linear == pytest.approx(3 * 0.04 * 0.8 + 0.008, rel=1e-14, abs=0)
 
     def test_odd_rejects_even_m(self):
         with pytest.raises(ValueError):
@@ -193,9 +193,9 @@ class TestMajoritySteps:
         # alpha' = a^2 + 2 b_tie a (1 - a) with tie weight b_tie
         a, b, w = 0.1, 0.2, 0.25
         out = majority_step_even(pair(a, b), 2, w)
-        assert out.alpha_linear == pytest.approx(a * a + 2 * w * a * (1 - a), rel=1e-14)
+        assert out.alpha_linear == pytest.approx(a * a + 2 * w * a * (1 - a), rel=1e-14, abs=0)
         assert out.beta_linear == pytest.approx(
-            b * b + 2 * (1 - w) * b * (1 - b), rel=1e-14
+            b * b + 2 * (1 - w) * b * (1 - b), rel=1e-14, abs=0
         )
 
     def test_even_boundary_tie_weights(self):
@@ -216,11 +216,11 @@ class TestMajoritySteps:
         # and beta shrinks; ties to zero mirrors
         a, b = 0.1, 0.2
         one = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ONE)
-        assert one.alpha_linear == pytest.approx(a * (2 - a), rel=1e-13)
-        assert one.beta_linear == pytest.approx(b * b, rel=1e-14)
+        assert one.alpha_linear == pytest.approx(a * (2 - a), rel=1e-13, abs=0)
+        assert one.beta_linear == pytest.approx(b * b, rel=1e-14, abs=0)
         zero = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ZERO)
-        assert zero.alpha_linear == pytest.approx(a * a, rel=1e-14)
-        assert zero.beta_linear == pytest.approx(b * (2 - b), rel=1e-13)
+        assert zero.alpha_linear == pytest.approx(a * a, rel=1e-14, abs=0)
+        assert zero.beta_linear == pytest.approx(b * (2 - b), rel=1e-13, abs=0)
 
     @given(error_probs, error_probs, st.sampled_from([3, 5, 7, 9]))
     @settings(max_examples=200)
@@ -231,7 +231,7 @@ class TestMajoritySteps:
             math.comb(m, s) * fa**s * (1 - fa) ** (m - s) for s in range(half, m + 1)
         )
         got = majority_step_odd(pair(a, b), m)
-        assert got.alpha_linear == pytest.approx(float(want), rel=1e-12)
+        assert got.alpha_linear == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestRuleTypes:
@@ -358,7 +358,7 @@ class TestLRT:
     def test_uninformative_pair_decides_one_everywhere(self):
         # alpha = beta = 1/2 makes every count an exact tie
         out = lrt_step(pair(0.5, 0.5), Priors.equal(), 3)
-        assert out.alpha_linear == pytest.approx(1.0, rel=1e-15)
+        assert out.alpha_linear == pytest.approx(1.0, rel=1e-15, abs=0)
         assert out.beta_linear == 0.0
 
     def test_requires_positive_priors(self):
@@ -393,7 +393,7 @@ class TestPropagate:
         assert trace.height == 4
         assert len(trace.pairs) == 5
         assert len(trace.totals) == 5
-        assert trace.pairs[0].alpha_linear == pytest.approx(0.1, rel=1e-15)
+        assert trace.pairs[0].alpha_linear == pytest.approx(0.1, rel=1e-15, abs=0)
         assert trace.root is trace.pairs[-1]
 
     def test_m3_symmetric_two_levels(self):
@@ -401,9 +401,9 @@ class TestPropagate:
         trace = propagate(pair(0.1, 0.1), sched, Priors.equal())
         a1 = 3 * 0.01 * 0.9 + 0.001
         a2 = 3 * a1**2 * (1 - a1) + a1**3
-        assert trace.pairs[1].alpha_linear == pytest.approx(a1, rel=1e-14)
-        assert trace.root.alpha_linear == pytest.approx(a2, rel=1e-13)
-        assert trace.totals[2].linear == pytest.approx(a2, rel=1e-13)
+        assert trace.pairs[1].alpha_linear == pytest.approx(a1, rel=1e-14, abs=0)
+        assert trace.root.alpha_linear == pytest.approx(a2, rel=1e-13, abs=0)
+        assert trace.totals[2].linear == pytest.approx(a2, rel=1e-13, abs=0)
 
     def test_m2_fair_coin_fixed_point(self):
         sched = [MajorityEven(2, 0.5)] * 20

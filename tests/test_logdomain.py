@@ -55,7 +55,7 @@ def test_clamps_positive_rounding_noise():
 
 def test_complement():
     p = LogProb.from_linear(0.1)
-    assert p.complement().linear == pytest.approx(0.9, rel=1e-15)
+    assert p.complement().linear == pytest.approx(0.9, rel=1e-15, abs=0)
     assert ZERO.complement().value == 0.0
     assert ONE.complement().value == LOG_ZERO
 
@@ -64,7 +64,7 @@ def test_complement():
 @settings(max_examples=300)
 def test_complement_involution(p):
     lp = LogProb.from_linear(p)
-    assert lp.complement().complement().linear == pytest.approx(p, rel=1e-12)
+    assert lp.complement().complement().linear == pytest.approx(p, rel=1e-12, abs=0)
 
 
 def test_log1mexp_branches():
@@ -93,8 +93,8 @@ def test_log_add():
 @settings(max_examples=300)
 def test_log_add_commutes(p, q):
     x, y = math.log(p), math.log(q)
-    assert log_add(x, y) == pytest.approx(log_add(y, x), rel=1e-15)
-    assert math.exp(log_add(x, y)) == pytest.approx(p + q, rel=1e-12)
+    assert log_add(x, y) == pytest.approx(log_add(y, x), rel=1e-15, abs=0)
+    assert math.exp(log_add(x, y)) == pytest.approx(p + q, rel=1e-12, abs=0)
 
 
 def test_log_sum_exp():
@@ -102,7 +102,7 @@ def test_log_sum_exp():
     assert log_sum_exp([math.log(0.3)]) == pytest.approx(math.log(0.3))
     assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
     terms = [math.log(p) for p in (0.1, 0.2, 0.3, 0.15)]
-    assert math.exp(log_sum_exp(terms)) == pytest.approx(0.75, rel=1e-14)
+    assert math.exp(log_sum_exp(terms)) == pytest.approx(0.75, rel=1e-14, abs=0)
 
 
 def test_log_sum_exp_deep_tail():
@@ -110,14 +110,14 @@ def test_log_sum_exp_deep_tail():
     terms = [-800.0, -801.0, -802.0]
     got = log_sum_exp(terms)
     expected = -800.0 + math.log(1.0 + math.exp(-1.0) + math.exp(-2.0))
-    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @given(st.lists(st.floats(min_value=-50.0, max_value=-0.1), min_size=1, max_size=8))
 @settings(max_examples=300)
 def test_log_sum_exp_matches_fsum(terms):
     linear = math.fsum(math.exp(t) for t in terms)
-    assert math.exp(log_sum_exp(terms)) == pytest.approx(linear, rel=1e-12)
+    assert math.exp(log_sum_exp(terms)) == pytest.approx(linear, rel=1e-12, abs=0)
 
 
 def log_sum_exp_by_fsum(terms):

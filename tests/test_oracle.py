@@ -48,16 +48,16 @@ def pair(a, b):
 def test_enumerate_matches_hand_m2():
     # ties to one at m=2: alpha' = a^2 + 2a(1-a), beta' = b^2
     out = enumerate_step(pair(0.1, 0.2), 2, majority_vector_rule(2, 1.0))
-    assert out.alpha_linear == pytest.approx(0.01 + 2 * 0.1 * 0.9, rel=1e-14)
-    assert out.beta_linear == pytest.approx(0.04, rel=1e-14)
+    assert out.alpha_linear == pytest.approx(0.01 + 2 * 0.1 * 0.9, rel=1e-14, abs=0)
+    assert out.beta_linear == pytest.approx(0.04, rel=1e-14, abs=0)
 
 
 def test_enumerate_matches_kernel_odd():
     for m in (3, 5, 7):
         got = enumerate_step(pair(0.13, 0.31), m, majority_vector_rule(m))
         want = majority_step_odd(pair(0.13, 0.31), m)
-        assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12)
-        assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12)
+        assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
+        assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
 
 
 @given(error_probs, error_probs, st.sampled_from([2, 4, 6]),
@@ -66,8 +66,8 @@ def test_enumerate_matches_kernel_odd():
 def test_enumerate_matches_kernel_even(a, b, m, w):
     got = enumerate_step(pair(a, b), m, majority_vector_rule(m, w))
     want = majority_step_even(pair(a, b), m, w)
-    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-11)
-    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-11)
+    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-11, abs=0)
+    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-11, abs=0)
 
 
 def rule_family(m):
@@ -91,8 +91,8 @@ def test_rule_tables_match_kernel_steps(m):
         for rule in rule_family(m):
             got = enumerate_step(pair(a, b), m, count_vector_rule(m, rule.table(pair(a, b))))
             want = apply_rule(pair(a, b), rule)
-            assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12), rule
-            assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12), rule
+            assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0), rule
+            assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0), rule
 
 
 @st.composite
@@ -114,8 +114,8 @@ def test_table_step_matches_enumeration(table, a, b):
     m = len(table) - 1
     got = _table_step(pair(a, b), table)
     want = enumerate_step(pair(a, b), m, count_vector_rule(m, table))
-    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12)
-    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12)
+    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
+    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
 
 
 def test_fanin_caps():
@@ -395,6 +395,67 @@ def test_cross_check_scores_kernel_rules_through_apply_rule(monkeypatch):
     fails = verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3])
     assert fails
     assert all(msg.startswith("AlternatingMajority(m=4") for msg in fails)
+
+
+def beta_leaks_into_alpha(real):
+    """A kernel step whose alpha' moves with beta: scaled by 1 + 1e-6 beta."""
+    def leaky(p, rule):
+        got = real(p, rule)
+        return ErrorPair.from_linear(got.alpha_linear * (1 + 1e-6 * p.beta_linear), got.beta_linear)
+
+    return leaky
+
+
+def test_cross_check_sees_beta_leak_into_alpha(monkeypatch):
+    # the oracle's alpha' is shared by pairs with the same alpha, so the
+    # kernel must still be stepped and compared per pair for this to show
+    monkeypatch.setattr(verify, "apply_rule", beta_leaks_into_alpha(apply_rule))
+    fails = verify.check_kernel_matches_enumeration(fanins=(3, 4), grid=[0.1, 0.2])
+    assert fails
+    assert all(": alpha " in msg for msg in fails)
+
+
+def test_lrt_check_sees_beta_leak_into_alpha(monkeypatch):
+    monkeypatch.setattr(verify, "apply_rule", beta_leaks_into_alpha(apply_rule))
+    fails = verify.check_lrt_matches_optimal(fanins=(3,), grid=[0.1, 0.2])
+    assert len(fails) == 3 * 4  # every (priors, pair) cell
+
+
+def counting(monkeypatch, names):
+    """Wrap oracle functions so that each call appends (name, args)."""
+    calls = []
+    for name in names:
+        real = getattr(oracle, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_cross_check_sums_each_side_once_per_twin_and_value(monkeypatch):
+    calls = counting(monkeypatch, ("enumerate_alpha", "enumerate_beta"))
+    twins = [id(twin) for _, twin in verify._rules_for(4)]
+    for _ in range(2):  # a second call costs as much: nothing carries over
+        calls.clear()
+        assert verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3]) == []
+        majority = [args for _, args in calls if id(args[0]) in twins]
+        assert len(majority) == 4 * 2 * 2  # 4 twins x 2 values x 2 sides, each once
+        # no sum is repeated, likelihood-ratio twins included
+        assert len({(name, id(args[0]), args[1]) for name, args in calls}) == len(calls)
+
+
+def test_lrt_check_builds_each_likelihood_vector_once_per_value(monkeypatch):
+    calls = counting(monkeypatch, ("h0_likelihoods", "h1_likelihoods", "map_step"))
+    for _ in range(2):  # a second call costs as much: nothing carries over
+        calls.clear()
+        assert verify.check_lrt_matches_optimal(fanins=(4,), grid=[0.1, 0.3]) == []
+        names = [name for name, _ in calls]
+        # 2 values x 2 hypotheses, but a MAP pair per (priors, pair) cell
+        assert names.count("h0_likelihoods") == names.count("h1_likelihoods") == 2
+        assert names.count("map_step") == 3 * 4
 
 
 def test_sandwich_checks_step_kernel_rules_through_apply_rule(monkeypatch):

@@ -273,7 +273,7 @@ class TestResults:
         r = simulate(binary_config(3, 2, MajorityOdd(3)))
         assert r.estimate == r.error_count / r.trials
         want_ci = 3 * math.sqrt(r.estimate * (1 - r.estimate) / r.trials)
-        assert r.ci_halfwidth_3sigma == pytest.approx(want_ci, rel=1e-12)
+        assert r.ci_halfwidth_3sigma == pytest.approx(want_ci, rel=1e-12, abs=0)
 
     def test_reduced_root_pair(self):
         spec = TreeSpec(2, 2, 3)
@@ -309,7 +309,7 @@ class TestAgreement:
         )
         a1 = 3 * 0.01 * 0.9 + 0.001
         want = 3 * a1**2 * (1 - a1) + a1**3
-        assert report.analytic == pytest.approx(want, rel=1e-12)
+        assert report.analytic == pytest.approx(want, rel=1e-12, abs=0)
         assert abs(report.z_score) <= 4.0
         assert not report.flagged
 
@@ -378,7 +378,7 @@ class TestAlphabetEquivalence:
         want = majority_step_even(leaf, 4, 0.5).alpha_linear
         wide_report = compare_to_analytic(wide)
         narrow_report = compare_to_analytic(narrow)
-        assert wide_report.analytic == pytest.approx(want, rel=1e-12)
-        assert narrow_report.analytic == pytest.approx(want, rel=1e-12)
+        assert wide_report.analytic == pytest.approx(want, rel=1e-12, abs=0)
+        assert narrow_report.analytic == pytest.approx(want, rel=1e-12, abs=0)
         assert abs(wide_report.z_score) <= 4.0
         assert abs(narrow_report.z_score) <= 4.0
