@@ -238,11 +238,19 @@ def _log_comb_row(m: int) -> tuple:
     return tuple(row)
 
 
+# Tail terms more than this many nats below the largest are counted, not
+# built; expm1 of a gap is exactly -1.0 already from 37.43 nats down.
+_CUT = 40.0
+
+
 def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     """log of sum_{s=s_lo}^{s_hi} C(m, s) p^s (1-p)^(m-s).
 
     Exact binomial coefficients; the sum runs through a compensated
     log-sum-exp, so tails deep below double underflow stay meaningful.
+    Only the terms within 40 nats of the largest are built; log_sum_exp
+    takes the others as one exact count (its `far`), which gives the bits
+    of the sum over every term.  The proof is at the walk below.
     """
     if not 0 <= s_lo <= s_hi <= m:
         raise ValueError(f"count window [{s_lo}, {s_hi}] invalid for m={m}")
@@ -253,8 +261,54 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         at = 0 if log_p == LOG_ZERO else m
         return LogProb(0.0 if s_lo <= at <= s_hi else LOG_ZERO)
     row = _log_comb_row(m)
-    terms = [row[s] + s * log_p + (m - s) * log_q for s in range(s_lo, s_hi + 1)]
-    return LogProb(log_sum_exp(terms))
+    # The term t(s) is f(s) = ln C(m, s) + s ln p + (m - s) ln q as rounded;
+    # f is concave, its steps ln((m - s)/(s + 1)) + ln p - ln q falling in s,
+    # so on the window it rises to one maximum and falls away from it.  The
+    # walk starts at the mode floor((m + 1) p) clipped to the window, goes
+    # right and then left, and a side stops at its first term below `cut`,
+    # the largest term seen so far less 40.  The terms past a stop are
+    # counted, and the sum keeps its bits if each has t(s) - max < -37.43,
+    # where expm1 is exactly -1.0.  Rounding the row entry, the two
+    # products and the two sums moves t(s) from f(s) by at most
+    # e = 3 eps m (1 + L), with eps = 2^-52 and L = max(|ln p|, |ln q|).
+    # (Terms that overflow to -inf lie below every cut; they are counted.)
+    #  * m (1 + L) <= 1e14, so e < 0.07.  A side cannot stop at a term s
+    #    short of f's maximum (seen from the start): f(s) is then at least
+    #    f at every term seen, on either side, so t(s) lies within 2e of
+    #    the largest of them, above `cut`.  Past the stop s*, f falls, so
+    #    t(s) <= f(s*) + e <= t(s*) + 2e: under the maximum by more than
+    #    40 - 2e - eps |max| > 39.8.
+    #  * m (1 + L) > 1e14.  The row cannot be held in memory for m >= 1e9,
+    #    so L > 99999.  One of ln p, ln q is within ln 2 of 0, so every step
+    #    of f has the sign of ln p - ln q and a size over L - ln 2m > 0.99 L,
+    #    while 2e < 1.4e-6 (1 + L).  The rounded terms therefore rise or
+    #    fall strictly, by more than 0.98 L > 40 a step: a rising side never
+    #    stops, and a falling side stops at its first step down, every
+    #    later term lower still.
+    start = int((m + 1) * math.exp(log_p))
+    start = s_lo if start < s_lo else s_hi if start > s_hi else start
+    near, cut = [], LOG_ZERO
+    # two plain loops: one loop over the two sides' ranges adds about a
+    # fifth to the time of a deep tail, which builds only two terms
+    s = start
+    while s <= s_hi:
+        t = row[s] + s * log_p + (m - s) * log_q
+        if t < cut:
+            break
+        near.append(t)
+        if t - _CUT > cut:
+            cut = t - _CUT
+        s += 1
+    s = start - 1
+    while s >= s_lo:
+        t = row[s] + s * log_p + (m - s) * log_q
+        if t < cut:
+            break
+        near.append(t)
+        if t - _CUT > cut:
+            cut = t - _CUT
+        s -= 1
+    return LogProb(log_sum_exp(near, far=s_hi - s_lo + 1 - len(near)))
 
 
 @functools.lru_cache(maxsize=64)

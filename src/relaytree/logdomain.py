@@ -35,26 +35,39 @@ def log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def log_sum_exp(terms) -> float:
+def log_sum_exp(terms, far: int = 0) -> float:
     """log(sum(exp(t) for t in terms)) without overflow or underflow.
 
     Compensated: after factoring out the maximum the residual sum runs
     through math.fsum, so results are exactly rounded up to the final
     log1p call.
+
+    `far` counts further terms, not listed, whose expm1(t - max(terms))
+    is exactly -1.0 (t - max below -37.43).  Each would add exactly -1.0
+    to the fsum, and fsum rounds the exact total once, so the far terms
+    enter as the single exact term -far: the result is bit-identical to
+    listing them, and `max` is unchanged because they lie below it.
     """
     terms = list(terms)
-    if len(terms) < 2:
+    n = len(terms) + far
+    if n < 2:
         return terms[0] if terms else LOG_ZERO
     m = max(terms)
     if m == LOG_ZERO:
         return LOG_ZERO
+    if len(terms) == 1:
+        # every other term is far: the fsum is exactly -far and the log1p
+        # argument exactly 0.0, which turns a max of -0.0 into 0.0
+        return m + 0.0
     # sum of expm1 keeps full precision for terms close to the max
-    if len(terms) == 2:
+    if len(terms) == 2 and not far:
         # one addition is already exactly rounded, so it equals the fsum
         rest = math.expm1(terms[0] - m) + math.expm1(terms[1] - m)
     else:
-        rest = math.fsum(math.expm1(t - m) for t in terms)
-    return m + math.log1p(rest + (len(terms) - 1))
+        parts = [math.expm1(t - m) for t in terms]
+        parts.append(-far)
+        rest = math.fsum(parts)
+    return m + math.log1p(rest + (n - 1))
 
 
 def log_add(x: float, y: float) -> float:

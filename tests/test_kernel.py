@@ -1,5 +1,6 @@
 """Single fusion steps and level-by-level propagation."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,80 @@ error_probs = st.floats(min_value=1e-6, max_value=0.499)
 
 def pair(a, b):
     return ErrorPair.from_linear(a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def log_comb(m):
+    """log C(m, s) for s = 0..m, each from math.comb."""
+    return tuple(math.log(math.comb(m, s)) for s in range(m + 1))
+
+
+def tail_by_fsum(m, s_lo, s_hi, log_p):
+    """log P(s_lo <= Binom(m, p) <= s_hi) over every term of the window and
+    without log_sum_exp: log C(m, s) from math.comb, then expm1 differences
+    from the maximum summed by one math.fsum (test_logdomain's
+    log_sum_exp_by_fsum).  Products with s = 0 or s = m are left out, so a
+    point mass (log p or log q = -inf) needs no case of its own."""
+    log_q = log1mexp(log_p)
+    row = log_comb(m)
+    terms = [
+        row[s]
+        + (s * log_p if s > 0 else 0.0)
+        + ((m - s) * log_q if s < m else 0.0)
+        for s in range(s_lo, s_hi + 1)
+    ]
+    top = max(terms)
+    if top == LOG_ZERO:
+        return LOG_ZERO
+    rest = math.fsum([math.expm1(t - top) for t in terms])
+    return LogProb(top + math.log1p(rest + (len(terms) - 1))).value
+
+
+# log p as deep traces produce it: down to the overflow edge, just below
+# exp's underflow, and a few ulps below 0 (p a hair under 1)
+DEEP_LOGS = [-1.7e308, -1e307, -1e290, -1e100, -745.2, -40.0, -37.43, -2.3,
+             -1e-17, -1e-300, -5e-324]
+deep_logs = st.one_of(
+    st.sampled_from(DEEP_LOGS),
+    st.floats(min_value=-1.7e308, max_value=-5e-324),
+    st.floats(min_value=-60.0, max_value=-1e-6),
+    st.floats(min_value=-1e-6, max_value=-5e-324),
+)
+
+
+@st.composite
+def tail_cases(draw):
+    """(m, s_lo, s_hi, log p): any window, windows wholly below or above the
+    mode, and windows whose first step down straddles expm1's -37.43
+    threshold or the 40-nat cut, falling to the right or (mirrored) left."""
+    m = draw(st.one_of(st.integers(min_value=2, max_value=12),
+                       st.integers(min_value=2, max_value=1001)))
+    kind = draw(st.sampled_from(["any", "below", "above", "straddle"]))
+    if kind == "straddle":
+        s_lo = draw(st.integers(min_value=0, max_value=m - 1))
+        s_hi = draw(st.integers(min_value=s_lo + 1, max_value=m))
+        gap = draw(st.one_of(st.floats(min_value=37.0, max_value=38.0),
+                             st.floats(min_value=39.5, max_value=40.5)))
+        # t(s_lo + 1) - t(s_lo) = log((m - s_lo) / (s_lo + 1)) + log p - log q
+        log_p = -gap - math.log((m - s_lo) / (s_lo + 1))
+        assume(log_p < 0.0)
+        if draw(st.booleans()):
+            log_p = log1mexp(log_p)
+            s_lo, s_hi = m - s_hi, m - s_lo
+        assume(-math.inf < log_p < 0.0)
+        return m, s_lo, s_hi, log_p
+    log_p = draw(deep_logs)
+    mode = min(int((m + 1) * math.exp(log_p)), m)
+    if kind == "below":
+        s_hi = draw(st.integers(min_value=0, max_value=mode))
+        s_lo = draw(st.integers(min_value=0, max_value=s_hi))
+    elif kind == "above":
+        s_lo = draw(st.integers(min_value=mode, max_value=m))
+        s_hi = draw(st.integers(min_value=s_lo, max_value=m))
+    else:
+        s_lo = draw(st.integers(min_value=0, max_value=m))
+        s_hi = draw(st.integers(min_value=s_lo, max_value=m))
+    return m, s_lo, s_hi, log_p
 
 
 class TestBinomTail:
@@ -136,6 +211,22 @@ class TestBinomTail:
             terms.append(t)
         want = LogProb(log_sum_exp(terms)).value
         assert binom_tail(m, s_lo, s_hi, lp).value == want
+
+    @pytest.mark.parametrize("log_p", DEEP_LOGS)
+    def test_cut_keeps_the_bits_at_deep_trace_values(self, log_p):
+        lp = LogProb(log_p)
+        for m in (2, 3, 4, 64, 255, 1001):
+            half = m // 2
+            for s_lo, s_hi in ((0, m), (0, half), (half, m), (m - half, m), (1, m - 1), (m, m)):
+                want = tail_by_fsum(m, s_lo, s_hi, log_p)
+                assert binom_tail(m, s_lo, s_hi, lp).value.hex() == want.hex(), (m, s_lo, s_hi)
+
+    @given(tail_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_keeps_the_bits_property(self, case):
+        m, s_lo, s_hi, log_p = case
+        want = tail_by_fsum(m, s_lo, s_hi, log_p)
+        assert binom_tail(m, s_lo, s_hi, LogProb(log_p)).value.hex() == want.hex()
 
 
 class TestErrorPairAndPriors:
@@ -386,6 +477,44 @@ class TestLRT:
         assert got.beta.value == want.beta.value
 
 
+@st.composite
+def anti_informative_pairs(draw):
+    """Leaf pairs with alpha + beta >= 1: each message is no better than a
+    coin, so each tail's mode sits at the top of its majority window and
+    the pair runs toward (1, 1) with height."""
+    a = draw(st.floats(min_value=0.0, max_value=1.0))
+    b = draw(st.one_of(st.just(1.0 - a), st.floats(min_value=1.0 - a, max_value=1.0)))
+    assume(a + b >= 1.0)
+    return ErrorPair.from_linear(a, b)
+
+
+# log-probabilities whose probability lies a few ulps from 0 or from 1
+ulps = st.integers(min_value=1, max_value=8)
+boundary_logs = st.one_of(
+    ulps.map(lambda k: math.log(k * 5e-324)),
+    ulps.map(lambda k: math.log(k * 2.2250738585072014e-308)),
+    ulps.map(lambda k: math.log1p(-k * 2.0**-53)),
+    ulps.map(lambda k: -k * 5e-324),
+)
+
+
+@st.composite
+def boundary_pairs(draw):
+    return ErrorPair(LogProb(draw(boundary_logs)), LogProb(draw(boundary_logs)))
+
+
+@st.composite
+def majority_schedules(draw):
+    """Odd majority or alternating even majority for 1-6 levels: every
+    level is one tail of weight 1 on each side."""
+    height = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.sampled_from([2, 3, 4, 5, 9, 10, 63, 64, 255]))
+    if m % 2:
+        return [MajorityOdd(m)] * height
+    first = draw(st.sampled_from(list(TiePhase)))
+    return [AlternatingMajority(m, ph) for ph in alternating_phases(height, first)]
+
+
 class TestPropagate:
     def test_trace_shape(self):
         sched = [MajorityOdd(3)] * 4
@@ -444,6 +573,24 @@ class TestPropagate:
         sched = [MajorityOdd(3), BayesianLRT(3, Priors(0.4, 0.6))]
         with pytest.raises(ValueError, match="level 2"):
             propagate(pair(0.0, 0.2), sched, Priors(0.4, 0.6))
+
+    @given(st.one_of(anti_informative_pairs(), boundary_pairs()), majority_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_majority_levels_match_the_full_sum(self, pair0, schedule):
+        trace = propagate(pair0, schedule, Priors.equal())
+        la, lb = pair0.alpha.value, pair0.beta.value
+        for rule, got in zip(schedule, trace.pairs[1:], strict=True):
+            m = rule.m
+            if isinstance(rule, MajorityOdd):
+                lo_a = lo_b = (m + 1) // 2
+            elif rule.phase is TiePhase.TIES_TO_ONE:
+                lo_a, lo_b = m // 2, m // 2 + 1
+            else:
+                lo_a, lo_b = m // 2 + 1, m // 2
+            # a false alarm needs lo_a ones; a miss needs lo_b zeros
+            la, lb = tail_by_fsum(m, lo_a, m, la), tail_by_fsum(m, lo_b, m, lb)
+            assert got.alpha.value.hex() == la.hex()
+            assert got.beta.value.hex() == lb.hex()
 
     def test_summation_in_schedule_names_the_level(self):
         sched = [MajorityOdd(3), Summation(3)]

@@ -1,9 +1,10 @@
 """Log-domain probability primitives."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaytree.logdomain import (
@@ -29,8 +30,12 @@ def test_constants():
 
 
 def test_from_linear_roundtrip():
+    # log p is rounded to within |ln p| eps / 2, which exp turns into a
+    # relative error of that size, plus exp's own rounding
+    eps = sys.float_info.epsilon
     for p in (1e-300, 1e-12, 0.004, 0.5, 0.999, 1.0):
-        assert LogProb.from_linear(p).linear == pytest.approx(p, rel=1e-15)
+        rel = (abs(math.log(p)) + 2.0) * eps
+        assert LogProb.from_linear(p).linear == pytest.approx(p, rel=rel, abs=0)
     assert LogProb.from_linear(0.0) is not None
     assert LogProb.from_linear(0.0).value == LOG_ZERO
 
@@ -79,8 +84,9 @@ def test_log1mexp_branches():
 @given(st.floats(min_value=-700.0, max_value=-1e-15))
 @settings(max_examples=300)
 def test_log1mexp_matches_linear(x):
-    expected = 1.0 - math.exp(x)
-    assert math.exp(log1mexp(x)) == pytest.approx(expected, rel=1e-12)
+    # -expm1(x), not 1 - exp(x), which cancels as x nears 0
+    expected = -math.expm1(x)
+    assert math.exp(log1mexp(x)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_log_add():
@@ -159,3 +165,26 @@ def test_two_term_sum_is_the_fsum_bit_for_bit(terms):
 @settings(max_examples=300)
 def test_two_term_sum_matches_fsum_property(terms):
     assert log_sum_exp(terms).hex() == log_sum_exp_by_fsum(terms).hex()
+
+
+# moderate logs, so that max - 40.0 lies 40 below the max and not within its ulp
+near_logs = st.one_of(
+    st.sampled_from([LOG_ZERO, 0.0, -0.0, -5e-324, -37.43, -745.2]),
+    st.floats(min_value=-1e12, max_value=0.0),
+)
+
+
+@given(st.lists(near_logs, min_size=1, max_size=6), st.integers(min_value=0, max_value=300))
+@example([-3.0], 1)  # one term and k = 1: the listed sum takes the two-term branch
+@example([-0.0], 1)
+@example([-1e12], 1)
+@example([-3.0], 7)
+@example([-1.0, -2.0], 1)
+@example([-0.5, -0.5, -60.0], 5)
+@example([LOG_ZERO], 1)
+@example([LOG_ZERO, LOG_ZERO], 3)
+@example([-2.0, -2.5], 0)
+@settings(max_examples=200)
+def test_far_count_equals_listing_the_far_terms(terms, far):
+    listed = terms + [max(terms) - 40.0] * far
+    assert log_sum_exp(terms, far=far).hex() == log_sum_exp(listed).hex()
