@@ -18,12 +18,30 @@ Trials run in chunks, laid out node-major: a level is a nodes x trials
 array, so each leaf fills one contiguous row of bits, and a level's
 counts sum m adjacent rows.  Counts use the narrowest unsigned type that
 holds m^k0, the largest count any level can carry.
+
+A long run is split into contiguous trial shards, one per core this
+process may run on, that run at the same time on threads: a fill or a
+ufunc releases the interpreter lock for its whole array, so long fills
+really do overlap.  Each shard has its own Philox and its own buffers,
+and starts on a multiple of 4, so trial i still reads double i of its
+node's stream and the counts are the same as a serial run's, as with
+chunking.  All shards' buffers together hold `_SHARD_SAMPLES` leaf
+samples, and a run takes only as many shards as keep every fill at
+`_MIN_FILL` doubles or more: shorter fills lose more to hand-offs of the
+lock than another core gains.  So a run stays serial, on the calling
+thread, when it has fewer than 2 * `_MIN_FILL` trials or more than 64
+leaves.  Decision tables are built on the calling thread before any
+shard starts.  If a shard raises, the others stop at their next chunk
+and the error reaches the caller.  Only two shards, on 2 cores, have
+been measured; more shards on more cores are untested for speed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -46,6 +64,15 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**10  # leaf samples per call before refusing
+# doubles per fill below which a shard's thread costs more than it gains:
+# on a 2-vCPU host, two shards on trees of 8-256 leaves ran at 0.37-0.6x
+# the serial speed with fills of 1024 doubles, 0.83-1.29x with 2048 and
+# 1.1-1.64x with 4096
+_MIN_FILL = 1 << 12
+# leaf samples that all shards' buffers hold together; a serial chunk holds
+# 4e6, but two threads' temporaries and allocator arenas at that size raised
+# peak RSS by 2-8 %
+_SHARD_SAMPLES = 1 << 19
 
 
 class Hypothesis(enum.Enum):
@@ -192,6 +219,15 @@ def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
                                    initial=config.leaf_pair), chunk)
 
 
+def _cores() -> int:
+    """Cores this process may run on, which a CPU affinity mask can cut
+    below the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
     """The simulation proper; the i-th of pairs is the reduced tree's
     error pair below deciding level i + 1, which its table is fitted to."""
@@ -203,11 +239,6 @@ def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
         p_one = config.leaf_pair.alpha.linear
     else:
         p_one = -math.expm1(config.leaf_pair.beta.value)  # 1 - beta, stable
-
-    if chunk is None:
-        chunk = max(1, 4_000_000 // n_leaves)
-    chunk = max(4, (chunk + 3) // 4 * 4)  # keep chunk starts block-aligned
-    chunk = min(chunk, config.trials)  # a shorter run is a single chunk
 
     below = iter(pairs)
     decisions = [None if isinstance(rule, Summation) else _count_runs(rule.table(next(below)))
@@ -222,31 +253,77 @@ def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
 
     # a count never exceeds m**k0, the fan-in of a deciding level
     count_dtype = np.min_scalar_type(m**spec.k0)
-    streams = _Streams(config.seed)
-    leaf_bits = np.empty((n_leaves, chunk), dtype=bool)
-    u = np.empty(chunk)
 
-    ones = 0
-    start = 0
-    while start < config.trials:
-        cs = min(chunk, config.trials - start)
-        uc = u[:cs]
-        values = leaf_bits[:, :cs]
-        for j in range(n_leaves):
-            np.less(streams.fill(j, start, uc), p_one, out=values[j])
-        width = n_leaves
-        for level, decision in enumerate(decisions, start=1):
-            nodes = width // m
-            if values.dtype == bool:
-                values = values.view(np.uint8)  # bits sum as bytes, no cast
-            counts = values.reshape(nodes, m, cs).sum(axis=1, dtype=count_dtype)
-            if decision is None:
-                values = counts
-            else:
-                values = _decide(counts, decision, streams, level_uid_base[level], start, uc)
-            width = nodes
-        ones += int(np.count_nonzero(values))
-        start += cs
+    # every shard's fills hold at least _MIN_FILL doubles
+    fill = min(config.trials, _SHARD_SAMPLES // n_leaves)
+    workers = max(1, min(_cores(), fill // _MIN_FILL))
+    if chunk is None:
+        chunk = max(1, (4_000_000 if workers == 1 else _SHARD_SAMPLES) // n_leaves)
+    # all shards' buffers together hold one chunk; chunk starts stay block-aligned
+    chunk = max(4, (chunk // workers + 3) // 4 * 4)
+
+    stop = threading.Event()  # set when a shard raises
+
+    def ones_in(lo: int, hi: int, streams: _Streams) -> int:
+        """Root ones over trials lo..hi - 1, lo a multiple of 4."""
+        cs = min(chunk, hi - lo)  # a shorter run is a single chunk
+        leaf_bits = np.empty((n_leaves, cs), dtype=bool)
+        u = np.empty(cs)
+        ones = 0
+        start = lo
+        while start < hi and not stop.is_set():
+            cs = min(chunk, hi - start)
+            uc = u[:cs]
+            values = leaf_bits[:, :cs]
+            for j in range(n_leaves):
+                np.less(streams.fill(j, start, uc), p_one, out=values[j])
+            width = n_leaves
+            for level, decision in enumerate(decisions, start=1):
+                nodes = width // m
+                if values.dtype == bool:
+                    values = values.view(np.uint8)  # bits sum as bytes, no cast
+                counts = values.reshape(nodes, m, cs).sum(axis=1, dtype=count_dtype)
+                if decision is None:
+                    values = counts
+                else:
+                    values = _decide(counts, decision, streams, level_uid_base[level], start, uc)
+                width = nodes
+            ones += int(np.count_nonzero(values))
+            start += cs
+        return ones
+
+    # shard starts are multiples of 4, and _MIN_FILL >= 4 keeps every shard
+    # non-empty; each shard's Philox is built here, so shard threads call
+    # no public function
+    cuts = [config.trials * i // workers // 4 * 4 for i in range(workers)]
+    shards = [(lo, hi, _Streams(config.seed))
+              for lo, hi in zip(cuts, cuts[1:] + [config.trials])]
+    # the calling thread runs shard 0; plain threads, because importing
+    # concurrent.futures costs a first sharded call 8 ms and 0.6 MB
+    results = [0] * workers
+    errors = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = ones_in(*shards[i])
+        except BaseException as err:  # raised again on the calling thread
+            stop.set()
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = ones_in(*shards[0])
+    except BaseException:
+        stop.set()  # the other shards end at their next chunk
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    ones = sum(results)
 
     error_count = ones if config.hypothesis is Hypothesis.H0 else config.trials - ones
     estimate = error_count / config.trials

@@ -6,6 +6,9 @@ matrix lives in the verify suite and the acceptance tests.
 
 import importlib
 import math
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,6 +253,103 @@ class TestDeterminism:
         base = binary_config(3, 2, MajorityOdd(3))
         other = binary_config(3, 2, MajorityOdd(3), seed=8)
         assert simulate(base).error_count != simulate(other).error_count
+
+
+@pytest.fixture
+def sharded(monkeypatch):
+    """Shard any run of 4 trials per core or more; returns a setter for
+    the core count.  Only small counts: each core is one thread."""
+    monkeypatch.setattr(simulate_module, "_MIN_FILL", 4)
+    return lambda cpus: monkeypatch.setattr(simulate_module, "_cores", lambda: cpus)
+
+
+class TestShards:
+    # chunk 52 gives every shard several chunks; chunk 4, which re-keys
+    # every node's Philox once per 4 trials and costs seconds here, is
+    # covered on short runs below
+    @pytest.mark.parametrize("chunk", [None, 52])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("name", sorted(PINNED) + sorted(WIDE_FAN_IN))
+    def test_pinned_counts(self, sharded, name, cpus, chunk):
+        config, want = {**PINNED, **WIDE_FAN_IN}[name]
+        sharded(cpus)
+        # frequent thread switches: a shard reading another's buffer or
+        # stream would show as a moved count
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert simulate(config, chunk=chunk).error_count == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_short_and_ragged_runs_match_serial(self, sharded, cpus):
+        # below 4 * cpus trials the run has fewer shards than cores;
+        # 4 * cpus * k + 3 trials leave a ragged last shard
+        for trials in [*range(1, 4 * cpus), *(4 * cpus * k + 3 for k in (1, 2, 7))]:
+            config = binary_config(4, 2, MajorityEven(4), a=0.3, b=0.3, trials=trials)
+            sharded(1)
+            want = simulate(config)
+            sharded(cpus)
+            for chunk in (None, 4):
+                assert simulate(config, chunk=chunk) == want, (trials, chunk)
+
+    @pytest.mark.parametrize("height, trials, shards", [
+        (1, 2 * simulate_module._MIN_FILL - 1, False),  # too few trials for two fills
+        (1, 2 * simulate_module._MIN_FILL, True),
+        (7, 4 * simulate_module._MIN_FILL, False),  # 128 leaves: the buffer cap cuts fills short
+        (6, 4 * simulate_module._MIN_FILL, True),  # 64 leaves
+    ])
+    def test_only_long_fills_start_a_thread(self, monkeypatch, height, trials, shards):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(simulate_module, "_cores", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config = binary_config(2, height, MajorityEven(2), trials=trials)
+        if shards:
+            with pytest.raises(AssertionError, match="thread was started"):
+                simulate(config)
+        else:
+            simulate(config)
+
+    @pytest.mark.parametrize("failing_shard, error", [
+        (0, RuntimeError), (1, RuntimeError), (0, KeyboardInterrupt)])
+    def test_shard_exception_reaches_caller(self, sharded, monkeypatch, failing_shard, error):
+        # 400 trials on 2 cores in chunks of 52: shard 0 (the calling
+        # thread) holds trials 0..199, shard 1 (a second thread) 200..399
+        err = error("shard failed")
+        decide = simulate_module._decide
+        stops = []
+        sibling_starts = set()
+        stopped = []
+
+        def recording_event():
+            stops.append(threading.Event())
+            return stops[-1]
+
+        def failing(counts, runs, streams, uid_base, start, u):
+            if (start >= 200) == failing_shard:
+                raise err
+            if not sibling_starts:
+                # the failing shard sets the stop; the sibling then ends
+                # after this chunk instead of running its other three
+                stopped.append(stops[0].wait(timeout=10))
+            sibling_starts.add(start)
+            return decide(counts, runs, streams, uid_base, start, u)
+
+        sharded(2)
+        monkeypatch.setattr(simulate_module, "threading", SimpleNamespace(
+            Event=recording_event, Thread=threading.Thread))
+        monkeypatch.setattr(simulate_module, "_decide", failing)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            simulate(binary_config(3, 2, MajorityOdd(3), trials=400), chunk=100)
+        assert info.value is err
+        assert threading.active_count() == before
+        # a sibling that sees the stop before its first chunk runs none
+        assert all(stopped)
+        assert sibling_starts <= {200 if failing_shard == 0 else 0}
 
 
 class TestBudget:
