@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .kernel import FusionRule, Summation
 
@@ -25,7 +25,6 @@ __all__ = [
     "rates_from_k0",
     "avg_bits",
     "bits_bounds",
-    "avg_bits_table",
     "alphabet_schedule",
 ]
 
@@ -147,12 +146,6 @@ def bits_bounds(m: int) -> tuple:
         raise ValueError(f"fan-in must be >= 2, got {m}")
     spread = math.log2(m) / (m - 1)
     return (1.0 + spread - 1.0 / m, 1.0 + spread)
-
-
-def avg_bits_table(m: int, k0_values: Iterable[int]) -> list:
-    """Rows (k0, avg_bits, band_lower, band_upper) for one fan-in."""
-    lo, hi = bits_bounds(m)
-    return [(k0, avg_bits(m, k0), lo, hi) for k0 in k0_values]
 
 
 def alphabet_schedule(spec: TreeSpec, boundary_rules: Sequence[FusionRule]) -> list:

@@ -54,7 +54,6 @@ class BoundSandwich:
 
     lower: float
     upper: float
-    quantity: str
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -174,7 +173,6 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     return BoundSandwich(
         _scaled(factor, bits0 - math.log2(c), m, k),
         _scaled(factor, bits0, m, k),
-        f"log2(1/alpha_{k})",
     )
 
 
@@ -204,7 +202,7 @@ def total_bounds(
     factor, c = _sandwich(m, k, strategy)
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
     upper = _scaled(factor, priors.pi0 * bits_a + priors.pi1 * bits_b, m, k)
-    return BoundSandwich(_scaled(factor, worse - math.log2(c), m, k), upper, "log2(1/P_N)")
+    return BoundSandwich(_scaled(factor, worse - math.log2(c), m, k), upper)
 
 
 def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:

@@ -121,6 +121,16 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
     return [BayesianLRT(m, priors)] * levels
 
 
+def _refuse_overflow(k: int, logs, lrt: bool) -> None:
+    """Refuse a row whose alpha, beta or total log2(1/p) reads inf because
+    a double overflowed.  Either log2 of a finite log overflows, or the
+    log itself reached -inf.  Majority and alternating tables send mass to
+    both sides, so only a likelihood-ratio table gives an exact zero."""
+    for name, p in zip(("alpha_log2inv", "beta_log2inv", "total_log2inv"), logs):
+        if p.log2_inverse == math.inf and not (lrt and p.value == -math.inf):
+            raise ValueError(f"level {k}: {name} exceeds double range")
+
+
 def _cmd_recurse(args) -> int:
     m = args.m
     if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
@@ -149,18 +159,19 @@ def _cmd_recurse(args) -> int:
                 pass  # m = 2: the columns stay empty
         elif args.rule == "lrt":
             thm_lower = bounds.lrt_lower_bound(leaf_total, priors, m, k)
-        rows.append(
-            [
-                k,
-                pair.alpha_linear,
-                pair.beta_linear,
-                pair.alpha.log2_inverse,
-                pair.beta.log2_inverse,
-                tot.log2_inverse,
-                thm_lower,
-                thm_upper,
-            ]
-        )
+        row = [
+            k,
+            pair.alpha_linear,
+            pair.beta_linear,
+            pair.alpha.log2_inverse,
+            pair.beta.log2_inverse,
+            tot.log2_inverse,
+            thm_lower,
+            thm_upper,
+        ]
+        if math.inf in row:
+            _refuse_overflow(k, (pair.alpha, pair.beta, tot), args.rule == "lrt")
+        rows.append(row)
     _emit_csv(
         [
             "level",

@@ -77,10 +77,6 @@ class ErrorPair:
     def beta_linear(self) -> float:
         return self.beta.linear
 
-    def is_informative(self) -> bool:
-        """True when alpha + beta < 1, i.e. the message is better than a coin."""
-        return self.alpha.linear + self.beta.linear < 1.0
-
 
 @dataclass(frozen=True)
 class Priors:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LogProb", "log1mexp", "log_add", "log_sum_exp"]
+__all__ = ["LogProb", "log1mexp", "log_sum_exp"]
 
 # log of probability zero
 LOG_ZERO = float("-inf")
@@ -70,15 +70,6 @@ def log_sum_exp(terms, far: int = 0) -> float:
     return m + math.log1p(rest + (n - 1))
 
 
-def log_add(x: float, y: float) -> float:
-    """log(exp(x) + exp(y))."""
-    if x < y:
-        x, y = y, x
-    if x == LOG_ZERO:
-        return LOG_ZERO
-    return x + math.log1p(math.exp(y - x))
-
-
 _LN2 = math.log(2.0)
 
 
@@ -120,14 +111,7 @@ class LogProb:
         """log2(1/p), the standard 'number of bits' scale for error decay."""
         if self.value == LOG_ZERO:
             return float("inf")
-        return -self.value / _LN2
-
-    def complement(self) -> "LogProb":
-        """LogProb of 1 - p."""
-        return LogProb(log1mexp(self.value))
-
-    def __float__(self) -> float:
-        return self.value
+        return -self.value / _LN2 + 0.0  # 0.0, not -0.0, at p = 1
 
 
 ZERO = LogProb(LOG_ZERO)

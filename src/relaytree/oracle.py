@@ -22,7 +22,8 @@ decisions and alpha (`enumerate_alpha`), beta' only the decisions and
 beta (`enumerate_beta`); `enumerate_step` is the two together.  Likewise
 P(v | H0) reads only alpha (`h0_likelihoods`) and P(v | H1) only beta
 (`h1_likelihoods`), and `map_step` scores the per-vector MAP rule on
-them; `optimal_step` is the three together.  `verify` computes each
+them: the exact one-level optimum, and so an independent check of the
+likelihood-ratio step.  `verify` computes each
 one-sided piece once per distinct value within one check call and
 keeps nothing after it.  Here only the counts of ones and zeros are
 cached, per fan-in.
@@ -50,7 +51,6 @@ __all__ = [
     "h0_likelihoods",
     "h1_likelihoods",
     "map_step",
-    "optimal_step",
 ]
 
 _MAX_FANIN = 20  # 2^20 vectors; beyond this enumeration is pointless
@@ -231,15 +231,3 @@ def map_step(p0: np.ndarray, p1: np.ndarray, priors: Priors) -> ErrorPair:
     mass1 = priors.pi1 * p1
     to_one = mass1 >= mass0 - 1e-9 * np.maximum(mass0, mass1)
     return ErrorPair.from_linear(_fsum(p0[to_one]), _fsum(p1[~to_one]))
-
-
-def optimal_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
-    """Error pair of the best possible fusion rule, found by brute force:
-    map_step on the two likelihood vectors of `pair`.
-
-    This is the exact one-level optimum, so it doubles as an independent
-    check of the likelihood-ratio step.
-    """
-    return map_step(
-        h0_likelihoods(pair.alpha.linear, m), h1_likelihoods(pair.beta.linear, m), priors
-    )

@@ -59,7 +59,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_BUDGET",
     "simulate",
-    "reduced_root_pair",
     "compare_to_analytic",
 ]
 
@@ -329,12 +328,6 @@ def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
     estimate = error_count / config.trials
     ci = 3.0 * math.sqrt(estimate * (1.0 - estimate) / config.trials)
     return SimResult(error_count, config.trials, estimate, ci)
-
-
-def reduced_root_pair(config: SimConfig) -> ErrorPair:
-    """Root error pair predicted by the closed-form recursion over the
-    deciding levels (the reduced binary tree)."""
-    return reduce(apply_rule, config.boundary_rules, config.leaf_pair)
 
 
 def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,

@@ -633,7 +633,7 @@ SUITES = {
 }
 
 
-def run_suites(names, report=print) -> int:
+def run_suites(names) -> int:
     """Run the named suites, print one line per check with its wall time,
     return failure count."""
     failures = 0
@@ -645,10 +645,10 @@ def run_suites(names, report=print) -> int:
             except Exception as err:  # a check that raises fails once; the rest still run
                 fails = [f"{type(err).__name__}: {err}"]
             took = time.perf_counter() - start
-            report(f"{'FAIL' if fails else 'ok  '} {suite}.{name}  {took:.1f} s")
+            print(f"{'FAIL' if fails else 'ok  '} {suite}.{name}  {took:.1f} s")
             failures += len(fails)
             for msg in fails[:10]:
-                report(f"     {msg}")
+                print(f"     {msg}")
             if len(fails) > 10:
-                report(f"     ... and {len(fails) - 10} more")
+                print(f"     ... and {len(fails) - 10} more")
     return failures

@@ -8,7 +8,6 @@ from relaytree.alphabet import (
     TreeSpec,
     alphabet_schedule,
     avg_bits,
-    avg_bits_table,
     bits_bounds,
     equivalent_tree,
     k0_of,
@@ -172,14 +171,6 @@ class TestAvgBits:
             avg_bits(2, 1023)
         with pytest.raises(ValueError, match="m=1000, k0=103"):
             avg_bits(1000, 103)
-
-    def test_table(self):
-        rows = avg_bits_table(3, [1, 2, 3])
-        assert [r[0] for r in rows] == [1, 2, 3]
-        lo, hi = bits_bounds(3)
-        for k0, got, row_lo, row_hi in rows:
-            assert (row_lo, row_hi) == (lo, hi)
-            assert got == avg_bits(3, k0)
 
 
 class TestAlphabetSchedule:

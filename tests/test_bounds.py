@@ -81,10 +81,10 @@ class TestRatioPoly:
 class TestBoundSandwich:
     def test_rejects_crossed(self):
         with pytest.raises(ValueError):
-            BoundSandwich(2.0, 1.0, "x")
+            BoundSandwich(2.0, 1.0)
 
     def test_contains(self):
-        s = BoundSandwich(1.0, 2.0, "x")
+        s = BoundSandwich(1.0, 2.0)
         assert s.contains(1.5)
         assert s.contains(1.0)
         assert s.contains(2.0 + 1e-10)

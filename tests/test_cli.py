@@ -351,7 +351,52 @@ class TestDoubleRangeRefusals:
         assert needle in captured.err
 
 
-RECURSE = ["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1"]
+class TestLog2InverseOverflow:
+    """A log2(1/p) column that would read inf because a double overflowed
+    is refused with exit 2, naming the level and the column.  The check
+    runs after the row's bound columns, so the bound refusals keep their
+    levels and messages."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "4", "--pb", "0.3", "--levels", "2000"],
+         "level 1023: alpha_log2inv exceeds double range"),
+        (["--m", "2", "--rule", "alternating", "--levels", "3000"],
+         "level 2045: beta_log2inv exceeds double range"),
+        (["--m", "10", "--pb", "0.3", "--levels", "27000"],
+         "level 441: alpha_log2inv exceeds double range"),
+        # TestDoubleRangeRefusals holds the m = 3 and m = 255 bound refusals
+        (["--m", "4", "--rule", "alternating", "--levels", "1170"],
+         "level 792: bound factor for m=4 exceeds double range"),
+    ], ids=["m4-pb", "m2-alternating", "m10-pb", "m4-alternating-bound"])
+    def test_exit_2_names_level_and_column(self, capsys, argv, message):
+        code = cli.run(["recurse", *argv, "--alpha0", "0.1", "--beta0", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_last_level_in_range_prints(self, capsys):
+        code, _, rows = run_csv(capsys, [
+            "recurse", "--m", "4", "--pb", "0.3", "--alpha0", "0.1", "--beta0", "0.1",
+            "--levels", "1022",
+        ])
+        assert code == 0
+        assert len(rows) == 1023
+        assert all(math.isfinite(float(x)) for row in rows for x in row[3:6])
+
+    def test_exact_lrt_zero_prints_inf(self, capsys):
+        # pi0 = 0.9 makes the table decide 0 at every count: alpha' = 0
+        # and beta' = 1 exactly, and beta's bits print as 0, not -0
+        code = cli.run([
+            "recurse", "--m", "2", "--rule", "lrt", "--pi0", "0.9", "--alpha0", "0.45",
+            "--beta0", "0.45", "--levels", "1",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == "1,0,1,inf,0,3.32192809489,-4.017921908,"
+
+
+RECURSE =["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1"]
 SIMULATE = ["simulate", "--m", "2", "--height", "1", "--alpha0", "0.1", "--beta0", "0.1",
             "--trials", "10", "--seed", "1"]
 SAMPLESIZE = ["samplesize", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1",

@@ -33,8 +33,10 @@ from relaytree.oracle import (
     VectorRule,
     count_vector_rule,
     enumerate_step,
+    h0_likelihoods,
+    h1_likelihoods,
     majority_vector_rule,
-    optimal_step,
+    map_step,
 )
 from relaytree.verify import check_lrt_matches_optimal, check_permutation_invariance
 
@@ -43,6 +45,11 @@ error_probs = st.floats(min_value=0.01, max_value=0.49)
 
 def pair(a, b):
     return ErrorPair.from_linear(a, b)
+
+
+def map_optimum(p, priors, m):
+    """The exact one-level optimum: map_step on the likelihood vectors of p."""
+    return map_step(h0_likelihoods(p.alpha.linear, m), h1_likelihoods(p.beta.linear, m), priors)
 
 
 def test_enumerate_matches_hand_m2():
@@ -287,7 +294,7 @@ def test_count_twin_gathers_its_table_without_deciding(fanin_table):
 @settings(max_examples=200, deadline=None)
 def test_optimal_equals_per_vector_loop(p, m, prior_pair):
     priors = Priors(*prior_pair)
-    got = optimal_step(p, priors, m)
+    got = map_optimum(p, priors, m)
     want = loop_optimal_step(p, priors, m)
     assert got.alpha.value == want.alpha.value
     assert got.beta.value == want.beta.value
@@ -301,7 +308,7 @@ def test_optimal_never_loses_to_majority():
     priors = Priors.equal()
     for a, b in [(0.05, 0.4), (0.3, 0.3), (0.45, 0.1)]:
         for m in (2, 3, 4, 5):
-            best = optimal_step(pair(a, b), priors, m)
+            best = map_optimum(pair(a, b), priors, m)
             maj = enumerate_step(pair(a, b), m, majority_vector_rule(m))
             best_total = priors.pi0 * best.alpha_linear + priors.pi1 * best.beta_linear
             maj_total = priors.pi0 * maj.alpha_linear + priors.pi1 * maj.beta_linear
@@ -314,7 +321,7 @@ def test_optimal_never_loses_to_majority():
 def test_lrt_equals_optimal(a, b, m, prior_pair):
     priors = Priors(*prior_pair)
     got = lrt_step(pair(a, b), priors, m)
-    want = optimal_step(pair(a, b), priors, m)
+    want = map_optimum(pair(a, b), priors, m)
     # log values compared with a 1e-12 absolute floor: near log 0 the
     # two routes represent probability-one sums as 0.0 vs -1e-16
     assert got.alpha.value == pytest.approx(want.alpha.value, rel=1e-12, abs=1e-12)
@@ -331,7 +338,7 @@ def test_lrt_equals_optimal_on_tie_families():
     ]
     for a, b, priors, m in cases:
         got = lrt_step(pair(a, b), priors, m)
-        want = optimal_step(pair(a, b), priors, m)
+        want = map_optimum(pair(a, b), priors, m)
         assert got.alpha.value == pytest.approx(want.alpha.value, rel=1e-12, abs=1e-12)
         assert got.beta.value == pytest.approx(want.beta.value, rel=1e-12, abs=1e-12)
 

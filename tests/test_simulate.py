@@ -31,7 +31,6 @@ from relaytree.simulate import (
     Hypothesis,
     SimConfig,
     compare_to_analytic,
-    reduced_root_pair,
     simulate,
 )
 
@@ -377,15 +376,14 @@ class TestResults:
 
     def test_reduced_root_pair(self):
         spec = TreeSpec(2, 2, 3)
-        c = SimConfig(
-            spec,
-            alphabet_schedule(spec, [MajorityEven(4)]),
-            ErrorPair.from_linear(0.1, 0.2), 10, 1, Hypothesis.H0,
-        )
-        got = reduced_root_pair(c)
         want = majority_step_even(ErrorPair.from_linear(0.1, 0.2), 4, 0.5)
-        assert got.alpha.value == want.alpha.value
-        assert got.beta.value == want.beta.value
+        for hypothesis, side in ((Hypothesis.H0, want.alpha), (Hypothesis.H1, want.beta)):
+            c = SimConfig(
+                spec,
+                alphabet_schedule(spec, [MajorityEven(4)]),
+                ErrorPair.from_linear(0.1, 0.2), 10, 1, hypothesis,
+            )
+            assert compare_to_analytic(c).analytic == side.linear
 
     def test_comparison_runs_the_reduced_recursion_once(self, monkeypatch):
         calls = []
