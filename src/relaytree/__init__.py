@@ -17,7 +17,6 @@ from .bounds import *  # noqa: F401,F403
 from .kernel import *  # noqa: F401,F403
 from .logdomain import *  # noqa: F401,F403
 from .oracle import *  # noqa: F401,F403
-# binds the name `simulate` to the function, over the submodule of that name
 from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

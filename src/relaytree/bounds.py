@@ -41,7 +41,6 @@ class RateKind(enum.Enum):
     MAJORITY_RANDOM = "majority"
     ALTERNATING = "alternating"
     UPPER_BOUND = "upper"
-    LRT_LOWER = "lrt"
 
 
 class BoundInapplicableError(ValueError):
@@ -71,7 +70,6 @@ class RateReport:
     majority_random: float
     alternating: Optional[float]
     upper_bound: float
-    lrt_lower: float
 
 
 @dataclass(frozen=True)
@@ -236,12 +234,11 @@ def exponent(m: int, which: RateKind) -> float:
     majority with randomized ties: log_M floor((M+1)/2)
     alternating ties (even M):     log_M (sqrt(M(M+2)) / 2)
     universal upper bound:         log_M ((M+1)/2)
-    likelihood-ratio lower bound:  log_M floor((M+1)/2)
     """
     if m < 2:
         raise ValueError(f"fusion needs m >= 2, got {m}")
     log_m = math.log(m)
-    if which is RateKind.MAJORITY_RANDOM or which is RateKind.LRT_LOWER:
+    if which is RateKind.MAJORITY_RANDOM:
         return math.log(per_level_exponent(m)) / log_m
     if which is RateKind.UPPER_BOUND:
         return math.log((m + 1) / 2.0) / log_m
@@ -266,7 +263,6 @@ def exponent_table(m_values: Iterable[int]) -> list:
                     exponent(m, RateKind.ALTERNATING) if m % 2 == 0 else None
                 ),
                 upper_bound=exponent(m, RateKind.UPPER_BOUND),
-                lrt_lower=exponent(m, RateKind.LRT_LOWER),
             )
         )
     return rows

@@ -83,10 +83,6 @@ def _within(cast, low, high=math.inf, closed=True):
     return parse
 
 
-def _phase_of(tag: str) -> TiePhase:
-    return TiePhase.TIES_TO_ONE if tag == "one" else TiePhase.TIES_TO_ZERO
-
-
 def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
     """Build the per-level rule list for --rule/--pb/--phase, enforcing
     flag compatibility."""
@@ -109,7 +105,7 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
         if m % 2 == 1:
             raise UsageError(
                 f"--rule alternating conflicts with odd deciding fan-in {m}")
-        first = _phase_of(args.phase or "one")
+        first = TiePhase(args.phase or "one")
         return [AlternatingMajority(m, ph) for ph in alternating_phases(levels, first)]
     # likelihood-ratio rule
     if args.pb is not None:
@@ -121,13 +117,15 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
     return [BayesianLRT(m, priors)] * levels
 
 
-def _refuse_overflow(k: int, logs, lrt: bool) -> None:
+def _refuse_overflow(k: int, logs, table: tuple) -> None:
     """Refuse a row whose alpha, beta or total log2(1/p) reads inf because
     a double overflowed.  Either log2 of a finite log overflows, or the
-    log itself reached -inf.  Majority and alternating tables send mass to
-    both sides, so only a likelihood-ratio table gives an exact zero."""
-    for name, p in zip(("alpha_log2inv", "beta_log2inv", "total_log2inv"), logs):
-        if p.log2_inverse == math.inf and not (lrt and p.value == -math.inf):
+    log itself reached -inf.  Only a level table that decides 1 at no
+    count (0 at no count) gives alpha (beta) an exact zero; majority and
+    alternating tables send mass to both sides."""
+    zeros = (max(table) == 0.0, min(table) == 1.0, False)
+    for name, p, zero in zip(("alpha_log2inv", "beta_log2inv", "total_log2inv"), logs, zeros):
+        if p.log2_inverse == math.inf and not (zero and p.value == -math.inf):
             raise ValueError(f"level {k}: {name} exceeds double range")
 
 
@@ -170,7 +168,9 @@ def _cmd_recurse(args) -> int:
             thm_upper,
         ]
         if math.inf in row:
-            _refuse_overflow(k, (pair.alpha, pair.beta, tot), args.rule == "lrt")
+            # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1)
+            table = schedule[k - 1].table(trace.pairs[k - 1])
+            _refuse_overflow(k, (pair.alpha, pair.beta, tot), table)
         rows.append(row)
     _emit_csv(
         [

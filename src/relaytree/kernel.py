@@ -383,9 +383,10 @@ def lrt_decision_rule(pair: ErrorPair, priors: Priors, m: int) -> tuple:
     (1-beta)^s beta^(m-s) pi1 >= alpha^s (1-alpha)^(m-s) pi0, with ties
     sent to H1.  A tie means the two sides agree to within 1e-9 relative,
     so that inputs whose posteriors are equal in exact arithmetic land on
-    the same side no matter how the comparison is rounded.  Degenerate
-    incoming errors are rejected because the likelihood ratio is then 0
-    or infinite.
+    the same side no matter how the comparison is rounded.  A side past
+    double range reads -inf and loses to a finite one; a count whose two
+    sides are both past it is refused.  Degenerate incoming errors are
+    rejected because the likelihood ratio is then 0 or infinite.
     """
     priors.require_positive()
     if m < 2:
@@ -424,7 +425,15 @@ def lrt_decision_rule(pair: ErrorPair, priors: Priors, m: int) -> tuple:
         h1_side = s * l1b + (m - s) * lb + lp1
         h0_side = s * la + (m - s) * l1a + lp0
         slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
-        decided.append(h1_side >= h0_side - slack)
+        if slack < math.inf:
+            decided.append(h1_side >= h0_side - slack)
+        elif h1_side == h0_side:
+            raise ValueError(
+                f"likelihood-ratio rule at m={m}: both sides of count {s} "
+                f"leave double range"
+            )
+        else:  # one side overflowed to -inf: the finite side wins
+            decided.append(h1_side > h0_side)
     return (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
 
 

@@ -112,7 +112,3 @@ class LogProb:
         if self.value == LOG_ZERO:
             return float("inf")
         return -self.value / _LN2 + 0.0  # 0.0, not -0.0, at p = 1
-
-
-ZERO = LogProb(LOG_ZERO)
-ONE = LogProb(0.0)

@@ -1,9 +1,10 @@
 """Monte Carlo corroboration of the analytic recursions.
 
-Simulates the actual message-passing tree: leaves draw Bernoulli bits
-under the chosen hypothesis, interior nodes either forward the count of
-ones below them or decide by their rule's table P(1 | count), and the
-root's mistakes are counted.
+`compare_to_analytic` is the one entry point.  It simulates the actual
+message-passing tree: leaves draw Bernoulli bits under the chosen
+hypothesis, interior nodes either forward the count of ones below them
+or decide by their rule's table P(1 | count), and the root's mistakes
+are counted and scored against the closed form.
 
 Randomness is counter-based: node j (leaves first, then each level in
 turn) has the Philox stream keyed by (seed, j), and trial i reads double
@@ -45,7 +46,6 @@ import threading
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "SimResult",
     "ComparisonReport",
     "DEFAULT_BUDGET",
-    "simulate",
     "compare_to_analytic",
 ]
 
@@ -68,9 +67,10 @@ DEFAULT_BUDGET = 10**10  # leaf samples per call before refusing
 # the serial speed with fills of 1024 doubles, 0.83-1.29x with 2048 and
 # 1.1-1.64x with 4096
 _MIN_FILL = 1 << 12
-# leaf samples that all shards' buffers hold together; a serial chunk holds
-# 4e6, but two threads' temporaries and allocator arenas at that size raised
-# peak RSS by 2-8 %
+# leaf samples that a serial run's buffers hold
+_CHUNK_SAMPLES = 4_000_000
+# leaf samples that all shards' buffers hold together; two threads'
+# temporaries and allocator arenas at _CHUNK_SAMPLES raised peak RSS by 2-8 %
 _SHARD_SAMPLES = 1 << 19
 
 
@@ -207,17 +207,6 @@ def _check_budget(spec: TreeSpec, trials: int, budget: int) -> None:
             )
 
 
-def simulate(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
-             chunk: Optional[int] = None) -> SimResult:
-    """Simulate the tree: exact sums travel upward for k0 - 1 levels and
-    a binary rule decides at every k0-th level, i.e. at every level of a
-    single-bit tree (d = 2)."""
-    _check_budget(config.spec, config.trials, budget)
-    # the top deciding level's table needs the pair below it, not above
-    return _run(config, accumulate(config.boundary_rules[:-1], apply_rule,
-                                   initial=config.leaf_pair), chunk)
-
-
 def _cores() -> int:
     """Cores this process may run on, which a CPU affinity mask can cut
     below the host's count."""
@@ -227,9 +216,12 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
-    """The simulation proper; the i-th of pairs is the reduced tree's
-    error pair below deciding level i + 1, which its table is fitted to."""
+def _run(config: SimConfig, pairs: list) -> SimResult:
+    """Simulate the tree: exact sums travel upward for k0 - 1 levels and
+    a binary rule decides at every k0-th level, i.e. at every level of a
+    single-bit tree (d = 2).  pairs[i] is the reduced tree's error pair
+    below deciding level i + 1, which its table is fitted to; the last,
+    the root's own pair, fits no table."""
     spec = config.spec
     m = spec.m
     n_leaves = spec.n_leaves
@@ -256,8 +248,7 @@ def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
     # every shard's fills hold at least _MIN_FILL doubles
     fill = min(config.trials, _SHARD_SAMPLES // n_leaves)
     workers = max(1, min(_cores(), fill // _MIN_FILL))
-    if chunk is None:
-        chunk = max(1, (4_000_000 if workers == 1 else _SHARD_SAMPLES) // n_leaves)
+    chunk = max(1, (_CHUNK_SAMPLES if workers == 1 else _SHARD_SAMPLES) // n_leaves)
     # all shards' buffers together hold one chunk; chunk starts stay block-aligned
     chunk = max(4, (chunk // workers + 3) // 4 * 4)
 
@@ -330,8 +321,7 @@ def _run(config: SimConfig, pairs, chunk: Optional[int]) -> SimResult:
     return SimResult(error_count, config.trials, estimate, ci)
 
 
-def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
-                        chunk: Optional[int] = None) -> ComparisonReport:
+def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET) -> ComparisonReport:
     """Run the simulation and score it against the closed form.
 
     z is the error-count deviation in units of the binomial standard
@@ -340,7 +330,7 @@ def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET,
     """
     _check_budget(config.spec, config.trials, budget)
     pairs = list(accumulate(config.boundary_rules, apply_rule, initial=config.leaf_pair))
-    result = _run(config, pairs, chunk)
+    result = _run(config, pairs)
     pair = pairs[-1]
     analytic = (
         pair.alpha.linear

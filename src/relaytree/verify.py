@@ -36,12 +36,7 @@ from .kernel import (
     total_error,
 )
 from .logdomain import LogProb, log_sum_exp
-from .simulate import (
-    Hypothesis,
-    SimConfig,
-    compare_to_analytic,
-    simulate,
-)
+from .simulate import Hypothesis, SimConfig, compare_to_analytic
 
 GRID = [i / 100.0 for i in range(1, 50)]  # 0.01 .. 0.49
 GRID_48 = [i / 100.0 for i in range(1, 49)]  # 0.01 .. 0.48, for (alpha, beta) squares
@@ -585,9 +580,9 @@ def check_alphabet_equivalence_sim() -> list:
                 SimConfig(spec, tuple(sched), _pair(a0, a0), _TRIALS, 99, hyp)
             )
             full, p = rep.result, rep.analytic
-            red = simulate(
+            red = compare_to_analytic(
                 SimConfig(red_spec, tuple(boundary), _pair(a0, a0), _TRIALS, 100, hyp)
-            )
+            ).result
             sd = math.sqrt(max(p * (1 - p), 1e-30) / _TRIALS)
             if abs(full.estimate - red.estimate) > 3 * math.sqrt(2) * sd:
                 fails.append(

@@ -294,26 +294,19 @@ class TestExponents:
             5, RateKind.UPPER_BOUND
         )
 
-    def test_lrt_equals_majority(self):
-        for m in range(2, 20):
-            assert exponent(m, RateKind.LRT_LOWER) == exponent(
-                m, RateKind.MAJORITY_RANDOM
-            )
-
     def test_alternating_rejects_odd(self):
         with pytest.raises(ValueError):
             exponent(5, RateKind.ALTERNATING)
 
     def test_table(self):
         rows = exponent_table(range(2, 65))
-        assert len(rows) == 63
+        assert [r.m for r in rows] == list(range(2, 65))
         for r in rows:
             if r.m % 2 == 0:
                 assert r.majority_random <= r.alternating <= r.upper_bound
             else:
                 assert r.alternating is None
                 assert r.majority_random == r.upper_bound
-            assert r.lrt_lower == r.majority_random
 
     def test_table_rejects_out_of_range(self):
         with pytest.raises(ValueError):

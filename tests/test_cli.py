@@ -384,6 +384,34 @@ class TestLog2InverseOverflow:
         assert len(rows) == 1023
         assert all(math.isfinite(float(x)) for row in rows for x in row[3:6])
 
+    @pytest.mark.parametrize("argv, message", [
+        # the level-791 pair's table decides 1 at 3 and 4 ones only, so
+        # alpha's log at level 792 is finite but its log2(1/p) overflows
+        (["--m", "4", "--pi0", "0.5", "--levels", "792"],
+         "level 792: alpha_log2inv exceeds double range"),
+        # the table (0, 0, 1) gives alpha' = alpha^2, whose log overflows to -inf
+        (["--m", "2", "--pi0", "0.8", "--levels", "2048"],
+         "level 2048: alpha_log2inv exceeds double range"),
+        (["--m", "6", "--pi0", "0.5", "--levels", "572"],
+         "level 572: likelihood-ratio rule at m=6: both sides of count 2 "
+         "leave double range"),
+    ], ids=["m4-log2", "m2-log", "m6-both-sides"])
+    def test_deep_lrt_is_refused(self, capsys, argv, message):
+        code = cli.run(["recurse", "--rule", "lrt", *argv, "--alpha0", "0.1", "--beta0", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_last_lrt_level_in_range_prints(self, capsys):
+        code, _, rows = run_csv(capsys, [
+            "recurse", "--m", "4", "--rule", "lrt", "--alpha0", "0.1", "--beta0", "0.2",
+            "--levels", "791",
+        ])
+        assert code == 0
+        assert rows[-1] == ["791", "0", "0", "6.93359037818e+307", "7.67613936407e+307",
+                            "6.93359037818e+307", "-2.40673243063e+238", ""]
+
     def test_exact_lrt_zero_prints_inf(self, capsys):
         # pi0 = 0.9 makes the table decide 0 at every count: alpha' = 0
         # and beta' = 1 exactly, and beta's bits print as 0, not -0

@@ -364,7 +364,8 @@ class TestRuleTypes:
 
 def lrt_table_per_count(pair, priors, m):
     """The likelihood-ratio table by one slack comparison per count
-    s = 0..m: the reference for the windowed table."""
+    s = 0..m: the reference for the windowed table.  A side past double
+    range reads -inf and loses to a finite one; two such sides raise."""
     la, lb = pair.alpha.value, pair.beta.value
     l1a = log1mexp(pair.alpha.value)
     l1b = log1mexp(pair.beta.value)
@@ -373,9 +374,32 @@ def lrt_table_per_count(pair, priors, m):
     for s in range(m + 1):
         h1_side = s * l1b + (m - s) * lb + lp1
         h0_side = s * la + (m - s) * l1a + lp0
-        slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
-        table.append(h1_side >= h0_side - slack)
+        if h1_side == -math.inf or h0_side == -math.inf:
+            if h1_side == h0_side:
+                raise ValueError(f"both sides of count {s} leave double range")
+            table.append(h1_side > h0_side)
+        else:
+            slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
+            table.append(h1_side >= h0_side - slack)
     return tuple(table)
+
+
+def lrt_table_exact(pair, priors, m):
+    """The likelihood-ratio table from the sign of the linear form
+    h1_side - h0_side in exact rational arithmetic on the same logs, so
+    that no side can overflow; ties go to one."""
+    la, lb = Fraction(pair.alpha.value), Fraction(pair.beta.value)
+    l1a, l1b = Fraction(log1mexp(pair.alpha.value)), Fraction(log1mexp(pair.beta.value))
+    lp0, lp1 = Fraction(math.log(priors.pi0)), Fraction(math.log(priors.pi1))
+    return tuple(s * l1b + (m - s) * lb + lp1 >= s * la + (m - s) * l1a + lp0
+                 for s in range(m + 1))
+
+
+def table_or_error(rule, *args):
+    try:
+        return rule(*args)
+    except ValueError:
+        return ValueError
 
 
 # log error probabilities strictly inside (-inf, 0) whose complements are too:
@@ -465,7 +489,27 @@ class TestLRT:
     def test_table_equals_the_per_count_comparison(self, case):
         la, lb, pi0, m = case
         args = ErrorPair(LogProb(la), LogProb(lb)), Priors(pi0, 1.0 - pi0), m
-        assert lrt_decision_rule(*args) == lrt_table_per_count(*args)
+        assert (table_or_error(lrt_decision_rule, *args)
+                == table_or_error(lrt_table_per_count, *args))
+
+    @pytest.mark.parametrize("la, lb, m, want", [
+        # the level-791 pair of `recurse --m 4 --rule lrt --alpha0 0.1 --beta0 0.2`
+        (float.fromhex("-0x1.11c23ea83d10fp+1022"), float.fromhex("-0x1.2f13a9e08fe4ap+1022"),
+         4, (0, 0, 0, 1, 1)),
+        (-1e307, math.log(0.2), 10_000, (0,) + (1,) * 10_000),
+        (-1e308, -1e308, 3, (0, 0, 1, 1)),  # the majority table
+    ], ids=["level-791-pair", "s-log-alpha-overflows", "c0-c1-M-overflow"])
+    def test_overflowing_side_loses(self, la, lb, m, want):
+        args = ErrorPair(LogProb(la), LogProb(lb)), Priors.equal(), m
+        want = tuple(map(bool, want))
+        assert lrt_table_exact(*args) == want
+        assert lrt_decision_rule(*args) == want
+        assert lrt_table_per_count(*args) == want
+
+    def test_refuses_a_count_with_both_sides_past_double_range(self):
+        # count 2: 2 log(alpha) and 2 log(beta) both overflow
+        with pytest.raises(ValueError, match="m=4: both sides of count 2 leave double range"):
+            lrt_decision_rule(ErrorPair(LogProb(-1e308), LogProb(-1e308)), Priors.equal(), 4)
 
     def test_equals_majority_when_symmetric(self):
         got = lrt_step(pair(0.2, 0.2), Priors.equal(), 5)

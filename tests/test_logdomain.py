@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from relaytree.logdomain import (
     LOG_ZERO,
-    ONE,
-    ZERO,
     LogProb,
     log1mexp,
     log_sum_exp,
 )
 
 probs = st.floats(min_value=1e-300, max_value=1.0)
+ZERO, ONE = LogProb(LOG_ZERO), LogProb(0.0)
 
 
 def test_constants():

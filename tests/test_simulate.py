@@ -4,7 +4,6 @@ Runs here are deliberately small; the statistically heavy agreement
 matrix lives in the verify suite and the acceptance tests.
 """
 
-import importlib
 import math
 import sys
 import threading
@@ -13,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from relaytree import simulate as simulate_module
 from relaytree.alphabet import TreeSpec, alphabet_schedule
 from relaytree.kernel import (
     AlternatingMajority,
@@ -31,11 +31,7 @@ from relaytree.simulate import (
     Hypothesis,
     SimConfig,
     compare_to_analytic,
-    simulate,
 )
-
-# the package re-exports the function simulate under the module's name
-simulate_module = importlib.import_module("relaytree.simulate")
 
 
 def binary_config(m, height, rule, a=0.1, b=0.1, trials=20000, seed=7,
@@ -204,12 +200,29 @@ WIDE_FAN_IN = {
 }
 
 
+@pytest.fixture
+def sim(monkeypatch):
+    """compare_to_analytic(config).result with all of a run's buffers,
+    serial or sharded, holding `chunk` trials, or the default sizes for
+    None: both sizes are set through their constants."""
+    defaults = {name: getattr(simulate_module, name)
+                for name in ("_CHUNK_SAMPLES", "_SHARD_SAMPLES")}
+
+    def run(config, chunk=None):
+        for name, default in defaults.items():
+            monkeypatch.setattr(simulate_module, name,
+                                default if chunk is None else chunk * config.spec.n_leaves)
+        return compare_to_analytic(config).result
+
+    return run
+
+
 class TestPinnedCounts:
     @pytest.mark.parametrize("chunk", [None, 52])
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_exact_count(self, name, chunk):
+    def test_exact_count(self, sim, name, chunk):
         config, want = PINNED[name]
-        assert simulate(config, chunk=chunk).error_count == want
+        assert sim(config, chunk).error_count == want
 
     @pytest.mark.parametrize("name", sorted(WIDE_FAN_IN))
     def test_wide_fan_in_counts(self, name):
@@ -218,7 +231,7 @@ class TestPinnedCounts:
         assert abs(report.z_score) <= 4.0
         assert report.result.error_count == want
 
-    def test_philox_subclass_is_tolerated(self, monkeypatch):
+    def test_philox_subclass_is_tolerated(self, sim, monkeypatch):
         # the stream is re-keyed through the instance's own state, whose
         # bit_generator name is that of the instance's class
         class SubPhilox(np.random.Philox):
@@ -226,32 +239,34 @@ class TestPinnedCounts:
 
         config, want = PINNED["even_majority_fair_coin"]
         monkeypatch.setattr(np.random, "Philox", SubPhilox)
-        assert simulate(config, chunk=52).error_count == want
+        assert sim(config, 52).error_count == want
 
 
 class TestDeterminism:
     def test_same_seed_same_count(self):
         c = binary_config(3, 2, MajorityOdd(3))
-        assert simulate(c) == simulate(c)
+        assert compare_to_analytic(c) == compare_to_analytic(c)
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, sim, monkeypatch):
         c = binary_config(3, 2, MajorityOdd(3))
-        want = simulate(c).error_count
-        # 7 rounds up to 8 internally; 19996 leaves a last chunk of 4
-        # trials, and 39996 is cut to the 20000-trial run
+        want = sim(c).error_count
+        # serial, so that 7 rounds up to 8 internally, 19996 leaves a last
+        # chunk of 4 trials, and 39996 is cut to the 20000-trial run
+        monkeypatch.setattr(simulate_module, "_cores", lambda: 1)
         for chunk in (4, 52, 1000, 7, 19996, 39996):
-            assert simulate(c, chunk=chunk).error_count == want
+            assert sim(c, chunk).error_count == want
 
-    def test_chunking_is_invisible_with_tie_draws(self):
+    def test_chunking_is_invisible_with_tie_draws(self, sim):
         c = binary_config(4, 2, MajorityEven(4))
-        want = simulate(c).error_count
+        want = sim(c).error_count
         for chunk in (52, 1000):
-            assert simulate(c, chunk=chunk).error_count == want
+            assert sim(c, chunk).error_count == want
 
     def test_different_seed_differs(self):
         base = binary_config(3, 2, MajorityOdd(3))
         other = binary_config(3, 2, MajorityOdd(3), seed=8)
-        assert simulate(base).error_count != simulate(other).error_count
+        assert (compare_to_analytic(base).result.error_count
+                != compare_to_analytic(other).result.error_count)
 
 
 @pytest.fixture
@@ -269,7 +284,7 @@ class TestShards:
     @pytest.mark.parametrize("chunk", [None, 52])
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("name", sorted(PINNED) + sorted(WIDE_FAN_IN))
-    def test_pinned_counts(self, sharded, name, cpus, chunk):
+    def test_pinned_counts(self, sim, sharded, name, cpus, chunk):
         config, want = {**PINNED, **WIDE_FAN_IN}[name]
         sharded(cpus)
         # frequent thread switches: a shard reading another's buffer or
@@ -277,21 +292,22 @@ class TestShards:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            assert simulate(config, chunk=chunk).error_count == want
+            assert sim(config, chunk).error_count == want
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_short_and_ragged_runs_match_serial(self, sharded, cpus):
+    def test_short_and_ragged_runs_match_serial(self, sim, sharded, cpus):
         # below 4 * cpus trials the run has fewer shards than cores;
         # 4 * cpus * k + 3 trials leave a ragged last shard
         for trials in [*range(1, 4 * cpus), *(4 * cpus * k + 3 for k in (1, 2, 7))]:
             config = binary_config(4, 2, MajorityEven(4), a=0.3, b=0.3, trials=trials)
             sharded(1)
-            want = simulate(config)
+            want = sim(config)
             sharded(cpus)
-            for chunk in (None, 4):
-                assert simulate(config, chunk=chunk) == want, (trials, chunk)
+            # chunks of 4 trials in each shard, one per 4 trials up to cpus
+            for chunk in (None, 4 * max(1, min(cpus, trials // 4))):
+                assert sim(config, chunk) == want, (trials, chunk)
 
     @pytest.mark.parametrize("height, trials, shards", [
         (1, 2 * simulate_module._MIN_FILL - 1, False),  # too few trials for two fills
@@ -308,13 +324,14 @@ class TestShards:
         config = binary_config(2, height, MajorityEven(2), trials=trials)
         if shards:
             with pytest.raises(AssertionError, match="thread was started"):
-                simulate(config)
+                compare_to_analytic(config)
         else:
-            simulate(config)
+            compare_to_analytic(config)
 
     @pytest.mark.parametrize("failing_shard, error", [
         (0, RuntimeError), (1, RuntimeError), (0, KeyboardInterrupt)])
-    def test_shard_exception_reaches_caller(self, sharded, monkeypatch, failing_shard, error):
+    def test_shard_exception_reaches_caller(self, sim, sharded, monkeypatch, failing_shard,
+                                            error):
         # 400 trials on 2 cores in chunks of 52: shard 0 (the calling
         # thread) holds trials 0..199, shard 1 (a second thread) 200..399
         err = error("shard failed")
@@ -343,7 +360,7 @@ class TestShards:
         monkeypatch.setattr(simulate_module, "_decide", failing)
         before = threading.active_count()
         with pytest.raises(error) as info:
-            simulate(binary_config(3, 2, MajorityOdd(3), trials=400), chunk=100)
+            sim(binary_config(3, 2, MajorityOdd(3), trials=400), 100)
         assert info.value is err
         assert threading.active_count() == before
         # a sibling that sees the stop before its first chunk runs none
@@ -355,13 +372,13 @@ class TestBudget:
     def test_refuses_oversized_run(self):
         c = binary_config(5, 6, MajorityOdd(5), trials=10**9)
         with pytest.raises(ValueError, match="budget"):
-            simulate(c)
+            compare_to_analytic(c)
 
     def test_explicit_budget_allows(self):
         c = binary_config(3, 1, MajorityOdd(3), trials=50)
-        assert simulate(c, budget=150).trials == 50
+        assert compare_to_analytic(c, budget=150).result.trials == 50
         with pytest.raises(ValueError):
-            simulate(c, budget=149)
+            compare_to_analytic(c, budget=149)
 
     def test_default_budget_value(self):
         assert DEFAULT_BUDGET == 10**10
@@ -369,7 +386,7 @@ class TestBudget:
 
 class TestResults:
     def test_estimate_and_ci_consistent(self):
-        r = simulate(binary_config(3, 2, MajorityOdd(3)))
+        r = compare_to_analytic(binary_config(3, 2, MajorityOdd(3))).result
         assert r.estimate == r.error_count / r.trials
         want_ci = 3 * math.sqrt(r.estimate * (1 - r.estimate) / r.trials)
         assert r.ci_halfwidth_3sigma == pytest.approx(want_ci, rel=1e-12, abs=0)
@@ -395,9 +412,6 @@ class TestResults:
         monkeypatch.setattr(simulate_module, "apply_rule", counting)
         compare_to_analytic(binary_config(3, 4, MajorityOdd(3), trials=8))
         assert len(calls) == 4  # one per deciding level, the root's included
-        calls.clear()
-        simulate(binary_config(3, 4, MajorityOdd(3), trials=8))
-        assert len(calls) == 3  # the root's pair decides no table
 
 
 class TestAgreement:
