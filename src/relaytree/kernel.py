@@ -45,7 +45,6 @@ __all__ = [
     "majority_step_odd",
     "majority_step_even",
     "alternating_step",
-    "lrt_decision_rule",
     "lrt_step",
     "apply_rule",
     "majority_rule",
@@ -181,8 +180,63 @@ class BayesianLRT:
         self.priors.require_positive()
 
     def table(self, pair: ErrorPair) -> tuple:
-        """The test fitted to messages with error pair `pair`."""
-        return tuple(map(float, lrt_decision_rule(pair, self.priors, self.m)))
+        """The test fitted to messages with error pair `pair`.
+
+        Entry s is 1.0 when a node seeing s ones among m messages decides H1:
+        (1-beta)^s beta^(m-s) pi1 >= alpha^s (1-alpha)^(m-s) pi0, with ties
+        sent to H1, and 0.0 otherwise.  A tie means the two sides agree to
+        within 1e-9 relative, so that inputs whose posteriors are equal in
+        exact arithmetic land on the same side no matter how the comparison
+        is rounded.  A side past double range reads -inf and loses to a
+        finite one; a count whose two sides are both past it is refused.
+        Degenerate incoming errors are rejected because the likelihood ratio
+        is then 0 or infinite.
+        """
+        m = self.m
+        la, lb = pair.alpha.value, pair.beta.value
+        if la == LOG_ZERO or la == 0.0 or lb == LOG_ZERO or lb == 0.0:
+            raise ValueError(
+                "likelihood-ratio rule undefined for boundary error probabilities"
+            )
+        l1a, l1b = log1mexp(la), log1mexp(lb)
+        lp0, lp1 = math.log(self.priors.pi0), math.log(self.priors.pi1)
+        # h1_side - h0_side is c0 + c1 s, so the table is one threshold (or its
+        # complement) and only counts near the crossing x = -c0 / c1 need the
+        # comparison.  Every term of a side is <= 0, so |side| peaks at s = 0 or
+        # s = m; M (`peak`) is the largest of 1 and those four ends.  The slack
+        # is at most 1e-9 M, and the rounding of the sides, of c0 + c1 s and of
+        # x is below 1e-13 M (each term carries relative error of order 1e-16),
+        # so the comparison can differ from the sign of the exact c0 + c1 s only
+        # where |c0 + c1 s| <= 2e-9 M, i.e. within w = 2e-9 M / |c1| of x.
+        # The comparison runs on [x - w, x + w] widened by one count each way,
+        # clipped to [0, m]; every count below or above that range takes the
+        # entry at its near end.  A zero slope, or an overflow in M, c0, c1 or
+        # the edges, leaves every count to the comparison.
+        peak = max(1.0, abs(m * lb + lp1), abs(m * l1a + lp0),
+                   abs(m * l1b + lp1), abs(m * la + lp0))
+        c0 = m * (lb - l1a) + (lp1 - lp0)
+        c1 = (l1b - lb) + (l1a - la)
+        lo, hi = 0, m
+        if 0.0 < abs(c1) < math.inf:
+            x, w = -c0 / c1, 2e-9 * peak / abs(c1)
+            if math.isfinite(x - w) and math.isfinite(x + w):
+                lo = min(max(math.floor(x - w) - 1, 0), m)
+                hi = max(min(math.ceil(x + w) + 1, m), lo)
+        decided = []
+        for s in range(lo, hi + 1):
+            h1_side = s * l1b + (m - s) * lb + lp1
+            h0_side = s * la + (m - s) * l1a + lp0
+            slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
+            if slack < math.inf:
+                decided.append(1.0 if h1_side >= h0_side - slack else 0.0)
+            elif h1_side == h0_side:
+                raise ValueError(
+                    f"likelihood-ratio rule at m={m}: both sides of count {s} "
+                    f"leave double range"
+                )
+            else:  # one side overflowed to -inf: the finite side wins
+                decided.append(1.0 if h1_side > h0_side else 0.0)
+        return (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
 
 
 @dataclass(frozen=True)
@@ -308,10 +362,10 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
 
 
 @functools.lru_cache(maxsize=64)
-def _rule_table(rule_type: type, *args) -> tuple:
-    """The table of rule_type(*args), a rule that ignores the pair; building
-    the rule checks the arguments, and a failed check is not cached."""
-    return rule_type(*args).table(None)
+def _rule(rule_type: type, *args) -> FusionRule:
+    """The rule rule_type(*args), built and checked once per argument
+    tuple; a failed check is not cached."""
+    return rule_type(*args)
 
 
 def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
@@ -321,6 +375,11 @@ def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
     to the outgoing miss: under H1, s ones are m - s draws of beta.
     """
+    if table == (0.0, 0.5, 1.0):
+        # exact fixed point of fair majority at m = 2:
+        # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
+        # rather than re-rounded through logs
+        return pair
     m = len(table) - 1
     alpha, beta = [], []
     for lo, hi, p in _count_runs(table):
@@ -345,7 +404,7 @@ def majority_step_odd(pair: ErrorPair, m: int) -> ErrorPair:
     The outgoing false alarm is the upper tail P(Binom(m, alpha) >= (m+1)/2),
     and symmetrically for the miss.
     """
-    return _table_step(pair, _rule_table(MajorityOdd, m))
+    return _table_step(pair, _rule(MajorityOdd, m).table(pair))
 
 
 def majority_step_even(pair: ErrorPair, m: int, tie_prob: float) -> ErrorPair:
@@ -359,10 +418,6 @@ def majority_step_even(pair: ErrorPair, m: int, tie_prob: float) -> ErrorPair:
         raise ValueError(f"even majority needs even m >= 2, got {m}")
     if not (0.0 <= tie_prob <= 1.0):
         raise ValueError(f"tie_prob {tie_prob} outside [0, 1]")
-    if m == 2 and tie_prob == 0.5:
-        # exact fixed point: alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha,
-        # preserved bit for bit rather than re-rounded through logs
-        return pair
     return _table_step(pair, _majority_table(m, tie_prob))
 
 
@@ -373,68 +428,7 @@ def alternating_step(pair: ErrorPair, m: int, phase: TiePhase) -> ErrorPair:
     alpha is the inclusive tail from m/2 while the miss needs a strict
     zero-majority, tail from m/2 + 1.  Ties to 0 mirrors the two roles.
     """
-    return _table_step(pair, _rule_table(AlternatingMajority, m, phase))
-
-
-def lrt_decision_rule(pair: ErrorPair, priors: Priors, m: int) -> tuple:
-    """Decision table of the Bayesian likelihood-ratio test on the count.
-
-    Entry s is True when a node seeing s ones among m messages decides H1:
-    (1-beta)^s beta^(m-s) pi1 >= alpha^s (1-alpha)^(m-s) pi0, with ties
-    sent to H1.  A tie means the two sides agree to within 1e-9 relative,
-    so that inputs whose posteriors are equal in exact arithmetic land on
-    the same side no matter how the comparison is rounded.  A side past
-    double range reads -inf and loses to a finite one; a count whose two
-    sides are both past it is refused.  Degenerate incoming errors are
-    rejected because the likelihood ratio is then 0 or infinite.
-    """
-    priors.require_positive()
-    if m < 2:
-        raise ValueError(f"fusion needs m >= 2, got {m}")
-    la, lb = pair.alpha.value, pair.beta.value
-    if la == LOG_ZERO or la == 0.0 or lb == LOG_ZERO or lb == 0.0:
-        raise ValueError(
-            "likelihood-ratio rule undefined for boundary error probabilities"
-        )
-    l1a, l1b = log1mexp(la), log1mexp(lb)
-    lp0, lp1 = math.log(priors.pi0), math.log(priors.pi1)
-    # h1_side - h0_side is c0 + c1 s, so the table is one threshold (or its
-    # complement) and only counts near the crossing x = -c0 / c1 need the
-    # comparison.  Every term of a side is <= 0, so |side| peaks at s = 0 or
-    # s = m; M (`peak`) is the largest of 1 and those four ends.  The slack
-    # is at most 1e-9 M, and the rounding of the sides, of c0 + c1 s and of
-    # x is below 1e-13 M (each term carries relative error of order 1e-16),
-    # so the comparison can differ from the sign of the exact c0 + c1 s only
-    # where |c0 + c1 s| <= 2e-9 M, i.e. within w = 2e-9 M / |c1| of x.
-    # The comparison runs on [x - w, x + w] widened by one count each way,
-    # clipped to [0, m]; every count below or above that range takes the
-    # entry at its near end.  A zero slope, or an overflow in M, c0, c1 or
-    # the edges, leaves every count to the comparison.
-    peak = max(1.0, abs(m * lb + lp1), abs(m * l1a + lp0),
-               abs(m * l1b + lp1), abs(m * la + lp0))
-    c0 = m * (lb - l1a) + (lp1 - lp0)
-    c1 = (l1b - lb) + (l1a - la)
-    lo, hi = 0, m
-    if 0.0 < abs(c1) < math.inf:
-        x, w = -c0 / c1, 2e-9 * peak / abs(c1)
-        if math.isfinite(x - w) and math.isfinite(x + w):
-            lo = min(max(math.floor(x - w) - 1, 0), m)
-            hi = max(min(math.ceil(x + w) + 1, m), lo)
-    decided = []
-    for s in range(lo, hi + 1):
-        h1_side = s * l1b + (m - s) * lb + lp1
-        h0_side = s * la + (m - s) * l1a + lp0
-        slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
-        if slack < math.inf:
-            decided.append(h1_side >= h0_side - slack)
-        elif h1_side == h0_side:
-            raise ValueError(
-                f"likelihood-ratio rule at m={m}: both sides of count {s} "
-                f"leave double range"
-            )
-        else:  # one side overflowed to -inf: the finite side wins
-            decided.append(h1_side > h0_side)
-    return (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
+    return _table_step(pair, _rule(AlternatingMajority, m, phase).table(pair))
 
 
 def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
@@ -444,7 +438,7 @@ def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     outgoing alpha sums Binom(m, alpha) over counts deciding H1, outgoing
     beta sums Binom(m, 1-beta) over counts deciding H0.
     """
-    return _table_step(pair, lrt_decision_rule(pair, priors, m))
+    return _table_step(pair, _rule(BayesianLRT, m, priors).table(pair))
 
 
 def apply_rule(pair: ErrorPair, rule: FusionRule) -> ErrorPair:
@@ -494,18 +488,15 @@ class LevelTrace:
     """Per-level error evolution of one schedule of fusion rules.
 
     pairs[k] is the error pair after k levels (pairs[0] is the leaf
-    pair), rules[k-1] produced pairs[k], and totals[k] is the
-    prior-weighted total error at level k.
+    pair), and totals[k] is the prior-weighted total error at level k.
     """
 
     pairs: tuple
-    rules: tuple
     totals: tuple
-    priors: Priors
 
     @property
     def height(self) -> int:
-        return len(self.rules)
+        return len(self.pairs) - 1
 
     @property
     def root(self) -> ErrorPair:
@@ -526,4 +517,4 @@ def propagate(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors) 
             raise ValueError(f"level {k}: {err}") from err
         pairs.append(nxt)
         totals.append(total_error(nxt, priors))
-    return LevelTrace(tuple(pairs), tuple(schedule), tuple(totals), priors)
+    return LevelTrace(tuple(pairs), tuple(totals))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from relaytree.kernel import (
     alternating_step,
     apply_rule,
     binom_tail,
-    lrt_decision_rule,
     lrt_step,
     majority_rule,
     majority_step_even,
@@ -361,6 +361,11 @@ class TestRuleTypes:
         with pytest.raises(ValueError):
             apply_rule(pair(0.1, 0.1), Summation(3))
 
+    def test_apply_rule_rejects_a_non_rule(self):
+        rule = object()
+        with pytest.raises(TypeError, match=re.escape(repr(rule))):
+            apply_rule(pair(0.1, 0.1), rule)
+
 
 def lrt_table_per_count(pair, priors, m):
     """The likelihood-ratio table by one slack comparison per count
@@ -439,11 +444,11 @@ def lrt_cases(draw):
 class TestLRT:
     def test_tie_goes_to_one(self):
         # symmetric pair, equal priors: s = m/2 is an exact tie
-        table = lrt_decision_rule(pair(0.2, 0.2), Priors.equal(), 4)
+        table = BayesianLRT(4, Priors.equal()).table(pair(0.2, 0.2))
         assert table == (False, False, True, True, True)
 
     def test_threshold_is_monotone(self):
-        table = lrt_decision_rule(pair(0.1, 0.3), Priors(0.7, 0.3), 7)
+        table = BayesianLRT(7, Priors(0.7, 0.3)).table(pair(0.1, 0.3))
         assert list(table) == sorted(table)
 
     def test_rejects_boundary_pairs(self):
@@ -488,9 +493,9 @@ class TestLRT:
     @settings(max_examples=400, deadline=None)
     def test_table_equals_the_per_count_comparison(self, case):
         la, lb, pi0, m = case
-        args = ErrorPair(LogProb(la), LogProb(lb)), Priors(pi0, 1.0 - pi0), m
-        assert (table_or_error(lrt_decision_rule, *args)
-                == table_or_error(lrt_table_per_count, *args))
+        p, priors = ErrorPair(LogProb(la), LogProb(lb)), Priors(pi0, 1.0 - pi0)
+        assert (table_or_error(BayesianLRT(m, priors).table, p)
+                == table_or_error(lrt_table_per_count, p, priors, m))
 
     @pytest.mark.parametrize("la, lb, m, want", [
         # the level-791 pair of `recurse --m 4 --rule lrt --alpha0 0.1 --beta0 0.2`
@@ -503,13 +508,13 @@ class TestLRT:
         args = ErrorPair(LogProb(la), LogProb(lb)), Priors.equal(), m
         want = tuple(map(bool, want))
         assert lrt_table_exact(*args) == want
-        assert lrt_decision_rule(*args) == want
+        assert BayesianLRT(m, Priors.equal()).table(args[0]) == want
         assert lrt_table_per_count(*args) == want
 
     def test_refuses_a_count_with_both_sides_past_double_range(self):
         # count 2: 2 log(alpha) and 2 log(beta) both overflow
         with pytest.raises(ValueError, match="m=4: both sides of count 2 leave double range"):
-            lrt_decision_rule(ErrorPair(LogProb(-1e308), LogProb(-1e308)), Priors.equal(), 4)
+            BayesianLRT(4, Priors.equal()).table(ErrorPair(LogProb(-1e308), LogProb(-1e308)))
 
     def test_equals_majority_when_symmetric(self):
         got = lrt_step(pair(0.2, 0.2), Priors.equal(), 5)

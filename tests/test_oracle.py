@@ -26,6 +26,7 @@ from relaytree.kernel import (
     _table_step,
     apply_rule,
     lrt_step,
+    majority_rule,
     majority_step_even,
     majority_step_odd,
 )
@@ -426,6 +427,22 @@ def test_lrt_check_sees_beta_leak_into_alpha(monkeypatch):
     monkeypatch.setattr(verify, "apply_rule", beta_leaks_into_alpha(apply_rule))
     fails = verify.check_lrt_matches_optimal(fanins=(3,), grid=[0.1, 0.2])
     assert len(fails) == 3 * 4  # every (priors, pair) cell
+
+
+def test_lrt_beats_every_count_rule():
+    assert verify.check_lrt_beats_count_rules() == []
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda real, rule, p: real(rule, p)[1:] + (1.0,),  # decides 1 one count early
+    lambda real, rule, p: majority_rule(rule.m).table(p),
+], ids=["one-count-early", "fair-majority"])
+def test_count_rule_check_sees_a_wrong_lrt_table(monkeypatch, wrong):
+    real = BayesianLRT.table
+    monkeypatch.setattr(BayesianLRT, "table", lambda rule, p: wrong(real, rule, p))
+    fails = verify.check_lrt_beats_count_rules()
+    assert fails
+    assert all(" > best rule " in msg for msg in fails)
 
 
 def counting(monkeypatch, names):
