@@ -140,6 +140,24 @@ class TestRecurse:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # recorded while every row still went through csv.writer: tie-coin
+    # tables with two runs per side, and traces whose bound columns are
+    # empty on every row (biased coin, alternating m = 2) or hold only
+    # the lower bound (lrt)
+    @pytest.mark.parametrize("flags, digest", [
+        (["--m", "4", "--pb", "0.3", "--levels", "400"],
+         "1b578366f3b254dae0e0039265f5a679ebe8d151efde1bfb04729e946f816908"),
+        (["--m", "2", "--rule", "alternating", "--levels", "400"],
+         "b21c9e97d66ae2eece06f38816029beeb520e0661fc960e322a6f7493ba6b514"),
+        (["--m", "4", "--rule", "lrt", "--pi0", "0.3", "--levels", "300"],
+         "2e1f2ee5b262089686471bac85aae301947984f0eda4c10bd6d00b0047bb54c8"),
+    ], ids=["tie_coin_m4_pb0.3", "alternating_m2", "lrt_m4_pi0.3"])
+    def test_trace_with_empty_cells_is_pinned(self, capsys, flags, digest):
+        code = cli.run(["recurse", "--alpha0", "0.1", "--beta0", "0.1", *flags])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRecurseConflicts:
     def conflict(self, capsys, argv, *needles):
@@ -241,6 +259,13 @@ class TestExponents:
         assert by_m["3"][2] == ""  # no alternating rule at odd fan-in
         assert float(by_m["5"][1]) == float(by_m["5"][3])
 
+    def test_full_table_is_pinned(self, capsys):
+        # recorded while every row still went through csv.writer
+        assert cli.run(["exponents", "--m-min", "2", "--m-max", "64"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f09088d1deb73ac553c96bd2cdca93bd3dbfe20e468265ce01d8a090c30a725d")
+
     def test_range_validation(self, capsys):
         assert cli.run(["exponents", "--m-min", "1", "--m-max", "4"]) == 2
         assert cli.run(["exponents", "--m-min", "4", "--m-max", "65"]) == 2
@@ -270,6 +295,14 @@ class TestAlphabet:
         # deeper counting buys a strictly better guaranteed exponent
         varrho = [float(r[2]) for r in rows]
         assert varrho == sorted(varrho)
+
+    def test_sweep_is_pinned(self, capsys):
+        # recorded while every row still went through csv.writer; the
+        # sigma column is empty at odd fan-in
+        assert cli.run(["alphabet", "--m", "3", "--k0-max", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b158d20621da3ca8de41e732295987a1f4d2de48bc3b4fd860a7ff51179b04ea")
 
     def test_flag_conflicts(self, capsys):
         assert cli.run(["alphabet", "--m", "2", "--d", "4", "--k0-max", "3"]) == 2
@@ -477,6 +510,13 @@ class TestSimulate:
         assert analytic == pytest.approx(0.1, rel=1e-12, abs=0)
         assert abs(z) <= 4.0
         assert est == pytest.approx(analytic, abs=ci * 2)
+
+    def test_row_is_pinned(self, capsys):
+        # recorded while every row still went through csv.writer
+        assert cli.run(self.ARGS) == 0
+        assert capsys.readouterr().out == (
+            "estimate,ci3sigma,analytic,zscore\n"
+            "0.0995,0.00634979428801,0.1,-0.235702260396\n")
 
     def test_deterministic_output(self, capsys):
         cli.run(self.ARGS)
