@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -39,8 +38,8 @@ from .verify import SUITES, run_suites
 __all__ = ["run", "main"]
 
 # Most (levels + 1) x (m + 1) count terms a recurse trace may take.  Its
-# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 7 s and
-# 41 MB peak RSS, and m=2 at 99,999 levels, 2.5 s and 84 MB.
+# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 6.6-7.3 s
+# and 39 MB peak RSS, and m=2 at 99,999 levels, 1.5-1.8 s and 59 MB.
 RECURSE_WORK_LIMIT = 300_000
 
 
@@ -56,11 +55,20 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _emit_lines(header, lines) -> None:
+    """Write a CSV header, then the finished row lines.  No cell holds a
+    comma, quote or newline, so cells joined by commas are CSV that needs
+    no quoting.  Callers build every line before any is written, so a
+    refusal prints nothing.  writelines, not one write of the joined text:
+    under python -u stdout writes straight to the file, and a large write
+    that a closed pipe cuts short drops its rest with no error (exit 0,
+    not 141)."""
+    sys.stdout.write(",".join(header) + "\n")
+    sys.stdout.writelines(lines)
+
+
 def _emit_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    _emit_lines(header, [",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
 def _within(cast, low, high=math.inf, closed=True):
@@ -129,6 +137,11 @@ def _refuse_overflow(k: int, logs, table: tuple) -> None:
             raise ValueError(f"level {k}: {name} exceeds double range")
 
 
+# one recurse row: the level; alpha, beta and the three log2(1/p) columns,
+# as _fmt prints a float; the two bound cells, formatted or empty
+_RECURSE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
+
+
 def _cmd_recurse(args) -> int:
     m = args.m
     if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
@@ -142,37 +155,29 @@ def _cmd_recurse(args) -> int:
     trace = propagate(ErrorPair.from_linear(a0, b0), schedule, priors)
     leaf_total = total_error(trace.pairs[0], priors).linear
 
-    rows = []
+    lines = []
     for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
-        thm_lower: Optional[float] = None
-        thm_upper: Optional[float] = None
+        thm_lower = thm_upper = ""  # a bound cell is empty where the theorem does not apply
         if args.rule == "majority" and (args.pb is None or args.pb == 0.5):
             sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.MAJORITY_RANDOM)
-            thm_lower, thm_upper = sw.lower, sw.upper
+            thm_lower, thm_upper = "%.12g" % sw.lower, "%.12g" % sw.upper
         elif args.rule == "alternating" and k % 2 == 0:
             try:
                 sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.ALTERNATING)
-                thm_lower, thm_upper = sw.lower, sw.upper
+                thm_lower, thm_upper = "%.12g" % sw.lower, "%.12g" % sw.upper
             except bounds.BoundInapplicableError:
                 pass  # m = 2: the columns stay empty
         elif args.rule == "lrt":
-            thm_lower = bounds.lrt_lower_bound(leaf_total, priors, m, k)
-        row = [
-            k,
-            pair.alpha_linear,
-            pair.beta_linear,
-            pair.alpha.log2_inverse,
-            pair.beta.log2_inverse,
-            tot.log2_inverse,
-            thm_lower,
-            thm_upper,
-        ]
-        if math.inf in row:
-            # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1)
+            thm_lower = "%.12g" % bounds.lrt_lower_bound(leaf_total, priors, m, k)
+        logs = (pair.alpha.log2_inverse, pair.beta.log2_inverse, tot.log2_inverse)
+        if math.inf in logs:
+            # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1);
+            # a bound column is refused before it would read inf
             table = schedule[k - 1].table(trace.pairs[k - 1])
             _refuse_overflow(k, (pair.alpha, pair.beta, tot), table)
-        rows.append(row)
-    _emit_csv(
+        lines.append(_RECURSE_ROW % (k, pair.alpha_linear, pair.beta_linear, *logs,
+                                     thm_lower, thm_upper))
+    _emit_lines(
         [
             "level",
             "alpha",
@@ -183,7 +188,7 @@ def _cmd_recurse(args) -> int:
             "thm_lower",
             "thm_upper",
         ],
-        rows,
+        lines,
     )
     return 0
 

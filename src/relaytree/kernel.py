@@ -358,6 +358,10 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         if t - _CUT > cut:
             cut = t - _CUT
         s -= 1
+    if len(near) == 1:
+        # log_sum_exp([t], far) returns t, or t + 0.0 when far > 0, and t is
+        # never -0.0: row[s] >= +0.0 comes first in its sum
+        return LogProb(near[0])
     return LogProb(log_sum_exp(near, far=s_hi - s_lo + 1 - len(near)))
 
 
@@ -381,8 +385,13 @@ def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
         # rather than re-rounded through logs
         return pair
     m = len(table) - 1
+    runs = _count_runs(table)
+    if len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0:
+        # a threshold table, decide 1 from k ones on: one tail per side
+        k = runs[1][0]
+        return ErrorPair(binom_tail(m, k, m, pair.alpha), binom_tail(m, m - k + 1, m, pair.beta))
     alpha, beta = [], []
-    for lo, hi, p in _count_runs(table):
+    for lo, hi, p in runs:
         if p > 0.0:
             alpha.append((p, binom_tail(m, lo, hi, pair.alpha)))
         if p < 1.0:

@@ -229,6 +229,98 @@ class TestBinomTail:
         assert binom_tail(m, s_lo, s_hi, LogProb(log_p)).value.hex() == want.hex()
 
 
+    # (m, s_lo, s_hi, log p) whose walk keeps one term: windows of width 1
+    # (no far terms, one of them the term -inf of an overflowed product),
+    # the term +0.0 at s = 0 for p a hair above 0, deep tails above the mode
+    # and (p near 1) below it, and both point masses
+    @pytest.mark.parametrize("m, s_lo, s_hi, log_p", [
+        (3, 2, 2, math.log(0.1)),
+        (255, 128, 128, -2.3),
+        (2, 2, 2, -1.7e308),
+        (3, 0, 3, -1.7e308),
+        (64, 0, 64, -1e100),
+        (4, 3, 4, -745.2),
+        (255, 128, 255, -1e4),
+        (1001, 500, 1001, -45.0),
+        (255, 0, 1, -1e-300),
+        (5, 0, 3, LOG_ZERO),
+        (5, 5, 5, LOG_ZERO),
+        (5, 2, 5, 0.0),
+    ])
+    def test_one_term_is_what_log_sum_exp_returns(self, m, s_lo, s_hi, log_p):
+        log_q = log1mexp(log_p)
+        # the kernel's term, without the 0 * -inf products of a point mass
+        terms = [
+            log_comb(m)[s]
+            + (s * log_p if s > 0 else 0.0)
+            + ((m - s) * log_q if s < m else 0.0)
+            for s in range(s_lo, s_hi + 1)
+        ]
+        top = max(terms)
+        assert sum(t >= top - 40.0 for t in terms) == 1
+        want = LogProb(log_sum_exp([top], far=len(terms) - 1)).value
+        got = binom_tail(m, s_lo, s_hi, LogProb(log_p)).value
+        assert got.hex() == want.hex()
+
+
+def step_by_runs(pair, table):
+    """(log alpha', log beta') of one count-rule level by the general run
+    loop: a run [lo, hi] of equal entries p adds p times P(lo <= Binom(m,
+    alpha) <= hi) to alpha' and 1 - p times P(m - hi <= Binom(m, beta) <=
+    m - lo) to beta'; a side made of one tail of weight 1 is that tail."""
+    m = len(table) - 1
+    alpha, beta = [], []
+    lo = 0
+    for hi in range(m + 1):
+        if hi < m and table[hi + 1] == table[lo]:
+            continue
+        p = table[lo]
+        if p > 0.0:
+            alpha.append((p, binom_tail(m, lo, hi, pair.alpha).value))
+        if p < 1.0:
+            beta.append((1.0 - p, binom_tail(m, m - hi, m - lo, pair.beta).value))
+        lo = hi + 1
+
+    def weighted(tails):
+        if len(tails) == 1 and tails[0][0] == 1.0:
+            return tails[0][1]
+        return LogProb(log_sum_exp([math.log(w) + v for w, v in tails])).value
+
+    return weighted(alpha), weighted(beta)
+
+
+class TestThresholdStep:
+    """A table that decides 1 from k ones on takes one tail per side; its
+    pair is bit for bit the run loop's."""
+
+    LOGS = [*DEEP_LOGS, math.log(0.3)]
+
+    @pytest.mark.parametrize("m", [3, 4, 63, 255])
+    def test_threshold_tables_match_the_run_loop(self, m):
+        if m % 2:
+            rules = [MajorityOdd(m)]
+        else:
+            rules = [AlternatingMajority(m, phase) for phase in TiePhase]
+        rules += [BayesianLRT(m, Priors.equal()), BayesianLRT(m, Priors(0.3, 0.7))]
+        thresholds = 0
+        for la in self.LOGS:
+            for lb in self.LOGS:
+                p = ErrorPair(LogProb(la), LogProb(lb))
+                for rule in rules:
+                    try:
+                        table = rule.table(p)
+                    except ValueError:
+                        continue  # an LRT count with both sides past double range
+                    thresholds += 0.0 < sum(table) < m + 1 and table == tuple(sorted(table))
+                    got = apply_rule(p, rule)
+                    want_a, want_b = step_by_runs(p, table)
+                    case = (rule, la, lb)
+                    assert got.alpha.value.hex() == want_a.hex(), case
+                    assert got.beta.value.hex() == want_b.hex(), case
+        # every majority table is a threshold table, and over half the LRT ones
+        assert thresholds > len(self.LOGS) ** 2 * (len(rules) - 1)
+
+
 class TestErrorPairAndPriors:
     def test_pair_accessors(self):
         p = pair(0.1, 0.2)
