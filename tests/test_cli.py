@@ -120,8 +120,12 @@ class TestRecurse:
 
     # sha256 of the whole CSV: the first three recorded before log C(m, s)
     # was cached per fan-in, at the deepest the benchmark's trace pool
-    # runs; the last two before the bounds took the height k, covering
-    # the even-row alternating bound and the lambda = 1 rows of m = 2
+    # runs; the next two before the bounds took the height k, covering
+    # the even-row alternating bound and the lambda = 1 rows of m = 2; the
+    # last three while every row still went through csv.writer, covering
+    # tie-coin tables with two runs per side and bound columns that are
+    # empty on every row (biased coin, alternating m = 2) or on one side
+    # (lrt)
     @pytest.mark.parametrize("flags, digest", [
         (["--m", "255", "--levels", "140"],
          "78f972ac58cb67ebb2389794141b159134230e5f31f512fb932f0617664b78b1"),
@@ -133,26 +137,15 @@ class TestRecurse:
          "1cfce28afebcbd4b9b355cb422c6d9ca2e878c209d16a1db0f091166bfc4d3aa"),
         (["--m", "2", "--levels", "5000"],
          "f563205fca06df1b54cd9d10c77b8ad0dd6cb8968c7731e355723da59268a916"),
-    ], ids=["odd_m255", "lrt_m255_pi0.3", "odd_m3", "alternating_m4", "fair_m2"])
-    def test_deep_trace_is_pinned(self, capsys, flags, digest):
-        code = cli.run(["recurse", "--alpha0", "0.1", "--beta0", "0.1", *flags])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # recorded while every row still went through csv.writer: tie-coin
-    # tables with two runs per side, and traces whose bound columns are
-    # empty on every row (biased coin, alternating m = 2) or hold only
-    # the lower bound (lrt)
-    @pytest.mark.parametrize("flags, digest", [
         (["--m", "4", "--pb", "0.3", "--levels", "400"],
          "1b578366f3b254dae0e0039265f5a679ebe8d151efde1bfb04729e946f816908"),
         (["--m", "2", "--rule", "alternating", "--levels", "400"],
          "b21c9e97d66ae2eece06f38816029beeb520e0661fc960e322a6f7493ba6b514"),
         (["--m", "4", "--rule", "lrt", "--pi0", "0.3", "--levels", "300"],
          "2e1f2ee5b262089686471bac85aae301947984f0eda4c10bd6d00b0047bb54c8"),
-    ], ids=["tie_coin_m4_pb0.3", "alternating_m2", "lrt_m4_pi0.3"])
-    def test_trace_with_empty_cells_is_pinned(self, capsys, flags, digest):
+    ], ids=["odd_m255", "lrt_m255_pi0.3", "odd_m3", "alternating_m4", "fair_m2",
+            "tie_coin_m4_pb0.3", "alternating_m2", "lrt_m4_pi0.3"])
+    def test_deep_trace_is_pinned(self, capsys, flags, digest):
         code = cli.run(["recurse", "--alpha0", "0.1", "--beta0", "0.1", *flags])
         out = capsys.readouterr().out
         assert code == 0
