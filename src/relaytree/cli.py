@@ -30,7 +30,6 @@ from .kernel import (
     alternating_phases,
     majority_rule,
     propagate,
-    total_error,
 )
 from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, _check_budget, compare_to_analytic
 from .verify import SUITES, run_suites
@@ -153,7 +152,7 @@ def _cmd_recurse(args) -> int:
     priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = _rule_schedule(args, m, args.levels, priors)
     trace = propagate(ErrorPair.from_linear(a0, b0), schedule, priors)
-    leaf_total = total_error(trace.pairs[0], priors).linear
+    leaf_total = trace.totals[0].linear
 
     lines = []
     for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):

@@ -8,14 +8,15 @@ the point; the kernel is tested against these functions.
 
 The oracle lists the vectors and counts their ones itself; it reads no
 kernel table, run or binomial tail, and imports only the ErrorPair and
-Priors value types.  A rule keeps its decisions: a count rule gathers
-its table over the counts of ones, any other rule is asked once per
-vector.  Each sum forms one term per vector with numpy (elementwise
-float64 products, in the same left-to-right order as a per-vector loop)
-and adds the terms with math.fsum.  Elementwise products are the same
-IEEE operations as Python float products, and fsum is correctly rounded
-whatever the order of its terms, so the result is bit for bit what a
-per-vector loop gives.
+Priors value types.  A rule keeps its decisions: a count rule, the
+majority twin on its own table included, gathers its table over the
+counts of ones; only a rule that reads more of a vector than its count
+is asked once per vector.  Each sum forms one term per vector with
+numpy (elementwise float64 products, in the same left-to-right order as
+a per-vector loop) and adds the terms with math.fsum.  Elementwise
+products are the same IEEE operations as Python float products, and
+fsum is correctly rounded whatever the order of its terms, so the
+result is bit for bit what a per-vector loop gives.
 
 The work is split into one-sided pieces.  alpha' reads only the rule's
 decisions and alpha (`enumerate_alpha`), beta' only the decisions and
@@ -88,17 +89,8 @@ class VectorRule:
 def majority_vector_rule(m: int, tie_weight: float = 0.5) -> VectorRule:
     """Count-the-ones majority.  For even m a tie outputs 1 with
     probability tie_weight; 1.0 and 0.0 give the deterministic phases."""
-
-    def decide(vector: tuple) -> float:
-        ones = sum(vector)
-        zeros = m - ones
-        if ones > zeros:
-            return 1.0
-        if ones < zeros:
-            return 0.0
-        return tie_weight
-
-    return VectorRule(m, decide)
+    table = [1.0 if 2 * s > m else tie_weight if 2 * s == m else 0.0 for s in range(m + 1)]
+    return count_vector_rule(m, table)
 
 
 def count_vector_rule(m: int, table) -> VectorRule:

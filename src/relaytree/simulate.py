@@ -45,12 +45,11 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
 from .alphabet import TreeSpec, alphabet_schedule
-from .kernel import ErrorPair, Summation, _count_runs, apply_rule
+from .kernel import ErrorPair, Priors, Summation, _count_runs, propagate
 
 __all__ = [
     "Hypothesis",
@@ -216,7 +215,7 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run(config: SimConfig, pairs: list) -> SimResult:
+def _run(config: SimConfig, pairs: tuple) -> SimResult:
     """Simulate the tree: exact sums travel upward for k0 - 1 levels and
     a binary rule decides at every k0-th level, i.e. at every level of a
     single-bit tree (d = 2).  pairs[i] is the reduced tree's error pair
@@ -322,14 +321,15 @@ def _run(config: SimConfig, pairs: list) -> SimResult:
 
 
 def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET) -> ComparisonReport:
-    """Run the simulation and score it against the closed form.
+    """Run the simulation and score it against the closed form, the
+    reduced tree's `propagate` trace.
 
     z is the error-count deviation in units of the binomial standard
     deviation implied by the analytic probability.  When that deviation
     is zero the z-score is 0 for exact agreement and +/-inf otherwise.
     """
     _check_budget(config.spec, config.trials, budget)
-    pairs = list(accumulate(config.boundary_rules, apply_rule, initial=config.leaf_pair))
+    pairs = propagate(config.leaf_pair, config.boundary_rules, Priors.equal()).pairs
     result = _run(config, pairs)
     pair = pairs[-1]
     analytic = (

@@ -192,9 +192,10 @@ def check_lrt_threshold_structure() -> list:
 def _rules_for(m: int) -> tuple:
     """(kernel rule, vector twin) pairs of the majority family at fan-in m.
 
-    Cached per fan-in (at most 19 entries under the oracle's m <= 20
-    cap), so each twin keeps its decisions and asks its rule once per
-    vector for the life of the process.
+    Each twin is a count rule on the oracle's own majority table, so its
+    decisions gather that table over the counts of ones.  Cached per
+    fan-in (at most 19 entries under the oracle's m <= 20 cap), so each
+    twin keeps its decisions for the life of the process.
     """
     if m % 2 == 1:
         return ((MajorityOdd(m), oracle.majority_vector_rule(m)),)

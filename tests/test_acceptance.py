@@ -69,7 +69,7 @@ def test_c03_deep_trace_value_and_total_bound():
     trace = propagate(
         ErrorPair.from_linear(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal()
     )
-    alpha4 = trace.root.alpha_linear
+    alpha4 = trace.pairs[-1].alpha_linear
     assert alpha4 == pytest.approx(float(exact[4]), rel=1e-13)
     assert float(exact[4]) == pytest.approx(7.639009737159088e-10, rel=1e-12)
 

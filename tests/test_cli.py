@@ -672,12 +672,17 @@ class TestParser:
                         "--wat", "1"]) == 2
         capsys.readouterr()
 
-    def test_closed_pipe_exits_141_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_141_quietly(self, unbuffered):
         # ~110 KB of rows, more than a pipe holds, so the writer must
-        # meet the closed pipe
+        # meet the closed pipe; unbuffered, stdout writes straight to the
+        # pipe, where one large write cut short would drop its rest quietly
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "relaytree.cli", "recurse", "--m", "3",
              "--alpha0", "0.1", "--beta0", "0.1", "--levels", "1000"],

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from relaytree import kernel
 from relaytree.kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -20,12 +21,10 @@ from relaytree.kernel import (
     Summation,
     TiePhase,
     alternating_phases,
-    alternating_step,
     apply_rule,
     binom_tail,
     lrt_step,
     majority_rule,
-    majority_step_even,
     majority_step_odd,
     propagate,
     total_error,
@@ -365,40 +364,27 @@ class TestMajoritySteps:
 
     def test_even_m2_fair_coin_is_identity(self):
         p = pair(0.1, 0.2)
-        out = majority_step_even(p, 2, 0.5)
+        out = apply_rule(p, MajorityEven(2, 0.5))
         assert out.alpha.value == p.alpha.value
         assert out.beta.value == p.beta.value
 
     def test_even_m2_by_hand(self):
         # alpha' = a^2 + 2 b_tie a (1 - a) with tie weight b_tie
         a, b, w = 0.1, 0.2, 0.25
-        out = majority_step_even(pair(a, b), 2, w)
+        out = apply_rule(pair(a, b), MajorityEven(2, w))
         assert out.alpha_linear == pytest.approx(a * a + 2 * w * a * (1 - a), rel=1e-14, abs=0)
         assert out.beta_linear == pytest.approx(
             b * b + 2 * (1 - w) * b * (1 - b), rel=1e-14, abs=0
         )
 
-    def test_even_boundary_tie_weights(self):
-        # the step accepts the closed interval; 0 and 1 are the
-        # deterministic tie directions
-        a, b = 0.1, 0.2
-        to_one = majority_step_even(pair(a, b), 2, 1.0)
-        to_zero = majority_step_even(pair(a, b), 2, 0.0)
-        alt_one = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ONE)
-        alt_zero = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ZERO)
-        assert to_one.alpha.value == alt_one.alpha.value
-        assert to_one.beta.value == alt_one.beta.value
-        assert to_zero.alpha.value == alt_zero.alpha.value
-        assert to_zero.beta.value == alt_zero.beta.value
-
     def test_alternating_m2_by_hand(self):
         # ties to one: decide 1 iff any child fired, so alpha grows
         # and beta shrinks; ties to zero mirrors
         a, b = 0.1, 0.2
-        one = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ONE)
+        one = apply_rule(pair(a, b), AlternatingMajority(2, TiePhase.TIES_TO_ONE))
         assert one.alpha_linear == pytest.approx(a * (2 - a), rel=1e-13, abs=0)
         assert one.beta_linear == pytest.approx(b * b, rel=1e-14, abs=0)
-        zero = alternating_step(pair(a, b), 2, TiePhase.TIES_TO_ZERO)
+        zero = apply_rule(pair(a, b), AlternatingMajority(2, TiePhase.TIES_TO_ZERO))
         assert zero.alpha_linear == pytest.approx(a * a, rel=1e-14, abs=0)
         assert zero.beta_linear == pytest.approx(b * (2 - b), rel=1e-13, abs=0)
 
@@ -657,11 +643,9 @@ class TestPropagate:
     def test_trace_shape(self):
         sched = [MajorityOdd(3)] * 4
         trace = propagate(pair(0.1, 0.1), sched, Priors.equal())
-        assert trace.height == 4
         assert len(trace.pairs) == 5
         assert len(trace.totals) == 5
         assert trace.pairs[0].alpha_linear == pytest.approx(0.1, rel=1e-15, abs=0)
-        assert trace.root is trace.pairs[-1]
 
     def test_m3_symmetric_two_levels(self):
         sched = [MajorityOdd(3)] * 2
@@ -669,7 +653,7 @@ class TestPropagate:
         a1 = 3 * 0.01 * 0.9 + 0.001
         a2 = 3 * a1**2 * (1 - a1) + a1**3
         assert trace.pairs[1].alpha_linear == pytest.approx(a1, rel=1e-14, abs=0)
-        assert trace.root.alpha_linear == pytest.approx(a2, rel=1e-13, abs=0)
+        assert trace.pairs[-1].alpha_linear == pytest.approx(a2, rel=1e-13, abs=0)
         assert trace.totals[2].linear == pytest.approx(a2, rel=1e-13, abs=0)
 
     def test_m2_fair_coin_fixed_point(self):
@@ -689,7 +673,7 @@ class TestPropagate:
         ([AlternatingMajority(2, ph) for ph in alternating_phases(2)], 0.1, (0.0361, 0.0199)),
     ])
     def test_hand_computed_roots(self, schedule, x, want):
-        root = propagate(pair(x, x), schedule, Priors.equal()).root
+        root = propagate(pair(x, x), schedule, Priors.equal()).pairs[-1]
         assert (root.alpha_linear, root.beta_linear) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_totals_mix_each_level(self):
@@ -701,7 +685,7 @@ class TestPropagate:
 
     def test_boundary_pair_is_a_fixed_point(self):
         for rule in (MajorityOdd(3), MajorityEven(4, 0.3), AlternatingMajority(2)):
-            root = propagate(pair(0.0, 1.0), [rule] * 3, Priors.equal()).root
+            root = propagate(pair(0.0, 1.0), [rule] * 3, Priors.equal()).pairs[-1]
             assert root.alpha.value == LOG_ZERO, rule
             assert root.beta.value == 0.0, rule
 
@@ -729,6 +713,25 @@ class TestPropagate:
             la, lb = tail_by_fsum(m, lo_a, m, la), tail_by_fsum(m, lo_b, m, lb)
             assert got.alpha.value.hex() == la.hex()
             assert got.beta.value.hex() == lb.hex()
+
+    def test_reaches_the_steps_the_benchmark_pins(self, monkeypatch):
+        # bench/test_bench.py traces propagate through majority_step_odd and
+        # the benchmark reports kernel.lrt_step.self_s; delete this test with
+        # the two wrappers once the benchmark names neither
+        calls = []
+        for name in ("majority_step_odd", "lrt_step"):
+            real = getattr(kernel, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        propagate(pair(0.1, 0.2), [MajorityOdd(3)] * 4, Priors.equal())
+        assert calls == ["majority_step_odd"] * 4
+        calls.clear()
+        propagate(pair(0.1, 0.2), [BayesianLRT(5, Priors.equal())] * 3, Priors.equal())
+        assert calls == ["lrt_step"] * 3
 
     def test_summation_in_schedule_names_the_level(self):
         sched = [MajorityOdd(3), Summation(3)]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaytree import kernel, oracle, verify
+from relaytree import oracle, verify
 from relaytree.kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -27,7 +27,6 @@ from relaytree.kernel import (
     apply_rule,
     lrt_step,
     majority_rule,
-    majority_step_even,
     majority_step_odd,
 )
 from relaytree.oracle import (
@@ -68,12 +67,20 @@ def test_enumerate_matches_kernel_odd():
         assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
 
 
+def even_majority(m, w):
+    """The kernel's even-m majority with tie weight w: a fixed tie
+    direction at w = 0 or 1, a tie coin between."""
+    if w in (0.0, 1.0):
+        return AlternatingMajority(m, TiePhase.TIES_TO_ONE if w else TiePhase.TIES_TO_ZERO)
+    return MajorityEven(m, w)
+
+
 @given(error_probs, error_probs, st.sampled_from([2, 4, 6]),
        st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=150)
 def test_enumerate_matches_kernel_even(a, b, m, w):
     got = enumerate_step(pair(a, b), m, majority_vector_rule(m, w))
-    want = majority_step_even(pair(a, b), m, w)
+    want = apply_rule(pair(a, b), even_majority(m, w))
     assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-11, abs=0)
     assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-11, abs=0)
 
@@ -396,10 +403,12 @@ def test_cross_check_enumerates_each_majority_twin_once(monkeypatch):
 def test_cross_check_scores_kernel_rules_through_apply_rule(monkeypatch):
     # a wrong alternating step must show, so the kernel side is the step
     # that propagate applies, not a private copy of it
-    def ties_swapped(p, m, phase):
-        return majority_step_even(p, m, 0.0 if phase is TiePhase.TIES_TO_ONE else 1.0)
+    real = AlternatingMajority.table
 
-    monkeypatch.setattr(kernel, "alternating_step", ties_swapped)
+    def ties_swapped(rule, p):
+        return real(AlternatingMajority(rule.m, rule.phase.flipped()), p)
+
+    monkeypatch.setattr(AlternatingMajority, "table", ties_swapped)
     fails = verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3])
     assert fails
     assert all(msg.startswith("AlternatingMajority(m=4") for msg in fails)
@@ -484,10 +493,10 @@ def test_lrt_check_builds_each_likelihood_vector_once_per_value(monkeypatch):
 
 def test_sandwich_checks_step_kernel_rules_through_apply_rule(monkeypatch):
     # a wrong even-majority step must show in the sandwich check too
-    def ties_to_one(p, m, tie_prob):
-        return majority_step_even(p, m, 1.0)
+    def ties_to_one(rule, p):
+        return AlternatingMajority(rule.m, TiePhase.TIES_TO_ONE).table(p)
 
-    monkeypatch.setattr(kernel, "majority_step_even", ties_to_one)
+    monkeypatch.setattr(MajorityEven, "table", ties_to_one)
     fails = verify.check_even_majority_sandwich()
     assert fails
     assert all(msg.startswith("MajorityEven(m=") for msg in fails)
@@ -496,10 +505,12 @@ def test_sandwich_checks_step_kernel_rules_through_apply_rule(monkeypatch):
 def test_tie_weight_check_sees_a_step_that_ignores_the_coin(monkeypatch):
     # a fair coin for every tie weight stays inside [log pb, m log 2], so
     # only the mixture identity against the two tie directions shows it
-    def fair_coin(p, m, tie_prob):
-        return majority_step_even(p, m, 0.5)
+    real = MajorityEven.table
 
-    monkeypatch.setattr(kernel, "majority_step_even", fair_coin)
+    def fair_coin(rule, p):
+        return real(MajorityEven(rule.m, 0.5), p)
+
+    monkeypatch.setattr(MajorityEven, "table", fair_coin)
     fails = verify.check_tie_weight_sandwich()
     assert len(fails) == len(verify.EVEN_FANINS) * 4 * len(verify.GRID)
     assert all(msg.endswith("not the tie-weight mixture") for msg in fails)

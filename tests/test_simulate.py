@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from relaytree import kernel
 from relaytree import simulate as simulate_module
 from relaytree.alphabet import TreeSpec, alphabet_schedule
 from relaytree.kernel import (
@@ -24,7 +25,6 @@ from relaytree.kernel import (
     Summation,
     alternating_phases,
     apply_rule,
-    majority_step_even,
 )
 from relaytree.simulate import (
     DEFAULT_BUDGET,
@@ -393,7 +393,7 @@ class TestResults:
 
     def test_reduced_root_pair(self):
         spec = TreeSpec(2, 2, 3)
-        want = majority_step_even(ErrorPair.from_linear(0.1, 0.2), 4, 0.5)
+        want = apply_rule(ErrorPair.from_linear(0.1, 0.2), MajorityEven(4, 0.5))
         for hypothesis, side in ((Hypothesis.H0, want.alpha), (Hypothesis.H1, want.beta)):
             c = SimConfig(
                 spec,
@@ -409,7 +409,7 @@ class TestResults:
             calls.append(rule)
             return apply_rule(pair, rule)
 
-        monkeypatch.setattr(simulate_module, "apply_rule", counting)
+        monkeypatch.setattr(kernel, "apply_rule", counting)
         compare_to_analytic(binary_config(3, 4, MajorityOdd(3), trials=8))
         assert len(calls) == 4  # one per deciding level, the root's included
 
@@ -487,7 +487,7 @@ class TestAlphabetEquivalence:
             [MajorityEven(4)],
             leaf, 200000, 13, Hypothesis.H0,
         )
-        want = majority_step_even(leaf, 4, 0.5).alpha_linear
+        want = apply_rule(leaf, MajorityEven(4, 0.5)).alpha_linear
         wide_report = compare_to_analytic(wide)
         narrow_report = compare_to_analytic(narrow)
         assert wide_report.analytic == pytest.approx(want, rel=1e-12, abs=0)
