@@ -12,6 +12,7 @@ target error.  All quantities are in bits, i.e. on the log2(1/p) scale.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -115,35 +116,6 @@ def _bits(p: float, name: str) -> float:
     return -math.log2(p)
 
 
-def _sandwich(m: int, k: int, strategy: RateKind) -> tuple:
-    """(factor, c) after k >= 0 levels: factor the product of the per-level
-    exponents, c = C(m, floor((m+1)/2)) the one-level sandwich constant."""
-    if k < 0:
-        raise ValueError(f"level k must be >= 0, got {k}")
-    lam = per_level_exponent(m)
-    if strategy is RateKind.MAJORITY_RANDOM:
-        steps, base = k, lam
-    elif strategy is RateKind.ALTERNATING:
-        if k % 2 == 1:
-            raise ValueError(
-                f"alternating bounds hold at even heights only, got k={k}"
-            )
-        if m % 2 == 1:
-            raise ValueError(f"alternating strategy needs even m, got {m}")
-        # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1,
-        # so each pair of levels multiplies the factor by lam (lam + 1)
-        steps, base = k // 2, lam * (lam + 1)
-    else:
-        raise ValueError(f"no level bounds for strategy {strategy}")
-    try:
-        if base > 1 and steps > 1025 / math.log2(base):
-            raise OverflowError  # above 2^1025: refused before it is built
-        factor = float(base**steps)
-    except OverflowError:
-        raise _out_of_range(m, k) from None
-    return factor, math.comb(m, lam)
-
-
 def _out_of_range(m: int, k: int) -> ValueError:
     return ValueError(f"level {k}: bound factor for m={m} exceeds double range")
 
@@ -157,6 +129,11 @@ def _scaled(factor: float, bits: float, m: int, k: int) -> float:
     return value
 
 
+def _log2_c(m: int) -> float:
+    """log2 of the one-level sandwich constant c = C(m, floor((m+1)/2))."""
+    return math.log2(math.comb(m, per_level_exponent(m)))
+
+
 def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSandwich:
     """Two-sided bound on log2(1/alpha_k) after k fusion levels.
 
@@ -167,11 +144,7 @@ def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSand
     family at any k >= 0 and for the alternating family at even k.
     """
     bits0 = _bits(alpha0, "alpha0")
-    factor, c = _sandwich(m, k, strategy)
-    return BoundSandwich(
-        _scaled(factor, bits0 - math.log2(c), m, k),
-        _scaled(factor, bits0, m, k),
-    )
+    return BoundSandwich(*next(_by_level((bits0 - _log2_c(m), bits0), m, strategy, k)))
 
 
 def total_bounds(
@@ -190,6 +163,13 @@ def total_bounds(
     alternating sandwich is refused at m = 2, where whichever tie direction
     comes first, alpha or beta escapes the even-height constant.
     """
+    terms = _total_terms(alpha0, beta0, priors, m, strategy)
+    return BoundSandwich(*next(_by_level(terms, m, strategy, k)))
+
+
+def _total_terms(alpha0: float, beta0: float, priors: Priors, m: int,
+                 strategy: RateKind) -> tuple:
+    """The leaf bits that total_bounds scales by the factor: (lower, upper)."""
     if strategy is RateKind.ALTERNATING and m == 2:
         raise BoundInapplicableError(
             "bound inapplicable: the alternating total-error sandwich does "
@@ -197,10 +177,8 @@ def total_bounds(
         )
     bits_a = _bits(alpha0, "alpha0")
     bits_b = _bits(beta0, "beta0")
-    factor, c = _sandwich(m, k, strategy)
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
-    upper = _scaled(factor, priors.pi0 * bits_a + priors.pi1 * bits_b, m, k)
-    return BoundSandwich(_scaled(factor, worse - math.log2(c), m, k), upper)
+    return worse - _log2_c(m), priors.pi0 * bits_a + priors.pi1 * bits_b
 
 
 def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
@@ -212,20 +190,64 @@ def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
     error of a single leaf.  May be negative (vacuous) for weak leaves;
     returned as-is.
     """
+    terms = (_lrt_term(total0, priors, m),)
+    return next(_by_level(terms, m, RateKind.MAJORITY_RANDOM, k))[0]
+
+
+def _lrt_term(total0: float, priors: Priors, m: int) -> float:
+    """The leaf bits that lrt_lower_bound scales by the factor."""
     priors.require_positive()
     bits0 = _bits(total0, "total0")
     lam = per_level_exponent(m)
-    factor, c = _sandwich(m, k, RateKind.MAJORITY_RANDOM)
     lo, hi = sorted((priors.pi0, priors.pi1))
     try:
-        penalty = 2.0 * c * hi / lo**lam
+        penalty = 2.0 * math.comb(m, lam) * hi / lo**lam
     except (OverflowError, ZeroDivisionError):
         penalty = math.inf
     if penalty == math.inf:  # the quotient overflows to inf without raising
         raise ValueError(
             f"likelihood-ratio penalty for m={m}, min prior {lo} is outside double range"
         )
-    return _scaled(factor, bits0 - math.log2(penalty), m, k)
+    return bits0 - math.log2(penalty)
+
+
+def _by_level(terms: tuple, m: int, strategy: RateKind, k: int = 0):
+    """The bounds at levels k, k + 1, ...: each leaf term (from
+    `_total_terms` or `_lrt_term`) times the factor, the product of the
+    per-level exponents, or () at a level where the strategy has no bound.
+    The exact factor is carried up, one multiplication per bounded level,
+    and a level whose factor or bound leaves double range is refused when
+    it is reached."""
+    if k < 0:
+        raise ValueError(f"level k must be >= 0, got {k}")
+    lam = per_level_exponent(m)
+    if strategy is RateKind.MAJORITY_RANDOM:
+        base, period = lam, 1
+    elif strategy is RateKind.ALTERNATING:
+        if k % 2 == 1:
+            raise ValueError(
+                f"alternating bounds hold at even heights only, got k={k}"
+            )
+        if m % 2 == 1:
+            raise ValueError(f"alternating strategy needs even m, got {m}")
+        # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1,
+        # so each pair of levels multiplies the factor by lam (lam + 1)
+        base, period = lam * (lam + 1), 2
+    else:
+        raise ValueError(f"no level bounds for strategy {strategy}")
+    if base > 1 and k // period > 1025 / math.log2(base):
+        raise _out_of_range(m, k)  # above 2^1025: refused before it is built
+    factor = base ** (k // period)
+    for k in itertools.count(k):
+        if k % period:
+            yield ()
+            continue
+        try:
+            f = float(factor)
+        except OverflowError:
+            raise _out_of_range(m, k) from None
+        yield tuple([_scaled(f, bits, m, k) for bits in terms])
+        factor *= base
 
 
 def exponent(m: int, which: RateKind) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,8 +38,8 @@ from .verify import SUITES, run_suites
 __all__ = ["run", "main"]
 
 # Most (levels + 1) x (m + 1) count terms a recurse trace may take.  Its
-# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 6.6-7.3 s
-# and 39 MB peak RSS, and m=2 at 99,999 levels, 1.5-1.8 s and 59 MB.
+# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 6.3-6.4 s
+# and 38 MB peak RSS, and m=2 at 99,999 levels, 1.2-1.5 s and 59 MB.
 RECURSE_WORK_LIMIT = 300_000
 
 
@@ -137,8 +138,32 @@ def _refuse_overflow(k: int, logs, table: tuple) -> None:
 
 
 # one recurse row: the level; alpha, beta and the three log2(1/p) columns,
-# as _fmt prints a float; the two bound cells, formatted or empty
-_RECURSE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
+# as _fmt prints a float; then thm_lower and thm_upper, indexed by how
+# many of the two the theorem gives at that level, the rest left empty
+_RECURSE_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g"
+_RECURSE_ROWS = tuple(_RECURSE_ROW + cells + "\n" for cells in (",,", ",%.12g,", ",%.12g,%.12g"))
+_LN2 = math.log(2.0)
+
+
+def _bound_cells(args, priors: Priors, leaf_total: float):
+    """The thm_lower and thm_upper cells of levels 0, 1, 2, ...: what
+    total_bounds or lrt_lower_bound gives there, from leaf terms taken
+    once per trace; a level's refusal is raised when the rows reach it."""
+    m, rate = args.m, bounds.RateKind
+    if args.rule == "lrt":
+        return bounds._by_level((bounds._lrt_term(leaf_total, priors, m),), m,
+                                rate.MAJORITY_RANDOM)
+    if args.rule == "alternating":
+        strategy = rate.ALTERNATING
+    elif args.pb is None or args.pb == 0.5:
+        strategy = rate.MAJORITY_RANDOM
+    else:
+        return itertools.repeat(())  # a biased coin: no theorem applies
+    try:
+        terms = bounds._total_terms(args.alpha0, args.beta0, priors, m, strategy)
+    except bounds.BoundInapplicableError:
+        return itertools.repeat(())  # alternating at m = 2: the columns stay empty
+    return bounds._by_level(terms, m, strategy)
 
 
 def _cmd_recurse(args) -> int:
@@ -148,34 +173,23 @@ def _cmd_recurse(args) -> int:
             f"--levels {args.levels} with --m {m} exceeds the work limit: "
             f"(levels + 1) x (m + 1) must be at most {RECURSE_WORK_LIMIT}"
         )
-    a0, b0 = args.alpha0, args.beta0
     priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = _rule_schedule(args, m, args.levels, priors)
-    trace = propagate(ErrorPair.from_linear(a0, b0), schedule, priors)
-    leaf_total = trace.totals[0].linear
+    trace = propagate(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
+    cells = _bound_cells(args, priors, trace.totals[0].linear)
 
     lines = []
     for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
-        thm_lower = thm_upper = ""  # a bound cell is empty where the theorem does not apply
-        if args.rule == "majority" and (args.pb is None or args.pb == 0.5):
-            sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.MAJORITY_RANDOM)
-            thm_lower, thm_upper = "%.12g" % sw.lower, "%.12g" % sw.upper
-        elif args.rule == "alternating" and k % 2 == 0:
-            try:
-                sw = bounds.total_bounds(a0, b0, priors, m, k, bounds.RateKind.ALTERNATING)
-                thm_lower, thm_upper = "%.12g" % sw.lower, "%.12g" % sw.upper
-            except bounds.BoundInapplicableError:
-                pass  # m = 2: the columns stay empty
-        elif args.rule == "lrt":
-            thm_lower = "%.12g" % bounds.lrt_lower_bound(leaf_total, priors, m, k)
-        logs = (pair.alpha.log2_inverse, pair.beta.log2_inverse, tot.log2_inverse)
+        bound = next(cells)  # a bound refusal comes before the row's overflow check
+        # each log read once: the columns are LogProb.linear and .log2_inverse
+        la, lb, lt = pair.alpha.value, pair.beta.value, tot.value
+        logs = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
         if math.inf in logs:
             # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1);
             # a bound column is refused before it would read inf
             table = schedule[k - 1].table(trace.pairs[k - 1])
             _refuse_overflow(k, (pair.alpha, pair.beta, tot), table)
-        lines.append(_RECURSE_ROW % (k, pair.alpha_linear, pair.beta_linear, *logs,
-                                     thm_lower, thm_upper))
+        lines.append(_RECURSE_ROWS[len(bound)] % (k, math.exp(la), math.exp(lb), *logs, *bound))
     _emit_lines(
         [
             "level",

@@ -16,8 +16,11 @@ exactly in the log domain:
 
 Propagating a schedule of rules up the tree yields the full per-level
 trace of error pairs.  Every deciding rule also gives its table
-P(output 1 | s ones among m); one step, derived from the table, serves
-every rule, and the simulator decides by the same tables.
+P(output 1 | s ones among m), a tuple of entries that carries its runs
+of equal entries, found once when the table is built: per (m, tie) for
+majority, and from the crossing window for the likelihood-ratio test.
+One step, summed over those runs, serves every rule, and the simulator
+decides by the same runs.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ class MajorityOdd:
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError(f"odd majority needs odd m >= 3, got {self.m}")
 
-    def table(self, pair: ErrorPair) -> tuple:
+    def table(self, pair: ErrorPair) -> "_CountTable":
         return _majority_table(self.m, 0.0)
 
 
@@ -145,7 +148,7 @@ class MajorityEven:
         if not (0.0 < self.tie_prob < 1.0):
             raise ValueError(f"tie_prob {self.tie_prob} outside (0, 1)")
 
-    def table(self, pair: ErrorPair) -> tuple:
+    def table(self, pair: ErrorPair) -> "_CountTable":
         return _majority_table(self.m, self.tie_prob)
 
 
@@ -161,7 +164,7 @@ class AlternatingMajority:
         if self.m < 2 or self.m % 2 == 1:
             raise ValueError(f"alternating majority needs even m >= 2, got {self.m}")
 
-    def table(self, pair: ErrorPair) -> tuple:
+    def table(self, pair: ErrorPair) -> "_CountTable":
         return _majority_table(self.m, float(self.phase is TiePhase.TIES_TO_ONE))
 
 
@@ -177,7 +180,7 @@ class BayesianLRT:
             raise ValueError(f"fusion needs m >= 2, got {self.m}")
         self.priors.require_positive()
 
-    def table(self, pair: ErrorPair) -> tuple:
+    def table(self, pair: ErrorPair) -> "_CountTable":
         """The test fitted to messages with error pair `pair`.
 
         Entry s is 1.0 when a node seeing s ones among m messages decides H1:
@@ -234,7 +237,8 @@ class BayesianLRT:
                 )
             else:  # one side overflowed to -inf: the finite side wins
                 decided.append(1.0 if h1_side > h0_side else 0.0)
-        return (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
+        entries = (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
+        return _CountTable(entries, _runs(decided, lo, m))
 
 
 @dataclass(frozen=True)
@@ -255,23 +259,36 @@ class Summation:
 FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT, Summation]
 
 
+class _CountTable(tuple):
+    """A count table, entry s = P(output 1 | s ones among m) for s = 0..m,
+    that carries its maximal runs (lo, hi, p) of equal entries p.  It
+    equals and hashes as the tuple of its entries; the runs are found
+    from the entries unless the builder passes them."""
+
+    def __new__(cls, entries, runs=None):
+        table = super().__new__(cls, entries)
+        table.runs = _runs(table, 0, len(table) - 1) if runs is None else runs
+        return table
+
+
+def _runs(values, lo: int, m: int) -> tuple:
+    """The maximal runs (lo, hi, p) of a table over 0..m whose entries at
+    lo, lo + 1, ... are `values`, those below lo equal to values[0] and
+    those past the last equal to values[-1]."""
+    runs, start = [], 0
+    for i in range(1, len(values)):
+        if values[i] != values[i - 1]:
+            runs.append((start, lo + i - 1, values[i - 1]))
+            start = lo + i
+    runs.append((start, m, values[-1]))
+    return tuple(runs)
+
+
 @functools.lru_cache(maxsize=64)
-def _majority_table(m: int, tie: float) -> tuple:
+def _majority_table(m: int, tie: float) -> _CountTable:
     """P(output 1 | s ones), s = 0..m, for majority with tie entry `tie`
     (the tie at s = m/2 exists for even m only)."""
-    return tuple(1.0 if 2 * s > m else tie if 2 * s == m else 0.0 for s in range(m + 1))
-
-
-@functools.lru_cache(maxsize=128)
-def _count_runs(table: tuple) -> tuple:
-    """The maximal runs (lo, hi, p) of equal entries p of a count table."""
-    runs = []
-    lo = 0
-    for s in range(1, len(table) + 1):
-        if s == len(table) or table[s] != table[lo]:
-            runs.append((lo, s - 1, table[lo]))
-            lo = s
-    return tuple(runs)
+    return _CountTable(1.0 if 2 * s > m else tie if 2 * s == m else 0.0 for s in range(m + 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,7 +392,8 @@ def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
 
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
-    to the outgoing miss: under H1, s ones are m - s draws of beta.
+    to the outgoing miss: under H1, s ones are m - s draws of beta.  A
+    rule's table brings its runs; a bare tuple of entries has them found.
     """
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
@@ -383,7 +401,10 @@ def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
         # rather than re-rounded through logs
         return pair
     m = len(table) - 1
-    runs = _count_runs(table)
+    try:
+        runs = table.runs
+    except AttributeError:
+        runs = _CountTable(table).runs
     if len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0:
         # a threshold table, decide 1 from k ones on: one tail per side
         k = runs[1][0]
@@ -460,11 +481,22 @@ def alternating_phases(height: int, first: TiePhase = TiePhase.TIES_TO_ONE) -> l
 
 def total_error(pair: ErrorPair, priors: Priors) -> LogProb:
     """Prior-weighted total error pi0*alpha + pi1*beta, in log domain."""
+    return _total(pair, *_log_priors(priors))
+
+
+def _log_priors(priors: Priors) -> tuple:
+    """(log pi0, log pi1), None for a zero prior, whose side drops out of
+    the total; propagate takes them once per trace."""
+    return tuple(math.log(pi) if pi > 0.0 else None for pi in (priors.pi0, priors.pi1))
+
+
+def _total(pair: ErrorPair, log_pi0, log_pi1) -> LogProb:
+    """total_error from the priors' logs, as _log_priors gives them."""
     terms = []
-    if priors.pi0 > 0.0:
-        terms.append(math.log(priors.pi0) + pair.alpha.value)
-    if priors.pi1 > 0.0:
-        terms.append(math.log(priors.pi1) + pair.beta.value)
+    if log_pi0 is not None:
+        terms.append(log_pi0 + pair.alpha.value)
+    if log_pi1 is not None:
+        terms.append(log_pi1 + pair.beta.value)
     return LogProb(log_sum_exp(terms))
 
 
@@ -485,13 +517,14 @@ def propagate(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors) 
 
     Raises the underlying step error with the failing level attached.
     """
+    log_pi = _log_priors(priors)
     pairs = [pair0]
-    totals = [total_error(pair0, priors)]
+    totals = [_total(pair0, *log_pi)]
     for k, rule in enumerate(schedule, start=1):
         try:
             nxt = apply_rule(pairs[-1], rule)
         except ValueError as err:
             raise ValueError(f"level {k}: {err}") from err
         pairs.append(nxt)
-        totals.append(total_error(nxt, priors))
+        totals.append(_total(nxt, *log_pi))
     return LevelTrace(tuple(pairs), tuple(totals))

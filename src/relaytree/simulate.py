@@ -49,7 +49,7 @@ from functools import reduce
 import numpy as np
 
 from .alphabet import TreeSpec, alphabet_schedule
-from .kernel import ErrorPair, Priors, Summation, _count_runs, propagate
+from .kernel import ErrorPair, Priors, Summation, propagate
 
 __all__ = [
     "Hypothesis",
@@ -231,7 +231,7 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
         p_one = -math.expm1(config.leaf_pair.beta.value)  # 1 - beta, stable
 
     below = iter(pairs)
-    decisions = [None if isinstance(rule, Summation) else _count_runs(rule.table(next(below)))
+    decisions = [None if isinstance(rule, Summation) else rule.table(next(below)).runs
                  for rule in config.schedule]
 
     # node uids: leaves first, then each level in order

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from relaytree import cli
+from relaytree.bounds import BoundInapplicableError, RateKind, lrt_lower_bound, total_bounds
+from relaytree.kernel import ErrorPair, Priors, total_error
 from relaytree.verify import SUITES, exact_majority_trace
 
 
@@ -109,6 +111,46 @@ class TestRecurse:
         assert float(rows[1][6]) == pytest.approx(
             2 * (math.log2(20) - math.log2(12)), rel=1e-9, abs=0
         )
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "3", "--levels", "1022"],  # the last level before the refusal
+        ["--m", "255", "--levels", "145"],
+        ["--m", "2", "--levels", "400"],
+        ["--m", "4", "--pb", "0.5", "--levels", "1022"],
+        ["--m", "2", "--rule", "alternating", "--levels", "400"],
+        ["--m", "4", "--rule", "alternating", "--phase", "zero", "--levels", "791"],
+        ["--m", "2", "--rule", "lrt", "--levels", "400"],
+        ["--m", "3", "--rule", "lrt", "--pi0", "0.3", "--levels", "600"],
+        ["--m", "4", "--rule", "lrt", "--levels", "791"],
+        ["--m", "255", "--rule", "lrt", "--pi0", "0.3", "--levels", "140"],
+    ], ids=["odd-m3", "odd-m255", "even-m2", "even-m4", "alternating-m2", "alternating-m4",
+            "lrt-m2", "lrt-m3", "lrt-m4", "lrt-m255"])
+    def test_bound_cells_are_the_bound_functions(self, capsys, flags):
+        # every printed bound cell is "%.12g" of total_bounds or
+        # lrt_lower_bound called at its own level, empty where they give none
+        a0, b0 = 0.1, 0.2
+        code, _, rows = run_csv(capsys, ["recurse", *flags, "--alpha0", "0.1", "--beta0", "0.2"])
+        assert code == 0
+        opts = dict(zip(flags[::2], flags[1::2]))
+        m, rule = int(opts["--m"]), opts.get("--rule", "majority")
+        pi0 = float(opts.get("--pi0", 0.5))
+        priors = Priors(pi0, 1.0 - pi0)
+        total0 = total_error(ErrorPair.from_linear(a0, b0), priors).linear
+        assert len(rows) == int(opts["--levels"]) + 1
+        for k, row in enumerate(rows):
+            if rule == "lrt":
+                want = ["%.12g" % lrt_lower_bound(total0, priors, m, k), ""]
+            elif rule == "alternating" and k % 2:
+                want = ["", ""]
+            else:
+                strategy = (RateKind.ALTERNATING if rule == "alternating"
+                            else RateKind.MAJORITY_RANDOM)
+                try:
+                    sw = total_bounds(a0, b0, priors, m, k, strategy)
+                    want = ["%.12g" % sw.lower, "%.12g" % sw.upper]
+                except BoundInapplicableError:  # alternating at m = 2
+                    want = ["", ""]
+            assert row[6:] == want, k
 
     def test_zero_levels(self, capsys):
         code, _, rows = run_csv(capsys, [

@@ -1,6 +1,7 @@
 """Single fusion steps and level-by-level propagation."""
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -599,6 +600,57 @@ class TestLRT:
         want = majority_step_odd(pair(0.2, 0.2), 5)
         assert got.alpha.value == want.alpha.value
         assert got.beta.value == want.beta.value
+
+
+def runs_of(table):
+    """The maximal runs (lo, hi, p) of equal entries, from the entries."""
+    runs, lo = [], 0
+    for p, group in itertools.groupby(table):
+        hi = lo + len(list(group)) - 1
+        runs.append((lo, hi, p))
+        lo = hi + 1
+    return tuple(runs)
+
+
+class TestCountTable:
+    """A rule's table carries the runs of its entries, and equals and
+    hashes as the tuple of its entries."""
+
+    def check(self, table, m):
+        assert len(table) == m + 1
+        assert table.runs == runs_of(table)
+        assert table == tuple(table)
+        assert hash(table) == hash(tuple(table))
+
+    @given(lrt_cases())
+    @example((math.log(0.2), math.log(0.2), 0.5, 4))  # exact tie at s = 2
+    @example((math.log(0.9), math.log(0.6), 0.7, 33))  # anti-informative
+    @example((-1.6094379124341003, -0.2231435507283747, 0.5, 300))  # the slack decides
+    @example((-1e307, math.log(0.2), 0.5, 300))  # s * log(alpha) overflows
+    @example((float.fromhex("-0x1.11c23ea83d10fp+1022"),  # the level-791 pair
+              float.fromhex("-0x1.2f13a9e08fe4ap+1022"), 0.5, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_lrt_table_carries_its_runs(self, case):
+        la, lb, pi0, m = case
+        rule = BayesianLRT(m, Priors(pi0, 1.0 - pi0))
+        try:
+            table = rule.table(ErrorPair(LogProb(la), LogProb(lb)))
+        except ValueError:  # a count with both sides past double range
+            return
+        self.check(table, m)
+
+    @pytest.mark.parametrize("m", [*range(2, 10), 63, 64, 255])
+    def test_majority_tables_carry_their_runs(self, m):
+        p = pair(0.1, 0.2)
+        rules = [majority_rule(m), majority_rule(m, 0.3)]
+        if m % 2 == 0:
+            rules += [AlternatingMajority(m, phase) for phase in TiePhase]
+        for rule in rules:
+            self.check(rule.table(p), m)
+
+    def test_bare_entries_get_their_runs(self):
+        for entries in [(0.0, 0.5, 0.5, 1.0), (1.0,) * 4, (0.3, 0.0, 0.3, 0.3, 1.0)]:
+            self.check(kernel._CountTable(entries), len(entries) - 1)
 
 
 @st.composite

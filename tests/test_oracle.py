@@ -23,6 +23,7 @@ from relaytree.kernel import (
     MajorityOdd,
     Priors,
     TiePhase,
+    _CountTable,
     _table_step,
     apply_rule,
     lrt_step,
@@ -127,7 +128,7 @@ def count_tables(draw):
 def test_table_step_matches_enumeration(table, a, b):
     # a + b >= 1 (anti-informative messages) is in range on purpose
     m = len(table) - 1
-    got = _table_step(pair(a, b), table)
+    got = _table_step(pair(a, b), _CountTable(table))
     want = enumerate_step(pair(a, b), m, count_vector_rule(m, table))
     assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
     assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
