@@ -6,6 +6,8 @@ depth whose counts still fit (M^(k0-1) + 1 <= D).  Deciding only every
 k0-th level makes an (M, D) tree behave exactly like an (M^k0, 2) tree
 on a fraction of the height, which buys a strictly better decay
 exponent per leaf at a bounded cost in bits per message.
+`equivalent_tree` names that reduced tree, and `simulate.SimConfig`
+takes its deciding rules, one per k0-th level.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .kernel import FusionRule, Summation
+from .kernel import FusionRule
 
 __all__ = [
     "TreeSpec",
@@ -148,31 +150,9 @@ def bits_bounds(m: int) -> tuple:
     return (1.0 + spread - 1.0 / m, 1.0 + spread)
 
 
-def alphabet_schedule(spec: TreeSpec, boundary_rules: Sequence[FusionRule]) -> list:
-    """Per-level rule list for an (m, d) tree: counts are summed except
-    at every k0-th level, where the given binary rule (fan-in m^k0)
-    decides over the accumulated count."""
-    reduced = equivalent_tree(spec)
-    if len(boundary_rules) != reduced.height:
-        raise ValueError(
-            f"need {reduced.height} boundary rules for height {spec.height} "
-            f"with k0={spec.k0}, got {len(boundary_rules)}"
-        )
-    schedule = []
-    b = 0
-    for level in range(1, spec.height + 1):
-        if level % spec.k0 == 0:
-            rule = boundary_rules[b]
-            rule_m = getattr(rule, "m", None)
-            if rule_m != reduced.m:
-                raise ValueError(
-                    f"boundary rule at level {level} must have fan-in "
-                    f"m^k0 = {reduced.m}, got {rule_m}"
-                )
-            if isinstance(rule, Summation):
-                raise ValueError(f"level {level} must decide, not sum")
-            schedule.append(rule)
-            b += 1
-        else:
-            schedule.append(Summation(spec.m))
-    return schedule
+def alphabet_schedule(spec: TreeSpec, rules: Sequence[FusionRule]) -> list:
+    """The deciding rules as `simulate.SimConfig` takes them, unchanged.
+
+    Only `bench/workloads.py` still imports this; it goes when that file
+    next changes (ROADMAP item 1)."""
+    return list(rules)

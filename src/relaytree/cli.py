@@ -20,8 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds
-from .alphabet import (TreeSpec, alphabet_schedule, avg_bits, bits_bounds, equivalent_tree,
-                       k0_of, rates_from_k0)
+from .alphabet import TreeSpec, avg_bits, bits_bounds, equivalent_tree, k0_of, rates_from_k0
 from .kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -211,10 +210,9 @@ def _cmd_simulate(args) -> int:
     spec = TreeSpec(args.m, args.height, args.d)
     _check_budget(spec, args.trials, args.budget)  # before any per-level list
     reduced = equivalent_tree(spec)
-    boundary = _rule_schedule(args, reduced.m, reduced.height, priors)
     config = SimConfig(
         spec=spec,
-        schedule=alphabet_schedule(spec, boundary),
+        schedule=_rule_schedule(args, reduced.m, reduced.height, priors),
         leaf_pair=ErrorPair.from_linear(args.alpha0, args.beta0),
         trials=args.trials,
         seed=args.seed,
@@ -326,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--hypothesis", choices=["h0", "h1"], default="h0")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_within(int, 1), default=DEFAULT_BUDGET,
                    help="maximum leaf samples before refusing")
     p.set_defaults(func=_cmd_simulate)
 

@@ -41,7 +41,6 @@ __all__ = [
     "MajorityEven",
     "AlternatingMajority",
     "BayesianLRT",
-    "Summation",
     "FusionRule",
     "LevelTrace",
     "binom_tail",
@@ -241,22 +240,7 @@ class BayesianLRT:
         return _CountTable(entries, _runs(decided, lo, m))
 
 
-@dataclass(frozen=True)
-class Summation:
-    """Pass the integer sum of the children upward instead of deciding.
-
-    Only meaningful for trees with a message alphabet larger than one
-    bit; it has no binary error-pair recursion of its own.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"fusion needs m >= 2, got {self.m}")
-
-
-FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT, Summation]
+FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT]
 
 
 class _CountTable(tuple):
@@ -387,13 +371,13 @@ def _rule(rule_type: type, *args) -> FusionRule:
     return rule_type(*args)
 
 
-def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
+def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
     """One level of fusion by a count rule, table[s] = P(output 1 | s ones).
 
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
-    to the outgoing miss: under H1, s ones are m - s draws of beta.  A
-    rule's table brings its runs; a bare tuple of entries has them found.
+    to the outgoing miss: under H1, s ones are m - s draws of beta.  The
+    runs are the ones the table carries.
     """
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
@@ -401,10 +385,7 @@ def _table_step(pair: ErrorPair, table: tuple) -> ErrorPair:
         # rather than re-rounded through logs
         return pair
     m = len(table) - 1
-    try:
-        runs = table.runs
-    except AttributeError:
-        runs = _CountTable(table).runs
+    runs = table.runs
     if len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0:
         # a threshold table, decide 1 from k ones on: one tail per side
         k = runs[1][0]
@@ -457,8 +438,6 @@ def apply_rule(pair: ErrorPair, rule: FusionRule) -> ErrorPair:
         return _table_step(pair, rule.table(pair))
     if isinstance(rule, BayesianLRT):
         return lrt_step(pair, rule.priors, rule.m)
-    if isinstance(rule, Summation):
-        raise ValueError("summation passes counts upward; it has no binary step")
     raise TypeError(f"not a fusion rule: {rule!r}")
 
 

@@ -4,7 +4,8 @@
 message-passing tree: leaves draw Bernoulli bits under the chosen
 hypothesis, interior nodes either forward the count of ones below them
 or decide by their rule's table P(1 | count), and the root's mistakes
-are counted and scored against the closed form.
+are counted and scored against the closed form of the reduced (m^k0, 2)
+tree.  A `SimConfig` names only the deciding rules, one per k0-th level.
 
 Randomness is counter-based: node j (leaves first, then each level in
 turn) has the Philox stream keyed by (seed, j), and trial i reads double
@@ -48,8 +49,8 @@ from functools import reduce
 
 import numpy as np
 
-from .alphabet import TreeSpec, alphabet_schedule
-from .kernel import ErrorPair, Priors, Summation, propagate
+from .alphabet import TreeSpec, equivalent_tree
+from .kernel import ErrorPair, Priors, propagate
 
 __all__ = [
     "Hypothesis",
@@ -82,10 +83,9 @@ class Hypothesis(enum.Enum):
 class SimConfig:
     """One simulation request.
 
-    The schedule names one rule per level, bottom up, and must be the
-    one `alphabet_schedule` builds from its deciding rules: for d > 2 the
-    non-deciding levels are Summation and every k0-th level carries a
-    binary rule over the accumulated count, fan-in m^k0.
+    The schedule names the deciding rules, bottom up: one at every k0-th
+    level, each of fan-in m^k0 over the count of ones below it, i.e. the
+    reduced (m^k0, 2) tree's schedule.  The levels between forward counts.
     """
 
     spec: TreeSpec
@@ -101,24 +101,19 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a uint64, got {self.seed}")
-        if len(self.schedule) != self.spec.height:
+        reduced = equivalent_tree(self.spec)
+        k0 = self.spec.k0
+        if len(self.schedule) != reduced.height:
             raise ValueError(
                 f"schedule has {len(self.schedule)} rules for height "
-                f"{self.spec.height}"
+                f"{self.spec.height}; k0={k0} needs {reduced.height}, one per deciding level"
             )
-        want = tuple(alphabet_schedule(self.spec, self.boundary_rules))
-        if self.schedule != want:
-            level = next(k for k, (got, need) in enumerate(zip(self.schedule, want), 1)
-                         if got != need)
-            raise ValueError(
-                f"level {level} must be a Summation of fan-in {self.spec.m} "
-                f"for alphabet d={self.spec.d} (k0={self.spec.k0})"
-            )
-
-    @property
-    def boundary_rules(self) -> tuple:
-        """The deciding rules, i.e. the schedule of the reduced binary tree."""
-        return self.schedule[self.spec.k0 - 1::self.spec.k0]
+        for i, rule in enumerate(self.schedule, 1):
+            rule_m = getattr(rule, "m", None)
+            if rule_m != reduced.m:
+                raise ValueError(
+                    f"rule at level {i * k0} must have fan-in m^k0 = {reduced.m}, got {rule_m}"
+                )
 
 
 @dataclass(frozen=True)
@@ -230,14 +225,13 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
     else:
         p_one = -math.expm1(config.leaf_pair.beta.value)  # 1 - beta, stable
 
-    below = iter(pairs)
-    decisions = [None if isinstance(rule, Summation) else rule.table(next(below)).runs
-                 for rule in config.schedule]
+    k0 = spec.k0
+    decisions = [rule.table(pair).runs for rule, pair in zip(config.schedule, pairs)]
 
     # node uids: leaves first, then each level in order
     level_uid_base = [0]
     width = n_leaves
-    for _ in config.schedule:
+    for _ in range(spec.height):
         level_uid_base.append(level_uid_base[-1] + width)
         width //= m
 
@@ -267,15 +261,16 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
             for j in range(n_leaves):
                 np.less(streams.fill(j, start, uc), p_one, out=values[j])
             width = n_leaves
-            for level, decision in enumerate(decisions, start=1):
+            for level in range(1, spec.height + 1):
                 nodes = width // m
                 if values.dtype == bool:
                     values = values.view(np.uint8)  # bits sum as bytes, no cast
                 counts = values.reshape(nodes, m, cs).sum(axis=1, dtype=count_dtype)
-                if decision is None:
+                if level % k0:
                     values = counts
                 else:
-                    values = _decide(counts, decision, streams, level_uid_base[level], start, uc)
+                    values = _decide(counts, decisions[level // k0 - 1], streams,
+                                     level_uid_base[level], start, uc)
                 width = nodes
             ones += int(np.count_nonzero(values))
             start += cs
@@ -329,7 +324,7 @@ def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET) -> C
     is zero the z-score is 0 for exact agreement and +/-inf otherwise.
     """
     _check_budget(config.spec, config.trials, budget)
-    pairs = propagate(config.leaf_pair, config.boundary_rules, Priors.equal()).pairs
+    pairs = propagate(config.leaf_pair, config.schedule, Priors.equal()).pairs
     result = _run(config, pairs)
     pair = pairs[-1]
     analytic = (

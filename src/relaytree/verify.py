@@ -554,11 +554,11 @@ def check_sim_agreement() -> list:
 def check_alphabet_equivalence_sim() -> list:
     """Count-forwarding trees behave like their reduced binary twins."""
     fails = []
-    # frozen example: m=2, d=5 gives k0=3, one boundary over 8 leaves,
+    # frozen example: m=2, d=5 gives k0=3, one decision over 8 leaves,
     # ties to 1 there, so alpha_root = upper tail from 4 of Binom(8, 0.1)
     spec = alph.TreeSpec(2, 3, 5)
-    sched = alph.alphabet_schedule(spec, [AlternatingMajority(8, TiePhase.TIES_TO_ONE)])
-    cfg = SimConfig(spec, tuple(sched), _pair(0.1, 0.1), _TRIALS, 4242, Hypothesis.H0)
+    rules = [AlternatingMajority(8, TiePhase.TIES_TO_ONE)]
+    cfg = SimConfig(spec, rules, _pair(0.1, 0.1), _TRIALS, 4242, Hypothesis.H0)
     rep = compare_to_analytic(cfg)
     analytic = binom_tail(8, 4, 8, LogProb.from_linear(0.1)).linear
     if not math.isclose(rep.analytic, analytic, rel_tol=1e-12):
@@ -574,15 +574,14 @@ def check_alphabet_equivalence_sim() -> list:
     for m, d, h, a0 in ((2, 3, 4, 0.3), (3, 10, 3, 0.3)):
         spec = alph.TreeSpec(m, h, d)
         red_spec = alph.equivalent_tree(spec)
-        boundary = [majority_rule(red_spec.m, 0.5)] * red_spec.height
-        sched = alph.alphabet_schedule(spec, boundary)
+        rules = [majority_rule(red_spec.m, 0.5)] * red_spec.height
         for hyp in (Hypothesis.H0, Hypothesis.H1):
             rep = compare_to_analytic(
-                SimConfig(spec, tuple(sched), _pair(a0, a0), _TRIALS, 99, hyp)
+                SimConfig(spec, rules, _pair(a0, a0), _TRIALS, 99, hyp)
             )
             full, p = rep.result, rep.analytic
             red = compare_to_analytic(
-                SimConfig(red_spec, tuple(boundary), _pair(a0, a0), _TRIALS, 100, hyp)
+                SimConfig(red_spec, rules, _pair(a0, a0), _TRIALS, 100, hyp)
             ).result
             sd = math.sqrt(max(p * (1 - p), 1e-30) / _TRIALS)
             if abs(full.estimate - red.estimate) > 3 * math.sqrt(2) * sd:

@@ -15,7 +15,8 @@ from relaytree.alphabet import (
     rates_from_k0,
 )
 from relaytree.bounds import RateKind, exponent
-from relaytree.kernel import AlternatingMajority, MajorityEven, MajorityOdd, Summation
+from relaytree.kernel import ErrorPair, MajorityEven, MajorityOdd
+from relaytree.simulate import Hypothesis, SimConfig
 
 
 class TestK0:
@@ -173,36 +174,27 @@ class TestAvgBits:
             avg_bits(1000, 103)
 
 
-class TestAlphabetSchedule:
-    def test_structure(self):
-        spec = TreeSpec(2, 6, 3)  # k0 = 2
-        rules = [MajorityEven(4), MajorityEven(4), AlternatingMajority(4)]
-        sched = alphabet_schedule(spec, rules)
-        assert len(sched) == 6
-        assert sched[0] == Summation(2)
-        assert sched[1] == MajorityEven(4)
-        assert sched[4] == Summation(2)
-        assert sched[5] == AlternatingMajority(4)
+def sim_config(spec, rules):
+    """A SimConfig of the deciding rules, given as bench/ gives them."""
+    return SimConfig(spec, alphabet_schedule(spec, rules),
+                     ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0)
 
+
+class TestAlphabetSchedule:
     def test_rejects_wrong_rule_count(self):
         spec = TreeSpec(2, 6, 3)
-        with pytest.raises(ValueError, match="3 boundary rules"):
-            alphabet_schedule(spec, [MajorityEven(4)])
+        with pytest.raises(ValueError, match="schedule has 1 rules for height 6; k0=2 needs 3"):
+            sim_config(spec, [MajorityEven(4)])
 
     def test_rejects_wrong_fanin(self):
         spec = TreeSpec(2, 2, 3)
         with pytest.raises(ValueError, match="fan-in"):
-            alphabet_schedule(spec, [MajorityEven(2)])
-
-    def test_rejects_summation_at_boundary(self):
-        spec = TreeSpec(2, 2, 3)
-        with pytest.raises(ValueError):
-            alphabet_schedule(spec, [Summation(4)])
+            sim_config(spec, [MajorityEven(2)])
 
     def test_rejects_partial_block(self):
         spec = TreeSpec(2, 3, 3)
         with pytest.raises(ValueError, match="remainder"):
-            alphabet_schedule(spec, [MajorityEven(4)])
+            sim_config(spec, [MajorityEven(4)])
 
     def test_binary_tree_needs_no_summation(self):
         spec = TreeSpec(3, 2, 2)

@@ -519,6 +519,7 @@ SAMPLESIZE = ["samplesize", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1",
     (["alphabet", "--m", "2", "--k0-max", "3"], "--k0-max", "0"),
     (["exponents", "--m-min", "2", "--m-max", "4"], "--m-min", "1"),
     (["exponents", "--m-min", "2", "--m-max", "4"], "--m-max", "65"),
+    (SIMULATE, "--budget", "0"),
 ])
 def test_out_of_domain_number_is_refused(capsys, argv, flag, value):
     # argparse checks every occurrence of a flag, so the appended one is read
@@ -584,7 +585,7 @@ class TestSimulate:
             raise AssertionError("per-level work before the budget check")
 
         monkeypatch.setattr(cli, "_rule_schedule", per_level)
-        monkeypatch.setattr(cli, "alphabet_schedule", per_level)
+        monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run([
             "simulate", "--m", "2", "--height", "1000000000", "--alpha0", "0.1",
             "--beta0", "0.1", "--trials", "1", "--seed", "1",

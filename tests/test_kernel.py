@@ -19,7 +19,6 @@ from relaytree.kernel import (
     MajorityEven,
     MajorityOdd,
     Priors,
-    Summation,
     TiePhase,
     alternating_phases,
     apply_rule,
@@ -413,8 +412,6 @@ class TestRuleTypes:
             MajorityEven(4, tie_prob=0.0)  # type keeps the open interval
         with pytest.raises(ValueError):
             BayesianLRT(3, Priors(1.0, 0.0))
-        with pytest.raises(ValueError):
-            Summation(1)
 
     def test_majority_rule_dispatch(self):
         assert majority_rule(5) == MajorityOdd(5)
@@ -435,10 +432,6 @@ class TestRuleTypes:
             TiePhase.TIES_TO_ONE,
         ]
         assert TiePhase.TIES_TO_ONE.flipped() is TiePhase.TIES_TO_ZERO
-
-    def test_apply_rule_rejects_summation(self):
-        with pytest.raises(ValueError):
-            apply_rule(pair(0.1, 0.1), Summation(3))
 
     def test_apply_rule_rejects_a_non_rule(self):
         rule = object()
@@ -786,6 +779,8 @@ class TestPropagate:
         assert calls == ["lrt_step"] * 3
 
     def test_summation_in_schedule_names_the_level(self):
-        sched = [MajorityOdd(3), Summation(3)]
+        # a level that cannot step its pair is named: here beta = 0 survives
+        # the majority level, and the ratio rule refuses it one level up
+        sched = [MajorityOdd(3), BayesianLRT(3, Priors.equal())]
         with pytest.raises(ValueError, match="level 2"):
-            propagate(pair(0.1, 0.1), sched, Priors.equal())
+            propagate(pair(0.2, 0.0), sched, Priors.equal())

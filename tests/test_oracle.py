@@ -444,8 +444,8 @@ def test_lrt_beats_every_count_rule():
 
 
 @pytest.mark.parametrize("wrong", [
-    lambda real, rule, p: real(rule, p)[1:] + (1.0,),  # decides 1 one count early
-    lambda real, rule, p: majority_rule(rule.m).table(p),
+    lambda real, rule, p: _CountTable(real(rule, p)[1:] + (1.0,)),  # decides 1 one count early
+    lambda real, rule, p: _CountTable(majority_rule(rule.m).table(p)),
 ], ids=["one-count-early", "fair-majority"])
 def test_count_rule_check_sees_a_wrong_lrt_table(monkeypatch, wrong):
     real = BayesianLRT.table

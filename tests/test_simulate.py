@@ -22,7 +22,6 @@ from relaytree.kernel import (
     MajorityEven,
     MajorityOdd,
     Priors,
-    Summation,
     alternating_phases,
     apply_rule,
 )
@@ -65,51 +64,62 @@ class TestSimConfig:
                 seed=1,
                 hypothesis=Hypothesis.H0,
             )
+        # one rule per k0-th level: a rule for every level is refused
+        with pytest.raises(ValueError, match="schedule has 4 rules for height 4; k0=2 needs 2"):
+            SimConfig(
+                TreeSpec(2, 4, 3),
+                [MajorityEven(4)] * 4,
+                ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
+            )
 
     def test_alphabet_structure_enforced(self):
         spec = TreeSpec(2, 2, 3)  # k0 = 2: level 1 sums, level 2 decides
-        good = [Summation(2), MajorityEven(4)]
-        SimConfig(spec, good, ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0)
-        with pytest.raises(ValueError, match="must decide"):
-            SimConfig(
-                spec,
-                [Summation(2), Summation(4)],
-                ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
-            )
-        with pytest.raises(ValueError, match="must be a Summation"):
-            SimConfig(
-                spec,
-                [MajorityEven(2), MajorityEven(4)],
-                ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
-            )
+        SimConfig(spec, [MajorityEven(4)], ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0)
         with pytest.raises(ValueError, match="fan-in"):
             SimConfig(
                 spec,
-                [Summation(2), MajorityEven(2)],
+                [MajorityEven(2)],
                 ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
             )
-        with pytest.raises(ValueError, match="level 1 must be a Summation of fan-in 2"):
+        # a wrong fan-in is named by its tree level, and a non-rule has none
+        with pytest.raises(ValueError, match=r"level 4 must have fan-in m\^k0 = 4, got 2"):
             SimConfig(
-                spec,
-                [Summation(5), MajorityEven(4)],
+                TreeSpec(2, 4, 3),
+                [MajorityEven(4), MajorityEven(2)],
                 ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
             )
+        with pytest.raises(ValueError, match=r"level 1 must have fan-in m\^k0 = 3, got None"):
+            binary_config(3, 2, object())
         with pytest.raises(ValueError, match="multiple"):
             SimConfig(
                 TreeSpec(2, 3, 3),
-                [Summation(2), MajorityEven(4), Summation(2)],
+                [MajorityEven(4)],
                 ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
             )
 
     def test_boundary_rules(self):
         spec = TreeSpec(2, 4, 3)
         rules = [MajorityEven(4), AlternatingMajority(4)]
-        config = SimConfig(
-            spec,
-            alphabet_schedule(spec, rules),
-            ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0,
-        )
-        assert config.boundary_rules == tuple(rules)
+        config = SimConfig(spec, rules, ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0)
+        assert config.schedule == tuple(rules)
+
+    def test_decides_only_at_every_k0th_level(self, monkeypatch):
+        # k0 = 2 over height 4: levels 1 and 3 sum counts, and only the 4
+        # level-2 nodes and the root decide, once each per chunk
+        real = simulate_module._decide
+        seen = []
+
+        def spy(counts, runs, streams, uid_base, start, u):
+            seen.append((uid_base, counts.shape[0]))
+            return real(counts, runs, streams, uid_base, start, u)
+
+        monkeypatch.setattr(simulate_module, "_decide", spy)
+        monkeypatch.setattr(simulate_module, "_CHUNK_SAMPLES", 16 * 100)
+        config = SimConfig(TreeSpec(2, 4, 3), [MajorityEven(4)] * 2,
+                           ErrorPair.from_linear(0.4, 0.4), 1000, 5, Hypothesis.H0)
+        compare_to_analytic(config)
+        # node uids: 16 leaves, then 8, 4, 2 and 1 nodes per level
+        assert seen == [(16 + 8, 4), (16 + 8 + 4 + 2, 1)] * 10
 
 
 def pinned_config(spec, schedule, a, b, trials, seed, hyp):
