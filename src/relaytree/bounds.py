@@ -120,10 +120,13 @@ def _out_of_range(m: int, k: int) -> ValueError:
     return ValueError(f"level {k}: bound factor for m={m} exceeds double range")
 
 
-def _scaled(factor: float, bits: float, m: int, k: int) -> float:
-    """factor * bits, refused like a factor past double range when the
-    product is: a bound column never reads inf."""
-    value = factor * bits
+def _scaled(factor: int, bits: float, m: int, k: int) -> float:
+    """factor * bits, the exact factor rounded as float() rounds it,
+    refused past double range: a bound column never reads inf."""
+    try:
+        value = factor * bits
+    except OverflowError:  # the factor is past 2^1024
+        value = math.inf
     if not math.isfinite(value):
         raise _out_of_range(m, k)
     return value
@@ -242,11 +245,7 @@ def _by_level(terms: tuple, m: int, strategy: RateKind, k: int = 0):
         if k % period:
             yield ()
             continue
-        try:
-            f = float(factor)
-        except OverflowError:
-            raise _out_of_range(m, k) from None
-        yield tuple([_scaled(f, bits, m, k) for bits in terms])
+        yield tuple([_scaled(factor, bits, m, k) for bits in terms])
         factor *= base
 
 
@@ -314,7 +313,7 @@ def sample_size(m: int, alpha0: float, beta0: float, epsilon: float) -> SampleSi
             f"log2(1/max) = {min(bits_a, bits_b):.6g} <= m - log2(m + 1) "
             f"<= log2(c) for m={m}"
         )
-    log2_c = math.log2(math.comb(m, lam))
+    log2_c = _log2_c(m)
     headroom = min(bits_a, bits_b) - log2_c
     if headroom <= 0.0:
         raise BoundInapplicableError(

@@ -30,20 +30,18 @@ from .kernel import (
     alternating_phases,
     majority_rule,
     propagate,
+    total_error,
 )
 from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, _check_budget, compare_to_analytic
 from .verify import SUITES, run_suites
 
 __all__ = ["run", "main"]
 
-# Most (levels + 1) x (m + 1) count terms a recurse trace may take.  Its
-# costliest corners on a 2-vCPU Xeon: m=149,999 at one level, 6.3-6.4 s
-# and 38 MB peak RSS, and m=2 at 99,999 levels, 1.2-1.5 s and 59 MB.
+# Most (levels + 1) x (m + 1) count terms a recurse trace, or the deciding
+# tree of a simulate run, may take.  Its costliest corners on a 2-vCPU
+# Xeon: m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
+# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 6.1 s.
 RECURSE_WORK_LIMIT = 300_000
-
-
-class UsageError(ValueError):
-    """Bad flag combination or value; maps to exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -95,32 +93,32 @@ def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
     flag compatibility."""
     if args.rule == "majority":
         if args.phase is not None:
-            raise UsageError("--phase conflicts with --rule majority; "
+            raise ValueError("--phase conflicts with --rule majority; "
                              "it selects the alternating tie direction")
         if args.pb is not None:
             if m % 2 == 1:
-                raise UsageError(f"--pb conflicts with odd deciding fan-in {m}; "
+                raise ValueError(f"--pb conflicts with odd deciding fan-in {m}; "
                                  "ties need an even fan-in")
             if not 0.0 < args.pb < 1.0:
-                raise UsageError(f"--pb must be inside (0, 1), got {args.pb}; "
+                raise ValueError(f"--pb must be inside (0, 1), got {args.pb}; "
                                  "for deterministic ties use --rule alternating")
         return [majority_rule(m, 0.5 if args.pb is None else args.pb)] * levels
     if args.rule == "alternating":
         if args.pb is not None:
-            raise UsageError("--pb conflicts with --rule alternating; "
+            raise ValueError("--pb conflicts with --rule alternating; "
                              "its tie direction is deterministic")
         if m % 2 == 1:
-            raise UsageError(
+            raise ValueError(
                 f"--rule alternating conflicts with odd deciding fan-in {m}")
         first = TiePhase(args.phase or "one")
         return [AlternatingMajority(m, ph) for ph in alternating_phases(levels, first)]
     # likelihood-ratio rule
     if args.pb is not None:
-        raise UsageError("--pb conflicts with --rule lrt; the test has no ties")
+        raise ValueError("--pb conflicts with --rule lrt; the test has no ties")
     if args.phase is not None:
-        raise UsageError("--phase conflicts with --rule lrt")
+        raise ValueError("--phase conflicts with --rule lrt")
     if not 0.0 < priors.pi0 < 1.0:
-        raise UsageError(f"--rule lrt needs 0 < --pi0 < 1, got {priors.pi0}")
+        raise ValueError(f"--rule lrt needs 0 < --pi0 < 1, got {priors.pi0}")
     return [BayesianLRT(m, priors)] * levels
 
 
@@ -147,7 +145,7 @@ _LN2 = math.log(2.0)
 def _bound_cells(args, priors: Priors, leaf_total: float):
     """The thm_lower and thm_upper cells of levels 0, 1, 2, ...: what
     total_bounds or lrt_lower_bound gives there, from leaf terms taken
-    once per trace; a level's refusal is raised when the rows reach it."""
+    once per trace; a level's refusal is raised when it is reached."""
     m, rate = args.m, bounds.RateKind
     if args.rule == "lrt":
         return bounds._by_level((bounds._lrt_term(leaf_total, priors, m),), m,
@@ -168,18 +166,27 @@ def _bound_cells(args, priors: Priors, leaf_total: float):
 def _cmd_recurse(args) -> int:
     m = args.m
     if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
-        raise UsageError(
+        raise ValueError(
             f"--levels {args.levels} with --m {m} exceeds the work limit: "
             f"(levels + 1) x (m + 1) must be at most {RECURSE_WORK_LIMIT}"
         )
     priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = _rule_schedule(args, m, args.levels, priors)
-    trace = propagate(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
-    cells = _bound_cells(args, priors, trace.totals[0].linear)
+    leaf = ErrorPair.from_linear(args.alpha0, args.beta0)
+    # the bound cells need no trace: take them up to the first refused level
+    # K, run the trace below K only, and raise K's refusal after those rows
+    # pass their own checks
+    bounds_by_level = _bound_cells(args, priors, total_error(leaf, priors).linear)
+    cells, refusal = [], None
+    try:
+        for bound in itertools.islice(bounds_by_level, args.levels + 1):
+            cells.append(bound)
+    except ValueError as err:
+        refusal = err
+    trace = propagate(leaf, schedule[:len(cells) - 1], priors)
 
     lines = []
-    for k, (pair, tot) in enumerate(zip(trace.pairs, trace.totals)):
-        bound = next(cells)  # a bound refusal comes before the row's overflow check
+    for k, (pair, tot, bound) in enumerate(zip(trace.pairs, trace.totals, cells)):
         # each log read once: the columns are LogProb.linear and .log2_inverse
         la, lb, lt = pair.alpha.value, pair.beta.value, tot.value
         logs = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
@@ -189,6 +196,8 @@ def _cmd_recurse(args) -> int:
             table = schedule[k - 1].table(trace.pairs[k - 1])
             _refuse_overflow(k, (pair.alpha, pair.beta, tot), table)
         lines.append(_RECURSE_ROWS[len(bound)] % (k, math.exp(la), math.exp(lb), *logs, *bound))
+    if refusal is not None:
+        raise refusal
     _emit_lines(
         [
             "level",
@@ -210,6 +219,12 @@ def _cmd_simulate(args) -> int:
     spec = TreeSpec(args.m, args.height, args.d)
     _check_budget(spec, args.trials, args.budget)  # before any per-level list
     reduced = equivalent_tree(spec)
+    if (reduced.height + 1) * (reduced.m + 1) > RECURSE_WORK_LIMIT:
+        fan_in = f"; its deciding fan-in is m^k0 = {reduced.m}" if args.d > 2 else ""
+        raise ValueError(
+            f"--m {args.m} with --height {args.height} exceeds the work limit: "
+            f"(height / k0 + 1) x (m^k0 + 1) must be at most {RECURSE_WORK_LIMIT}{fan_in}"
+        )
     config = SimConfig(
         spec=spec,
         schedule=_rule_schedule(args, reduced.m, reduced.height, priors),
@@ -241,7 +256,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exponents(args) -> int:
     if args.m_min > args.m_max:
-        raise UsageError(f"need --m-min <= --m-max, got ({args.m_min}, {args.m_max})")
+        raise ValueError(f"need --m-min <= --m-max, got ({args.m_min}, {args.m_max})")
     rows = [
         [r.m, r.majority_random, r.alternating, r.upper_bound]
         for r in bounds.exponent_table(range(args.m_min, args.m_max + 1))
@@ -253,14 +268,14 @@ def _cmd_exponents(args) -> int:
 def _cmd_alphabet(args) -> int:
     if args.k0_max is not None:
         if args.d is not None:
-            raise UsageError(
+            raise ValueError(
                 "--d conflicts with --k0-max: the sweep ranges over "
                 "counting depths directly"
             )
         k0_values = range(1, args.k0_max + 1)
     else:
         if args.d is None:
-            raise UsageError("alphabet needs --d (single row) or --k0-max (sweep)")
+            raise ValueError("alphabet needs --d (single row) or --k0-max (sweep)")
         k0_values = [k0_of(args.m, args.d)]
     lo, hi = bits_bounds(args.m)
     rows = []
@@ -362,7 +377,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as err:
-        # UsageError, and domain rejections (vacuous bounds, bad shapes) too
+        # flag conflicts, and domain rejections (vacuous bounds, bad shapes) too
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -364,13 +364,6 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     return LogProb(log_sum_exp(near, far=s_hi - s_lo + 1 - len(near)))
 
 
-@functools.lru_cache(maxsize=64)
-def _rule(rule_type: type, *args) -> FusionRule:
-    """The rule rule_type(*args), built and checked once per argument
-    tuple; a failed check is not cached."""
-    return rule_type(*args)
-
-
 def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
     """One level of fusion by a count rule, table[s] = P(output 1 | s ones).
 
@@ -413,7 +406,7 @@ def majority_step_odd(pair: ErrorPair, m: int) -> ErrorPair:
     The outgoing false alarm is the upper tail P(Binom(m, alpha) >= (m+1)/2),
     and symmetrically for the miss.
     """
-    return _table_step(pair, _rule(MajorityOdd, m).table(pair))
+    return _table_step(pair, MajorityOdd(m).table(pair))
 
 
 def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
@@ -423,7 +416,7 @@ def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     outgoing alpha sums Binom(m, alpha) over counts deciding H1, outgoing
     beta sums Binom(m, 1-beta) over counts deciding H0.
     """
-    return _table_step(pair, _rule(BayesianLRT, m, priors).table(pair))
+    return _table_step(pair, BayesianLRT(m, priors).table(pair))
 
 
 def apply_rule(pair: ErrorPair, rule: FusionRule) -> ErrorPair:

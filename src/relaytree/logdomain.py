@@ -55,10 +55,6 @@ def log_sum_exp(terms, far: int = 0) -> float:
     m = max(terms)
     if m == LOG_ZERO:
         return LOG_ZERO
-    if len(terms) == 1:
-        # every other term is far: the fsum is exactly -far and the log1p
-        # argument exactly 0.0, which turns a max of -0.0 into 0.0
-        return m + 0.0
     # sum of expm1 keeps full precision for terms close to the max
     if len(terms) == 2 and not far:
         # one addition is already exactly rounded, so it equals the fsum

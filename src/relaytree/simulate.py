@@ -228,13 +228,6 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
     k0 = spec.k0
     decisions = [rule.table(pair).runs for rule, pair in zip(config.schedule, pairs)]
 
-    # node uids: leaves first, then each level in order
-    level_uid_base = [0]
-    width = n_leaves
-    for _ in range(spec.height):
-        level_uid_base.append(level_uid_base[-1] + width)
-        width //= m
-
     # a count never exceeds m**k0, the fan-in of a deciding level
     count_dtype = np.min_scalar_type(m**spec.k0)
 
@@ -260,7 +253,7 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
             values = leaf_bits[:, :cs]
             for j in range(n_leaves):
                 np.less(streams.fill(j, start, uc), p_one, out=values[j])
-            width = n_leaves
+            uid = width = n_leaves  # node uids: leaves first, then each level
             for level in range(1, spec.height + 1):
                 nodes = width // m
                 if values.dtype == bool:
@@ -270,7 +263,8 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
                     values = counts
                 else:
                     values = _decide(counts, decisions[level // k0 - 1], streams,
-                                     level_uid_base[level], start, uc)
+                                     uid, start, uc)
+                uid += nodes
                 width = nodes
             ones += int(np.count_nonzero(values))
             start += cs

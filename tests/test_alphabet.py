@@ -6,7 +6,6 @@ import pytest
 
 from relaytree.alphabet import (
     TreeSpec,
-    alphabet_schedule,
     avg_bits,
     bits_bounds,
     equivalent_tree,
@@ -175,8 +174,8 @@ class TestAvgBits:
 
 
 def sim_config(spec, rules):
-    """A SimConfig of the deciding rules, given as bench/ gives them."""
-    return SimConfig(spec, alphabet_schedule(spec, rules),
+    """A SimConfig of the deciding rules, one per k0-th level."""
+    return SimConfig(spec, rules,
                      ErrorPair.from_linear(0.1, 0.1), 10, 1, Hypothesis.H0)
 
 
@@ -198,5 +197,5 @@ class TestAlphabetSchedule:
 
     def test_binary_tree_needs_no_summation(self):
         spec = TreeSpec(3, 2, 2)
-        sched = alphabet_schedule(spec, [MajorityOdd(3), MajorityOdd(3)])
-        assert sched == [MajorityOdd(3), MajorityOdd(3)]
+        sched = sim_config(spec, [MajorityOdd(3), MajorityOdd(3)]).schedule
+        assert sched == (MajorityOdd(3), MajorityOdd(3))

@@ -480,6 +480,35 @@ class TestLog2InverseOverflow:
         assert rows[-1] == ["791", "0", "0", "6.93359037818e+307", "7.67613936407e+307",
                             "6.93359037818e+307", "-2.40673243063e+238", ""]
 
+    def test_first_refused_level_wins(self, capsys):
+        # the bound refusal at level 1023 is found before the trace, which
+        # stops below it; a step refusal at level 1024 and the overflow of
+        # level 1022 lie either side, and the lower level is named, as with
+        # --levels 1022
+        argv = ["recurse", "--m", "3", "--rule", "lrt", "--alpha0", "0.01", "--beta0", "0.01"]
+        for levels in ("1100", "1022"):
+            assert cli.run([*argv, "--levels", levels]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: level 1022: alpha_log2inv exceeds double range\n"
+
+    def test_trace_stops_below_the_first_refused_bound_level(self, capsys, monkeypatch):
+        # the bound factor for m = 3 leaves double range at level 1023
+        real, steps = cli.propagate, []
+
+        def spy(pair0, schedule, priors):
+            steps.append(len(schedule))
+            return real(pair0, schedule, priors)
+
+        monkeypatch.setattr(cli, "propagate", spy)
+        code = cli.run(["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.2",
+                        "--levels", "74999"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: level 1023: bound factor for m=3 exceeds double range\n"
+        assert steps == [1022]  # levels 1..1022, none at or past 1023
+
     def test_exact_lrt_zero_prints_inf(self, capsys):
         # pi0 = 0.9 makes the table decide 0 at every count: alpha' = 0
         # and beta' = 1 exactly, and beta's bits print as 0, not -0
@@ -592,6 +621,40 @@ class TestSimulate:
         ])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, needles", [
+        # every exact C(300000, s) would take over 20 s to build
+        (["--m", "300000", "--height", "1"], ("--m 300000", "--height 1", "at most 300000")),
+        # --d 700 sums counts for k0 = 2 levels: one decision over 600^2 counts
+        (["--m", "600", "--height", "2", "--d", "700"], ("--m 600", "m^k0 = 360000")),
+    ])
+    def test_wide_fan_in_refused_before_any_per_level_work(
+        self, capsys, monkeypatch, flags, needles
+    ):
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level work before the work check")
+
+        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "SimConfig", per_level)
+        code = cli.run(["simulate", *flags, "--alpha0", "0.1", "--beta0", "0.2",
+                        "--trials", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "work limit" in err
+        assert ("m^k0 =" in err) == ("--d" in flags)
+        for needle in needles:
+            assert needle in err
+
+    def test_work_limit_is_inclusive(self, capsys, monkeypatch):
+        # (height + 1) x (m + 1) = 3 x 5 at m = 4, height 2
+        argv = ["simulate", "--m", "4", "--height", "2", "--alpha0", "0.1",
+                "--beta0", "0.1", "--trials", "10", "--seed", "1"]
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 5)
+        assert cli.run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 5 - 1)
+        assert cli.run(argv) == 2
+        assert "work limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, needles", [
         (["--pb", "0.3"], ("--pb", "odd")),

@@ -23,9 +23,7 @@ from relaytree.kernel import (
     alternating_phases,
     apply_rule,
     binom_tail,
-    lrt_step,
     majority_rule,
-    majority_step_odd,
     propagate,
     total_error,
 )
@@ -354,13 +352,13 @@ class TestErrorPairAndPriors:
 
 class TestMajoritySteps:
     def test_odd_m3(self):
-        out = majority_step_odd(pair(0.1, 0.2), 3)
+        out = apply_rule(pair(0.1, 0.2), MajorityOdd(3))
         assert out.alpha_linear == pytest.approx(3 * 0.01 * 0.9 + 0.001, rel=1e-14, abs=0)
         assert out.beta_linear == pytest.approx(3 * 0.04 * 0.8 + 0.008, rel=1e-14, abs=0)
 
     def test_odd_rejects_even_m(self):
         with pytest.raises(ValueError):
-            majority_step_odd(pair(0.1, 0.1), 4)
+            apply_rule(pair(0.1, 0.1), MajorityOdd(4))
 
     def test_even_m2_fair_coin_is_identity(self):
         p = pair(0.1, 0.2)
@@ -396,7 +394,7 @@ class TestMajoritySteps:
         want = sum(
             math.comb(m, s) * fa**s * (1 - fa) ** (m - s) for s in range(half, m + 1)
         )
-        got = majority_step_odd(pair(a, b), m)
+        got = apply_rule(pair(a, b), MajorityOdd(m))
         assert got.alpha_linear == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
@@ -526,9 +524,9 @@ class TestLRT:
     def test_rejects_boundary_pairs(self):
         # ratio is 0 or infinite once a probability hits 0 or 1
         with pytest.raises(ValueError):
-            lrt_step(pair(0.0, 0.2), Priors.equal(), 3)
+            apply_rule(pair(0.0, 0.2), BayesianLRT(3, Priors.equal()))
         with pytest.raises(ValueError):
-            lrt_step(pair(0.1, 1.0), Priors.equal(), 3)
+            apply_rule(pair(0.1, 1.0), BayesianLRT(3, Priors.equal()))
 
     def test_frozen_m3_step(self):
         # one fired child already decides 1: alpha' = 1 - 0.99^3, beta' = 0.3^3
@@ -546,13 +544,13 @@ class TestLRT:
 
     def test_uninformative_pair_decides_one_everywhere(self):
         # alpha = beta = 1/2 makes every count an exact tie
-        out = lrt_step(pair(0.5, 0.5), Priors.equal(), 3)
+        out = apply_rule(pair(0.5, 0.5), BayesianLRT(3, Priors.equal()))
         assert out.alpha_linear == pytest.approx(1.0, rel=1e-15, abs=0)
         assert out.beta_linear == 0.0
 
     def test_requires_positive_priors(self):
         with pytest.raises(ValueError):
-            lrt_step(pair(0.1, 0.2), Priors(0.0, 1.0), 3)
+            apply_rule(pair(0.1, 0.2), BayesianLRT(3, Priors(0.0, 1.0)))
 
     @given(lrt_cases())
     @example((math.log(0.2), math.log(0.2), 0.5, 4))  # exact tie at s = 2
@@ -589,8 +587,8 @@ class TestLRT:
             BayesianLRT(4, Priors.equal()).table(ErrorPair(LogProb(-1e308), LogProb(-1e308)))
 
     def test_equals_majority_when_symmetric(self):
-        got = lrt_step(pair(0.2, 0.2), Priors.equal(), 5)
-        want = majority_step_odd(pair(0.2, 0.2), 5)
+        got = apply_rule(pair(0.2, 0.2), BayesianLRT(5, Priors.equal()))
+        want = apply_rule(pair(0.2, 0.2), MajorityOdd(5))
         assert got.alpha.value == want.alpha.value
         assert got.beta.value == want.beta.value
 

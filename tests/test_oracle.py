@@ -26,9 +26,7 @@ from relaytree.kernel import (
     _CountTable,
     _table_step,
     apply_rule,
-    lrt_step,
     majority_rule,
-    majority_step_odd,
 )
 from relaytree.oracle import (
     VectorRule,
@@ -63,7 +61,7 @@ def test_enumerate_matches_hand_m2():
 def test_enumerate_matches_kernel_odd():
     for m in (3, 5, 7):
         got = enumerate_step(pair(0.13, 0.31), m, majority_vector_rule(m))
-        want = majority_step_odd(pair(0.13, 0.31), m)
+        want = apply_rule(pair(0.13, 0.31), MajorityOdd(m))
         assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
         assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
 
@@ -329,7 +327,7 @@ def test_optimal_never_loses_to_majority():
 @settings(max_examples=150)
 def test_lrt_equals_optimal(a, b, m, prior_pair):
     priors = Priors(*prior_pair)
-    got = lrt_step(pair(a, b), priors, m)
+    got = apply_rule(pair(a, b), BayesianLRT(m, priors))
     want = map_optimum(pair(a, b), priors, m)
     # log values compared with a 1e-12 absolute floor: near log 0 the
     # two routes represent probability-one sums as 0.0 vs -1e-16
@@ -346,7 +344,7 @@ def test_lrt_equals_optimal_on_tie_families():
         (0.01, 0.19, Priors.equal(), 2),
     ]
     for a, b, priors, m in cases:
-        got = lrt_step(pair(a, b), priors, m)
+        got = apply_rule(pair(a, b), BayesianLRT(m, priors))
         want = map_optimum(pair(a, b), priors, m)
         assert got.alpha.value == pytest.approx(want.alpha.value, rel=1e-12, abs=1e-12)
         assert got.beta.value == pytest.approx(want.beta.value, rel=1e-12, abs=1e-12)

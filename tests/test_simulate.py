@@ -14,7 +14,7 @@ import pytest
 
 from relaytree import kernel
 from relaytree import simulate as simulate_module
-from relaytree.alphabet import TreeSpec, alphabet_schedule
+from relaytree.alphabet import TreeSpec
 from relaytree.kernel import (
     AlternatingMajority,
     BayesianLRT,
@@ -170,7 +170,7 @@ PINNED = {
     ),
     "count_forwarding_d3": (
         pinned_config(
-            COUNT_SPEC, alphabet_schedule(COUNT_SPEC, [MajorityEven(4)] * 2),
+            COUNT_SPEC, [MajorityEven(4)] * 2,
             0.25, 0.25, 10_001, 19, H0,
         ),
         633,
@@ -187,14 +187,14 @@ PINNED = {
 WIDE_FAN_IN = {
     "count_forwarding_256": (
         pinned_config(
-            WIDE_COUNT_SPEC, alphabet_schedule(WIDE_COUNT_SPEC, [MajorityEven(256)]),
+            WIDE_COUNT_SPEC, [MajorityEven(256)],
             0.47, 0.47, 2_001, 29, H0,
         ),
         329,
     ),
     "count_forwarding_256_saturated": (
         pinned_config(
-            WIDE_COUNT_SPEC, alphabet_schedule(WIDE_COUNT_SPEC, [MajorityEven(256)]),
+            WIDE_COUNT_SPEC, [MajorityEven(256)],
             0.47, 0.01, 2_001, 37, H1,
         ),
         0,
@@ -407,7 +407,7 @@ class TestResults:
         for hypothesis, side in ((Hypothesis.H0, want.alpha), (Hypothesis.H1, want.beta)):
             c = SimConfig(
                 spec,
-                alphabet_schedule(spec, [MajorityEven(4)]),
+                [MajorityEven(4)],
                 ErrorPair.from_linear(0.1, 0.2), 10, 1, hypothesis,
             )
             assert compare_to_analytic(c).analytic == side.linear
@@ -489,7 +489,7 @@ class TestAlphabetEquivalence:
         spec = TreeSpec(2, 2, 3)
         wide = SimConfig(
             spec,
-            alphabet_schedule(spec, [MajorityEven(4)]),
+            [MajorityEven(4)],
             leaf, 200000, 13, Hypothesis.H0,
         )
         narrow = SimConfig(
