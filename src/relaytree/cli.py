@@ -225,6 +225,11 @@ def _cmd_simulate(args) -> int:
             f"--m {args.m} with --height {args.height} exceeds the work limit: "
             f"(height / k0 + 1) x (m^k0 + 1) must be at most {RECURSE_WORK_LIMIT}{fan_in}"
         )
+    if spec.n_leaves > RECURSE_WORK_LIMIT:  # each chunk fills every leaf in a Python loop
+        raise ValueError(
+            f"--m {args.m} with --height {args.height} exceeds the work limit: "
+            f"its m^height = {spec.n_leaves} leaves must be at most {RECURSE_WORK_LIMIT}"
+        )
     config = SimConfig(
         spec=spec,
         schedule=_rule_schedule(args, reduced.m, reduced.height, priors),

@@ -646,15 +646,42 @@ class TestSimulate:
             assert needle in err
 
     def test_work_limit_is_inclusive(self, capsys, monkeypatch):
-        # (height + 1) x (m + 1) = 3 x 5 at m = 4, height 2
-        argv = ["simulate", "--m", "4", "--height", "2", "--alpha0", "0.1",
+        # (height + 1) x (m + 1) = 3 x 3 at m = 2, height 2, above its 4 leaves
+        argv = ["simulate", "--m", "2", "--height", "2", "--alpha0", "0.1",
                 "--beta0", "0.1", "--trials", "10", "--seed", "1"]
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 5)
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 3)
         assert cli.run(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 5 - 1)
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 3 - 1)
         assert cli.run(argv) == 2
-        assert "work limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "work limit" in err and "(height / k0 + 1) x (m^k0 + 1)" in err
+
+    def test_tall_tree_refused_by_its_leaf_count(self, capsys, monkeypatch):
+        # 2^30 leaves fit the budget and the deciding tree fits the work
+        # limit, but filling every leaf took over 2 minutes for one trial
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level work before the leaf check")
+
+        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "SimConfig", per_level)
+        code = cli.run(["simulate", "--m", "2", "--height", "30", "--alpha0", "0.1",
+                        "--beta0", "0.2", "--trials", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        for needle in ("--m 2", "--height 30", "1073741824 leaves", "at most 300000"):
+            assert needle in err
+
+    def test_leaf_limit_is_inclusive(self, capsys, monkeypatch):
+        # 2^4 = 16 leaves at m = 2, height 4, above (4 + 1) x (2 + 1) = 15
+        argv = ["simulate", "--m", "2", "--height", "4", "--alpha0", "0.1",
+                "--beta0", "0.1", "--trials", "10", "--seed", "1"]
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16)
+        assert cli.run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 15)
+        assert cli.run(argv) == 2
+        assert "16 leaves must be at most 15" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, needles", [
         (["--pb", "0.3"], ("--pb", "odd")),

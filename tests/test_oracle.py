@@ -10,8 +10,9 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaytree import oracle, verify
@@ -307,6 +308,41 @@ def test_optimal_equals_per_vector_loop(p, m, prior_pair):
     assert got.beta.value == want.beta.value
 
 
+@st.composite
+def sum_terms(draw):
+    """Finite non-negative doubles with exponents over the whole range,
+    subnormals included, some of them repeated.  At most 88 terms below
+    2^1000 cannot overflow the sum."""
+    values = draw(st.lists(st.floats(min_value=0.0, max_value=2.0**1000), min_size=1, max_size=24))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(values) - 1), max_size=64))
+    return values + [values[i] for i in picks]
+
+
+@given(sum_terms())
+@example([])
+@example([0.3])
+@example([0.0, 0.0, 0.0])
+@example([5e-324])
+@example([1e-310, 5e-324, 1e-310])
+@example([2.0**1000, 5e-324])
+@example([1.0, 2.0**-53])  # a tie: the even neighbour, 1.0
+@example([1.0, 2.0**-53, 2.0**-106])  # just past the tie: rounds up
+@settings(max_examples=500, deadline=None)
+def test_exact_sum_is_fsum(terms):
+    # called directly, so the exact route runs below its crossover too
+    got = oracle._exact_sum(np.array(terms, dtype=float))
+    assert got.hex() == math.fsum(terms).hex()
+    assert oracle._fsum(np.array(terms, dtype=float)).hex() == min(math.fsum(terms), 1.0).hex()
+
+
+def test_exact_sum_of_the_widest_enumeration():
+    # 2^20 terms, the fan-in cap, each with 53 one bits: the largest
+    # per-exponent sums either half of a significand can reach
+    terms = np.full(1 << 20, 1.0 - 2.0**-53)
+    terms[::3] = float.fromhex("0x1.fffffffffffffp-30")
+    assert oracle._exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+
 def test_permutation_invariance():
     assert check_permutation_invariance() == []
 
@@ -353,6 +389,14 @@ def test_lrt_equals_optimal_on_tie_families():
 def test_lrt_matches_optimal_suite_sample():
     # the acceptance suite runs the full grid; keep a small smoke here
     assert check_lrt_matches_optimal(fanins=(2, 3), grid=[i / 10 for i in range(1, 5)]) == []
+
+
+def test_cross_checks_pass_at_the_widest_benchmark_fan_ins():
+    # the crosscheck benchmark runs m = 13 and 14, where an oracle sum of
+    # 1,024 terms or more takes the exact route
+    grid = [verify.GRID_48[4], verify.GRID_48[-1]]
+    assert verify.check_kernel_matches_enumeration(fanins=(13, 14), grid=grid) == []
+    assert verify.check_lrt_matches_optimal(fanins=(13, 14), grid=grid) == []
 
 
 def test_enumeration_keeps_no_vectors():
