@@ -32,15 +32,18 @@ from .kernel import (
     propagate,
     total_error,
 )
-from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, _check_budget, compare_to_analytic
+from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, compare_to_analytic
+from .simulate import _check_budget, _layout  # the limits a run is held to before it starts
 from .verify import SUITES, run_suites
 
 __all__ = ["run", "main"]
 
 # Most (levels + 1) x (m + 1) count terms a recurse trace, or the deciding
-# tree of a simulate run, may take.  Its costliest corners on a 2-vCPU
-# Xeon: m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
-# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 6.1 s.
+# tree of a simulate run, may take, and most leaf fills (leaves x chunks)
+# a simulate run may make.  Its costliest corners on a 2-vCPU Xeon:
+# m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
+# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 6.1 s, and
+# 262,144 leaves in one chunk of 16 trials, 3.1 s.
 RECURSE_WORK_LIMIT = 300_000
 
 
@@ -225,10 +228,14 @@ def _cmd_simulate(args) -> int:
             f"--m {args.m} with --height {args.height} exceeds the work limit: "
             f"(height / k0 + 1) x (m^k0 + 1) must be at most {RECURSE_WORK_LIMIT}{fan_in}"
         )
-    if spec.n_leaves > RECURSE_WORK_LIMIT:  # each chunk fills every leaf in a Python loop
+    # each chunk of trials fills every leaf's uniforms in a Python loop
+    chunk, spans = _layout(args.trials, spec.n_leaves)
+    chunks = sum(-(-(hi - lo) // chunk) for lo, hi in spans)
+    if chunks * spec.n_leaves > RECURSE_WORK_LIMIT:
         raise ValueError(
-            f"--m {args.m} with --height {args.height} exceeds the work limit: "
-            f"its m^height = {spec.n_leaves} leaves must be at most {RECURSE_WORK_LIMIT}"
+            f"--m {args.m} with --height {args.height} and --trials {args.trials} exceeds "
+            f"the work limit: its {chunks} chunk(s) of trials x m^height = {spec.n_leaves} "
+            f"leaves must be at most {RECURSE_WORK_LIMIT} leaf fills"
         )
     config = SimConfig(
         spec=spec,

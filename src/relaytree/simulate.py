@@ -210,6 +210,20 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _layout(trials: int, n_leaves: int) -> tuple:
+    """(chunk, spans): the most trials one chunk of a shard holds, and the
+    shards' trial ranges [lo, hi), one per thread.  Every shard's fills
+    hold at least _MIN_FILL doubles; all shards' buffers together hold one
+    chunk; shard and chunk starts stay block-aligned, on multiples of 4,
+    and _MIN_FILL >= 4 keeps every shard non-empty."""
+    fill = min(trials, _SHARD_SAMPLES // n_leaves)
+    workers = max(1, min(_cores(), fill // _MIN_FILL))
+    chunk = max(1, (_CHUNK_SAMPLES if workers == 1 else _SHARD_SAMPLES) // n_leaves)
+    chunk = max(4, (chunk // workers + 3) // 4 * 4)
+    cuts = [trials * i // workers // 4 * 4 for i in range(workers)]
+    return chunk, list(zip(cuts, cuts[1:] + [trials]))
+
+
 def _run(config: SimConfig, pairs: tuple) -> SimResult:
     """Simulate the tree: exact sums travel upward for k0 - 1 levels and
     a binary rule decides at every k0-th level, i.e. at every level of a
@@ -231,12 +245,8 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
     # a count never exceeds m**k0, the fan-in of a deciding level
     count_dtype = np.min_scalar_type(m**spec.k0)
 
-    # every shard's fills hold at least _MIN_FILL doubles
-    fill = min(config.trials, _SHARD_SAMPLES // n_leaves)
-    workers = max(1, min(_cores(), fill // _MIN_FILL))
-    chunk = max(1, (_CHUNK_SAMPLES if workers == 1 else _SHARD_SAMPLES) // n_leaves)
-    # all shards' buffers together hold one chunk; chunk starts stay block-aligned
-    chunk = max(4, (chunk // workers + 3) // 4 * 4)
+    chunk, spans = _layout(config.trials, n_leaves)
+    workers = len(spans)
 
     stop = threading.Event()  # set when a shard raises
 
@@ -270,12 +280,8 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
             start += cs
         return ones
 
-    # shard starts are multiples of 4, and _MIN_FILL >= 4 keeps every shard
-    # non-empty; each shard's Philox is built here, so shard threads call
-    # no public function
-    cuts = [config.trials * i // workers // 4 * 4 for i in range(workers)]
-    shards = [(lo, hi, _Streams(config.seed))
-              for lo, hi in zip(cuts, cuts[1:] + [config.trials])]
+    # each shard's Philox is built here, so shard threads call no public function
+    shards = [(lo, hi, _Streams(config.seed)) for lo, hi in spans]
     # the calling thread runs shard 0; plain threads, because importing
     # concurrent.futures costs a first sharded call 8 ms and 0.6 MB
     results = [0] * workers

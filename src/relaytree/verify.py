@@ -1,20 +1,23 @@
 """Numeric verification of the package's mathematical invariants.
 
-Each check returns a list of failure messages (empty means pass), so
-the same functions back both the command-line `verify` subcommand and
-the test suite.  A check here reaches its answer by a route independent
-of the code it checks: 2^m enumeration, exact `Fraction` traces, the
-proved sandwiches on dense grids and on traces, identities between the
-closed forms of two modules, or Monte Carlo.  Hand-computed example
-values and refusal messages are pinned in `tests/`, not here.
+Each check is a generator that yields one message per failure, and
+`_suite` registers it in `SUITES` where it is defined.  Its public name
+returns the failures as a list (empty means pass), so the same functions
+back both the command-line `verify` subcommand and the test suite.  A
+check here reaches its answer by a route independent of the code it
+checks: 2^m enumeration, exact `Fraction` traces, the proved sandwiches
+on dense grids and on traces, identities between the closed forms of two
+modules, or Monte Carlo.  Hand-computed example values and refusal
+messages are pinned in `tests/`, not here.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -44,6 +47,22 @@ ODD_FANINS = (3, 5, 7, 9)
 EVEN_FANINS = (2, 4, 6, 8, 10)
 TOL = 1e-12
 _TRIALS = 10**6  # per Monte Carlo run of the sim suite
+SUITES: dict = {}  # suite -> [(check name, check)], in the order defined below
+
+
+def _suite(suite: str, name: str = ""):
+    """Register a check, a generator of failure messages, in SUITES[suite]
+    as `name`, by default its own name less `check_`; the registered and
+    public function returns the failures as a list."""
+    def register(check):
+        @wraps(check)
+        def listed(*args, **kwargs) -> list:
+            return list(check(*args, **kwargs))
+
+        SUITES.setdefault(suite, []).append((name or check.__name__.removeprefix("check_"), listed))
+        return listed
+
+    return register
 
 
 def _log_close(x: float, y: float, tol: float = TOL) -> bool:
@@ -83,40 +102,40 @@ def exact_majority_trace(alpha0: Fraction, m: int, levels: int) -> list:
 
 # ---------------------------------------------------------------- kernel
 
-def _ratio_fails(rule, lam: int, log_lo: float, log_hi: float) -> list:
+def _ratio_fails(rule, lam: int, log_lo: float, log_hi: float) -> Iterator[str]:
     """Grid points where one step of `rule` puts log(alpha' / alpha^lam)
     outside [log_lo, log_hi], with 1e-9 slack."""
-    fails = []
     for x in GRID:
         pair = _pair(x, x)
         ratio = apply_rule(pair, rule).alpha.value - lam * pair.alpha.value
         if ratio < log_lo - 1e-9 or ratio > log_hi + 1e-9:
-            fails.append(f"{rule!r}, alpha={x}: log-ratio {ratio}")
-    return fails
+            yield f"{rule!r}, alpha={x}: log-ratio {ratio}"
 
 
-def check_odd_majority_sandwich() -> list:
+@_suite("kernel")
+def check_odd_majority_sandwich() -> Iterator[str]:
     """1 <= alpha' / alpha^((m+1)/2) <= C(m, (m-1)/2) on the grid."""
-    return [msg for m in ODD_FANINS for msg in _ratio_fails(
-        MajorityOdd(m), (m + 1) // 2, 0.0, math.log(math.comb(m, (m - 1) // 2)))]
+    yield from (msg for m in ODD_FANINS for msg in _ratio_fails(
+        MajorityOdd(m), (m + 1) // 2, 0.0, math.log(math.comb(m, (m - 1) // 2))))
 
 
-def check_even_majority_sandwich() -> list:
+@_suite("kernel")
+def check_even_majority_sandwich() -> Iterator[str]:
     """1 <= alpha' / alpha^(m/2) <= C(m, m/2)/2 for the fair tie coin."""
-    return [msg for m in EVEN_FANINS for msg in _ratio_fails(
-        MajorityEven(m, 0.5), m // 2, 0.0, math.log(math.comb(m, m // 2) / 2.0))]
+    yield from (msg for m in EVEN_FANINS for msg in _ratio_fails(
+        MajorityEven(m, 0.5), m // 2, 0.0, math.log(math.comb(m, m // 2) / 2.0)))
 
 
-def check_tie_weight_sandwich() -> list:
+@_suite("kernel")
+def check_tie_weight_sandwich() -> Iterator[str]:
     """P_b <= alpha' / alpha^(m/2) <= 2^m for biased tie coins, and each
     biased step is the P_b-mixture of the two deterministic tie steps:
     alpha'(P_b) = (1 - P_b) alpha'(ties to zero) + P_b alpha'(ties to one),
     and the same for beta'."""
-    fails = []
     for m in EVEN_FANINS:
         rules = [MajorityEven(m, pb) for pb in (0.1, 0.3, 0.7, 0.9)]
         for rule in rules:
-            fails += _ratio_fails(rule, m // 2, math.log(rule.tie_prob), m * math.log(2))
+            yield from _ratio_fails(rule, m // 2, math.log(rule.tie_prob), m * math.log(2))
         for x in GRID:
             pair = _pair(x, x)
             zero = apply_rule(pair, AlternatingMajority(m, TiePhase.TIES_TO_ZERO))
@@ -126,38 +145,35 @@ def check_tie_weight_sandwich() -> list:
                 mix = [log_sum_exp([math.log1p(-pb) + z.value, math.log(pb) + o.value])
                        for z, o in ((zero.alpha, one.alpha), (zero.beta, one.beta))]
                 if not (_log_close(got.alpha.value, mix[0]) and _log_close(got.beta.value, mix[1])):
-                    fails.append(f"{rule!r}, alpha={x}: step is not the tie-weight mixture")
-    return fails
+                    yield f"{rule!r}, alpha={x}: step is not the tie-weight mixture"
 
 
-def check_alternating_sandwich() -> list:
+@_suite("kernel")
+def check_alternating_sandwich() -> Iterator[str]:
     """Tie-to-one and tie-to-zero step ratios against their constants."""
-    fails = []
     for m in EVEN_FANINS:
         half = m // 2
-        fails += _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ONE),
-                              half, 0.0, math.log(math.comb(m, half)))
-        fails += _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ZERO),
-                              half + 1, 0.0, math.log(math.comb(m, half - 1)))
-    return fails
+        yield from _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ONE),
+                                half, 0.0, math.log(math.comb(m, half)))
+        yield from _ratio_fails(AlternatingMajority(m, TiePhase.TIES_TO_ZERO),
+                                half + 1, 0.0, math.log(math.comb(m, half - 1)))
 
 
-def check_deep_trace() -> list:
+@_suite("kernel")
+def check_deep_trace() -> Iterator[str]:
     """Five-level m=3 trace against exact rational arithmetic."""
-    fails = []
     expected = exact_majority_trace(Fraction(1, 10), 3, 4)
     trace = propagate(_pair(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
     for k, (want, pair) in enumerate(zip(expected, trace.pairs)):
         got = pair.alpha.value
         target = math.log(Fraction(want))
         if not _log_close(got, target, 1e-13):
-            fails.append(f"level {k}: log alpha {got} vs exact {target}")
-    return fails
+            yield f"level {k}: log alpha {got} vs exact {target}"
 
 
-def check_lrt_majority_symmetry() -> list:
+@_suite("kernel")
+def check_lrt_majority_symmetry() -> Iterator[str]:
     """Equal errors and equal priors reduce the LRT to plain majority."""
-    fails = []
     for m in ODD_FANINS:
         lrt_rule, maj_rule = BayesianLRT(m, Priors.equal()), MajorityOdd(m)
         for x in GRID:
@@ -165,15 +181,14 @@ def check_lrt_majority_symmetry() -> list:
             lrt = apply_rule(pair, lrt_rule)
             maj = apply_rule(pair, maj_rule)
             if not _log_close(lrt.alpha.value, lrt.beta.value):
-                fails.append(f"m={m}, x={x}: lrt alpha != beta")
+                yield f"m={m}, x={x}: lrt alpha != beta"
             if not _log_close(lrt.alpha.value, maj.alpha.value):
-                fails.append(f"m={m}, x={x}: lrt != majority")
-    return fails
+                yield f"m={m}, x={x}: lrt != majority"
 
 
-def check_lrt_threshold_structure() -> list:
+@_suite("kernel")
+def check_lrt_threshold_structure() -> Iterator[str]:
     """Informative messages give a monotone (threshold) decision table."""
-    fails = []
     for m in (2, 3, 4, 5, 6):
         lrt = BayesianLRT(m, Priors(0.3, 0.7))
         for a in GRID:
@@ -182,8 +197,7 @@ def check_lrt_threshold_structure() -> list:
                     continue
                 table = lrt.table(_pair(a, b))
                 if any(table[s] and not table[s + 1] for s in range(m)):
-                    fails.append(f"m={m}, pair=({a},{b}): non-threshold {table}")
-    return fails
+                    yield f"m={m}, pair=({a},{b}): non-threshold {table}"
 
 
 # ---------------------------------------------------------------- oracle
@@ -213,7 +227,8 @@ def _once(memo: dict, key: tuple, fn, *args):
     return memo[key]
 
 
-def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
+@_suite("oracle")
+def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> Iterator[str]:
     """Closed-form steps equal brute-force enumeration over all vectors.
 
     Every pair is stepped through `apply_rule` and compared with its own
@@ -222,7 +237,6 @@ def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
     once per twin and value within the call.  A likelihood-ratio twin is
     shared by the pairs whose tables coincide; twins are keyed by identity.
     """
-    fails = []
     for m in fanins:
         lrt = BayesianLRT(m, Priors.equal())
         count_twins = {}  # likelihood-ratio table -> its count twin
@@ -243,13 +257,11 @@ def check_kernel_matches_enumeration(fanins=range(2, 11), grid=GRID_48) -> list:
                     for side in ("alpha", "beta"):
                         ours, theirs = getattr(got, side).value, getattr(ref, side).value
                         if not _log_close(ours, theirs):
-                            fails.append(f"{rule} ({a},{b}): {side} {ours} vs oracle {theirs}")
-                    if len(fails) > 20:
-                        return fails
-    return fails
+                            yield f"{rule} ({a},{b}): {side} {ours} vs oracle {theirs}"
 
 
-def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> list:
+@_suite("oracle")
+def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> Iterator[str]:
     """The count-threshold LRT equals the per-vector MAP optimum.
 
     Every (pair, priors) cell is stepped through `apply_rule` and compared
@@ -257,7 +269,6 @@ def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> list:
     beta, so each likelihood vector is built once per value within the
     call; the MAP mask and its two sums are formed per cell.
     """
-    fails = []
     priors_list = [Priors.equal(), Priors(0.9, 0.1), Priors(0.3, 0.7)]
     for m in fanins:
         likelihoods = {}  # (hypothesis, value) -> likelihood vector
@@ -274,18 +285,15 @@ def check_lrt_matches_optimal(fanins=range(2, 7), grid=GRID_48) -> list:
                         priors,
                     )
                     if not _pairs_close(got, ref):
-                        fails.append(
+                        yield (
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
                             f"pair=({a},{b}): lrt != optimal"
                         )
-                        if len(fails) > 20:
-                            return fails
-    return fails
 
 
-def check_lrt_beats_count_rules() -> list:
+@_suite("oracle")
+def check_lrt_beats_count_rules() -> Iterator[str]:
     """No deterministic per-count rule has smaller total error than the LRT."""
-    fails = []
     grid = [i / 20.0 for i in range(1, 10)]  # 0.05 .. 0.45
     priors_list = [Priors.equal(), Priors(0.9, 0.1), Priors(0.3, 0.7)]
     for m in range(2, 7):
@@ -304,16 +312,15 @@ def check_lrt_beats_count_rules() -> list:
                     best = np.min(priors.pi0 * alpha_all + priors.pi1 * beta_all)
                     ours = total_error(apply_rule(_pair(a, b), lrt), priors).linear
                     if ours > best * (1 + 1e-12) + 1e-15:
-                        fails.append(
+                        yield (
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
                             f"pair=({a},{b}): lrt {ours} > best rule {best}"
                         )
-    return fails
 
 
-def check_lrt_beats_majority() -> list:
+@_suite("oracle")
+def check_lrt_beats_majority() -> Iterator[str]:
     """Per-level total error: likelihood ratio <= fair majority."""
-    fails = []
     for m in range(2, 7):
         rule = majority_rule(m)
         for priors in (Priors.equal(), Priors(0.3, 0.7), Priors(0.9, 0.1)):
@@ -324,18 +331,15 @@ def check_lrt_beats_majority() -> list:
                     lrt_total = total_error(apply_rule(pair, lrt), priors)
                     maj_total = total_error(apply_rule(pair, rule), priors)
                     if lrt_total.value > maj_total.value + 1e-12:
-                        fails.append(
+                        yield (
                             f"m={m}, priors=({priors.pi0},{priors.pi1}), "
                             f"pair=({a},{b}): lrt worse than majority"
                         )
-                        if len(fails) > 20:
-                            return fails
-    return fails
 
 
-def check_permutation_invariance() -> list:
+@_suite("oracle")
+def check_permutation_invariance() -> Iterator[str]:
     """Shuffling message positions inside a rule cannot change the errors."""
-    fails = []
     m = 5
     base = oracle.VectorRule(m, lambda v: 1.0 if v[0] and v[1] else 0.0)
     perm = (3, 1, 4, 0, 2)
@@ -344,22 +348,21 @@ def check_permutation_invariance() -> list:
         one = oracle.enumerate_step(_pair(a, b), m, base)
         two = oracle.enumerate_step(_pair(a, b), m, shuffled)
         if not _pairs_close(one, two):
-            fails.append(f"pair=({a},{b}): permutation changed the step")
-    return fails
+            yield f"pair=({a},{b}): permutation changed the step"
 
 
 # ---------------------------------------------------------------- bounds
 
-def check_ratio_poly() -> list:
+@_suite("bounds")
+def check_ratio_poly() -> Iterator[str]:
     """Known closed forms plus strict monotone decrease on fine grids."""
-    fails = []
     for x in GRID:
         if not math.isclose(bounds.ratio_poly(2, 1, x), 2.0 - x, rel_tol=1e-12):
-            fails.append(f"ratio_poly(2,1,{x}) != 2 - x")
+            yield f"ratio_poly(2,1,{x}) != 2 - x"
         if not math.isclose(
             bounds.ratio_poly(3, 2, x), x * x - 3 * x + 3, rel_tol=1e-12
         ):
-            fails.append(f"ratio_poly(3,2,{x}) != x^2 - 3x + 3")
+            yield f"ratio_poly(3,2,{x}) != x^2 - 3x + 3"
     xs = [i / 1001.0 for i in range(1, 1001)]  # 1000 interior points
     for m in range(2, 11):
         for k in range(1, m):
@@ -367,15 +370,14 @@ def check_ratio_poly() -> list:
             for x in xs:
                 val = bounds.ratio_poly(m, k, x)
                 if prev is not None and not val < prev:
-                    fails.append(f"ratio_poly(m={m},k={k}) not decreasing at x={x}")
+                    yield f"ratio_poly(m={m},k={k}) not decreasing at x={x}"
                     break
                 prev = val
-    return fails
 
 
-def check_sandwich_on_traces() -> list:
+@_suite("bounds")
+def check_sandwich_on_traces() -> Iterator[str]:
     """Traced log2(1/alpha_k) lies inside the telescoped level bounds."""
-    fails = []
     for m in range(2, 11):
         lam = bounds.per_level_exponent(m)
         informative = 0.5 / math.comb(m, lam)
@@ -386,7 +388,7 @@ def check_sandwich_on_traces() -> list:
             for k, pair in enumerate(trace.pairs):
                 sw = bounds.level_bounds(a0, m, k, bounds.RateKind.MAJORITY_RANDOM)
                 if not sw.contains(pair.alpha.log2_inverse, tol=1e-6):
-                    fails.append(
+                    yield (
                         f"majority m={m}, a0={a0}, k={k}: "
                         f"{pair.alpha.log2_inverse} outside [{sw.lower}, {sw.upper}]"
                     )
@@ -406,17 +408,16 @@ def check_sandwich_on_traces() -> list:
                         )
                         bits = trace.pairs[k].alpha.log2_inverse
                         if not sw.contains(bits, tol=1e-6):
-                            fails.append(
+                            yield (
                                 f"alternating m={m}, a0={a0}, k={k}, "
                                 f"first={first.value}: {bits} outside "
                                 f"[{sw.lower}, {sw.upper}]"
                             )
-    return fails
 
 
-def check_exponent_ratio_convergence() -> list:
+@_suite("bounds")
+def check_exponent_ratio_convergence() -> Iterator[str]:
     """log2(1/alpha_k) / lambda^k decreases into its limiting band."""
-    fails = []
     for m in (2, 3, 4, 5, 7, 10):
         lam = bounds.per_level_exponent(m)
         log2_c = math.log2(math.comb(m, lam))
@@ -427,25 +428,24 @@ def check_exponent_ratio_convergence() -> list:
             ]
             for k in range(10):
                 if ratios[k + 1] > ratios[k] + 1e-9:
-                    fails.append(f"m={m}, a0={a0}: ratio rose at level {k + 1}")
+                    yield f"m={m}, a0={a0}: ratio rose at level {k + 1}"
             lo = math.log2(1 / a0) - log2_c
             hi = math.log2(1 / a0)
             if not lo - 1e-9 <= ratios[-1] <= hi + 1e-9:
-                fails.append(
+                yield (
                     f"m={m}, a0={a0}: limit ratio {ratios[-1]} outside "
                     f"[{lo}, {hi}]"
                 )
-    return fails
 
 
-def check_total_bounds() -> list:
+@_suite("bounds")
+def check_total_bounds() -> Iterator[str]:
     """Traced root totals lie inside their total-error sandwiches."""
-    fails = []
     sw = bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
     trace = propagate(_pair(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
     bits = trace.totals[-1].log2_inverse
     if not sw.contains(bits, tol=1e-9):
-        fails.append(f"root total {bits} outside [{sw.lower}, {sw.upper}]")
+        yield f"root total {bits} outside [{sw.lower}, {sw.upper}]"
     # alternating totals: m >= 4 only; at m=2 one of alpha/beta always
     # follows the order that escapes the even-height constant
     for m in (4, 6):
@@ -456,16 +456,15 @@ def check_total_bounds() -> list:
                     sw = bounds.total_bounds(0.1, 0.15, priors, m, k, bounds.RateKind.ALTERNATING)
                     got = trace.totals[k].log2_inverse
                     if not sw.contains(got, tol=1e-9):
-                        fails.append(
+                        yield (
                             f"alternating total m={m}, first={first.value}, "
                             f"k={k}: {got} outside [{sw.lower}, {sw.upper}]"
                         )
-    return fails
 
 
-def check_lrt_lower_bound() -> list:
+@_suite("bounds")
+def check_lrt_lower_bound() -> Iterator[str]:
     """The LRT guarantee holds on traced likelihood-ratio totals."""
-    fails = []
     for m in (3, 5):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
             pair0 = _pair(0.1, 0.1)
@@ -475,34 +474,31 @@ def check_lrt_lower_bound() -> list:
                 guar = bounds.lrt_lower_bound(leaf_total, priors, m, k)
                 actual = trace.totals[k].log2_inverse
                 if actual < guar - 1e-9:
-                    fails.append(
+                    yield (
                         f"m={m}, priors=({priors.pi0},{priors.pi1}), k={k}: "
                         f"actual {actual} bits < guaranteed {guar}"
                     )
-    return fails
 
 
 # -------------------------------------------------------------- alphabet
 
-def check_rate_collapse() -> list:
+@_suite("alphabet")
+def check_rate_collapse() -> Iterator[str]:
     """d=2 alphabet rates must equal the binary exponents."""
-    fails = []
     for m in range(2, 21):
         r = alph.rates(m, 2)
         upper = bounds.exponent(m, bounds.RateKind.UPPER_BOUND)
         major = bounds.exponent(m, bounds.RateKind.MAJORITY_RANDOM)
         if abs(r.rho - upper) > 1e-12:
-            fails.append(f"m={m}: rho {r.rho} != upper {upper}")
+            yield f"m={m}: rho {r.rho} != upper {upper}"
         if m % 2 == 0:
             alt = bounds.exponent(m, bounds.RateKind.ALTERNATING)
             if abs(r.varrho - major) > 1e-12:
-                fails.append(f"m={m}: varrho {r.varrho} != majority {major}")
+                yield f"m={m}: varrho {r.varrho} != majority {major}"
             if abs(r.sigma - alt) > 1e-12:
-                fails.append(f"m={m}: sigma {r.sigma} != alternating {alt}")
-        else:
-            if abs(r.varrho - upper) > 1e-12:
-                fails.append(f"m={m}: odd varrho {r.varrho} != {upper}")
-    return fails
+                yield f"m={m}: sigma {r.sigma} != alternating {alt}"
+        elif abs(r.varrho - upper) > 1e-12:
+            yield f"m={m}: odd varrho {r.varrho} != {upper}"
 
 
 # ------------------------------------------------------------------- sim
@@ -522,13 +518,13 @@ def _binary_config(m, height, a0, rule_kind, trials, seed, hyp=Hypothesis.H0):
     return SimConfig(spec, tuple(schedule), _pair(a0, a0), trials, seed, hyp)
 
 
-def check_sim_agreement() -> list:
+@_suite("sim", "agreement")
+def check_sim_agreement() -> Iterator[str]:
     """|z| <= 4 between simulation and recursion across the rule matrix.
 
     Each config gets its own seed (20260817, 20260818, ...), so no two
     share a leaf stream and the z-tests are independent.
     """
-    fails = []
     seed = 20260817
     for m in (2, 3, 4, 5):
         kinds = ["majority", "lrt"]
@@ -542,18 +538,17 @@ def check_sim_agreement() -> list:
                         seed += 1
                         rep = compare_to_analytic(cfg)
                         if rep.flagged:
-                            fails.append(
+                            yield (
                                 f"m={m}, {kind}, h={height}, a0={a0}, "
                                 f"{hyp.value}: z={rep.z_score:.2f} "
                                 f"(est {rep.result.estimate}, "
                                 f"analytic {rep.analytic})"
                             )
-    return fails
 
 
-def check_alphabet_equivalence_sim() -> list:
+@_suite("sim", "alphabet_equivalence")
+def check_alphabet_equivalence_sim() -> Iterator[str]:
     """Count-forwarding trees behave like their reduced binary twins."""
-    fails = []
     # frozen example: m=2, d=5 gives k0=3, one decision over 8 leaves,
     # ties to 1 there, so alpha_root = upper tail from 4 of Binom(8, 0.1)
     spec = alph.TreeSpec(2, 3, 5)
@@ -562,11 +557,11 @@ def check_alphabet_equivalence_sim() -> list:
     rep = compare_to_analytic(cfg)
     analytic = binom_tail(8, 4, 8, LogProb.from_linear(0.1)).linear
     if not math.isclose(rep.analytic, analytic, rel_tol=1e-12):
-        fails.append(f"reduced analytic {rep.analytic} != direct tail {analytic}")
+        yield f"reduced analytic {rep.analytic} != direct tail {analytic}"
     if abs(rep.result.estimate - analytic) > 3 * math.sqrt(
         analytic * (1 - analytic) / _TRIALS
     ):
-        fails.append(
+        yield (
             f"(2, d=5, h=3) estimate {rep.result.estimate} not within "
             f"3 sigma of {analytic}"
         )
@@ -585,65 +580,30 @@ def check_alphabet_equivalence_sim() -> list:
             ).result
             sd = math.sqrt(max(p * (1 - p), 1e-30) / _TRIALS)
             if abs(full.estimate - red.estimate) > 3 * math.sqrt(2) * sd:
-                fails.append(
+                yield (
                     f"(m={m}, d={d}, h={h}, {hyp.value}): alphabet "
                     f"{full.estimate} vs reduced {red.estimate}"
                 )
-    return fails
 
 
 # ---------------------------------------------------------------- suites
 
-SUITES = {
-    "kernel": [
-        ("odd_majority_sandwich", check_odd_majority_sandwich),
-        ("even_majority_sandwich", check_even_majority_sandwich),
-        ("tie_weight_sandwich", check_tie_weight_sandwich),
-        ("alternating_sandwich", check_alternating_sandwich),
-        ("deep_trace", check_deep_trace),
-        ("lrt_majority_symmetry", check_lrt_majority_symmetry),
-        ("lrt_threshold_structure", check_lrt_threshold_structure),
-    ],
-    "oracle": [
-        ("kernel_matches_enumeration", check_kernel_matches_enumeration),
-        ("lrt_matches_optimal", check_lrt_matches_optimal),
-        ("lrt_beats_count_rules", check_lrt_beats_count_rules),
-        ("lrt_beats_majority", check_lrt_beats_majority),
-        ("permutation_invariance", check_permutation_invariance),
-    ],
-    "bounds": [
-        ("ratio_poly", check_ratio_poly),
-        ("sandwich_on_traces", check_sandwich_on_traces),
-        ("exponent_ratio_convergence", check_exponent_ratio_convergence),
-        ("total_bounds", check_total_bounds),
-        ("lrt_lower_bound", check_lrt_lower_bound),
-    ],
-    "alphabet": [
-        ("rate_collapse", check_rate_collapse),
-    ],
-    "sim": [
-        ("agreement", check_sim_agreement),
-        ("alphabet_equivalence", check_alphabet_equivalence_sim),
-    ],
-}
-
-
 def run_suites(names) -> int:
-    """Run the named suites, print one line per check with its wall time,
-    return failure count."""
+    """Run the named suites, print one line per check with its wall time
+    and the first ten of its failures, return the count of all failures."""
     failures = 0
     for suite in names:
         for name, fn in SUITES[suite]:
             start = time.perf_counter()
             try:
-                fails = fn()
+                msgs = fn()
             except Exception as err:  # a check that raises fails once; the rest still run
-                fails = [f"{type(err).__name__}: {err}"]
+                msgs = [f"{type(err).__name__}: {err}"]
             took = time.perf_counter() - start
-            print(f"{'FAIL' if fails else 'ok  '} {suite}.{name}  {took:.1f} s")
-            failures += len(fails)
-            for msg in fails[:10]:
+            print(f"{'FAIL' if msgs else 'ok  '} {suite}.{name}  {took:.1f} s")
+            failures += len(msgs)
+            for msg in msgs[:10]:
                 print(f"     {msg}")
-            if len(fails) > 10:
-                print(f"     ... and {len(fails) - 10} more")
+            if len(msgs) > 10:
+                print(f"     ... and {len(msgs) - 10} more")
     return failures

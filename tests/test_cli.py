@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from relaytree import cli
+from relaytree import simulate as simulate_module
 from relaytree.bounds import BoundInapplicableError, RateKind, lrt_lower_bound, total_bounds
 from relaytree.kernel import ErrorPair, Priors, total_error
 from relaytree.verify import SUITES, exact_majority_trace
@@ -682,6 +683,37 @@ class TestSimulate:
         monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 15)
         assert cli.run(argv) == 2
         assert "16 leaves must be at most 15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples, trials, chunks", [
+        # serial: 16 leaves x 4 trials per chunk, 10 trials in 3 chunks
+        ({"_CHUNK_SAMPLES": 64}, 10, 3),
+        # two shards of 10,000 trials, each in chunks of 4,096 trials
+        ({"_SHARD_SAMPLES": 1 << 17}, 20_000, 6),
+    ])
+    def test_fill_limit_counts_every_chunk(self, capsys, monkeypatch, samples, trials, chunks):
+        # the limit is the run's leaf fills, leaves x chunks, as the run makes them
+        for name, value in samples.items():
+            monkeypatch.setattr(simulate_module, name, value)
+        monkeypatch.setattr(simulate_module, "_cores", lambda: 2)
+        real, leaf_fills = simulate_module._Streams.fill, []
+
+        def counted(streams, uid, start, out):
+            if uid < 16:
+                leaf_fills.append(uid)
+            return real(streams, uid, start, out)
+
+        monkeypatch.setattr(simulate_module._Streams, "fill", counted)
+        argv = ["simulate", "--m", "2", "--height", "4", "--alpha0", "0.1", "--beta0", "0.1",
+                "--trials", str(trials), "--seed", "1"]
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16 * chunks)
+        assert cli.run(argv) == 0
+        assert len(leaf_fills) == 16 * chunks
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16 * chunks - 1)
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--trials {trials} exceeds the work limit" in err
+        assert f"its {chunks} chunk(s) of trials x m^height = 16 leaves must be at most" in err
 
     @pytest.mark.parametrize("flags, needles", [
         (["--pb", "0.3"], ("--pb", "odd")),
