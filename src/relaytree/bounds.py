@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .kernel import Priors
+from .kernel import ErrorPair, Priors, total_error
 
 __all__ = [
     "RateKind",
@@ -30,6 +30,7 @@ __all__ = [
     "level_bounds",
     "total_bounds",
     "lrt_lower_bound",
+    "bound_cells",
     "exponent",
     "sample_size",
     "exponent_table",
@@ -212,6 +213,23 @@ def _lrt_term(total0: float, priors: Priors, m: int) -> float:
             f"likelihood-ratio penalty for m={m}, min prior {lo} is outside double range"
         )
     return bits0 - math.log2(penalty)
+
+
+def bound_cells(schedule, alpha0: float, beta0: float):
+    """The bound cells, lower first, of levels 0, 1, 2, ... of a trace by a
+    kernel.Schedule from leaf pair (alpha0, beta0): what total_bounds
+    (random-tie majority or alternating) or lrt_lower_bound gives there,
+    from leaf terms taken at this call, and () where no theorem applies
+    (a biased coin, alternating at m = 2).  A level's refusal is raised
+    when it is reached."""
+    m, priors, rule = schedule.m, schedule.priors, schedule.rule
+    if rule == "lrt":
+        total0 = total_error(ErrorPair.from_linear(alpha0, beta0), priors).linear
+        return _by_level((_lrt_term(total0, priors, m),), m, RateKind.MAJORITY_RANDOM)
+    if schedule.pb not in (None, 0.5) or (rule == "alternating" and m == 2):
+        return itertools.repeat(())
+    strategy = RateKind.ALTERNATING if rule == "alternating" else RateKind.MAJORITY_RANDOM
+    return _by_level(_total_terms(alpha0, beta0, priors, m, strategy), m, strategy)
 
 
 def _by_level(terms: tuple, m: int, strategy: RateKind, k: int = 0):

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -21,19 +22,9 @@ from typing import Optional, Sequence
 
 from . import bounds
 from .alphabet import TreeSpec, avg_bits, bits_bounds, equivalent_tree, k0_of, rates_from_k0
-from .kernel import (
-    AlternatingMajority,
-    BayesianLRT,
-    ErrorPair,
-    Priors,
-    TiePhase,
-    alternating_phases,
-    majority_rule,
-    propagate,
-    total_error,
-)
+from .kernel import ErrorPair, Priors, Schedule, propagate
 from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, compare_to_analytic
-from .simulate import _check_budget, _layout  # the limits a run is held to before it starts
+from .simulate import _check_budget, _serial_chunks  # the limits a run is held to before it starts
 from .verify import SUITES, run_suites
 
 __all__ = ["run", "main"]
@@ -91,40 +82,6 @@ def _within(cast, low, high=math.inf, closed=True):
     return parse
 
 
-def _rule_schedule(args, m: int, levels: int, priors: Priors) -> list:
-    """Build the per-level rule list for --rule/--pb/--phase, enforcing
-    flag compatibility."""
-    if args.rule == "majority":
-        if args.phase is not None:
-            raise ValueError("--phase conflicts with --rule majority; "
-                             "it selects the alternating tie direction")
-        if args.pb is not None:
-            if m % 2 == 1:
-                raise ValueError(f"--pb conflicts with odd deciding fan-in {m}; "
-                                 "ties need an even fan-in")
-            if not 0.0 < args.pb < 1.0:
-                raise ValueError(f"--pb must be inside (0, 1), got {args.pb}; "
-                                 "for deterministic ties use --rule alternating")
-        return [majority_rule(m, 0.5 if args.pb is None else args.pb)] * levels
-    if args.rule == "alternating":
-        if args.pb is not None:
-            raise ValueError("--pb conflicts with --rule alternating; "
-                             "its tie direction is deterministic")
-        if m % 2 == 1:
-            raise ValueError(
-                f"--rule alternating conflicts with odd deciding fan-in {m}")
-        first = TiePhase(args.phase or "one")
-        return [AlternatingMajority(m, ph) for ph in alternating_phases(levels, first)]
-    # likelihood-ratio rule
-    if args.pb is not None:
-        raise ValueError("--pb conflicts with --rule lrt; the test has no ties")
-    if args.phase is not None:
-        raise ValueError("--phase conflicts with --rule lrt")
-    if not 0.0 < priors.pi0 < 1.0:
-        raise ValueError(f"--rule lrt needs 0 < --pi0 < 1, got {priors.pi0}")
-    return [BayesianLRT(m, priors)] * levels
-
-
 def _refuse_overflow(k: int, logs, table: tuple) -> None:
     """Refuse a row whose alpha, beta or total log2(1/p) reads inf because
     a double overflowed.  Either log2 of a finite log overflows, or the
@@ -145,27 +102,6 @@ _RECURSE_ROWS = tuple(_RECURSE_ROW + cells + "\n" for cells in (",,", ",%.12g,",
 _LN2 = math.log(2.0)
 
 
-def _bound_cells(args, priors: Priors, leaf_total: float):
-    """The thm_lower and thm_upper cells of levels 0, 1, 2, ...: what
-    total_bounds or lrt_lower_bound gives there, from leaf terms taken
-    once per trace; a level's refusal is raised when it is reached."""
-    m, rate = args.m, bounds.RateKind
-    if args.rule == "lrt":
-        return bounds._by_level((bounds._lrt_term(leaf_total, priors, m),), m,
-                                rate.MAJORITY_RANDOM)
-    if args.rule == "alternating":
-        strategy = rate.ALTERNATING
-    elif args.pb is None or args.pb == 0.5:
-        strategy = rate.MAJORITY_RANDOM
-    else:
-        return itertools.repeat(())  # a biased coin: no theorem applies
-    try:
-        terms = bounds._total_terms(args.alpha0, args.beta0, priors, m, strategy)
-    except bounds.BoundInapplicableError:
-        return itertools.repeat(())  # alternating at m = 2: the columns stay empty
-    return bounds._by_level(terms, m, strategy)
-
-
 def _cmd_recurse(args) -> int:
     m = args.m
     if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
@@ -174,19 +110,19 @@ def _cmd_recurse(args) -> int:
             f"(levels + 1) x (m + 1) must be at most {RECURSE_WORK_LIMIT}"
         )
     priors = Priors(args.pi0, 1.0 - args.pi0)
-    schedule = _rule_schedule(args, m, args.levels, priors)
-    leaf = ErrorPair.from_linear(args.alpha0, args.beta0)
+    schedule = Schedule(m, args.levels, args.rule, args.pb, args.phase, priors)
     # the bound cells need no trace: take them up to the first refused level
     # K, run the trace below K only, and raise K's refusal after those rows
     # pass their own checks
-    bounds_by_level = _bound_cells(args, priors, total_error(leaf, priors).linear)
+    bounds_by_level = bounds.bound_cells(schedule, args.alpha0, args.beta0)
     cells, refusal = [], None
     try:
         for bound in itertools.islice(bounds_by_level, args.levels + 1):
             cells.append(bound)
     except ValueError as err:
         refusal = err
-    trace = propagate(leaf, schedule[:len(cells) - 1], priors)
+    leaf = ErrorPair.from_linear(args.alpha0, args.beta0)
+    trace = propagate(leaf, dataclasses.replace(schedule, levels=len(cells) - 1), priors)
 
     lines = []
     for k, (pair, tot, bound) in enumerate(zip(trace.pairs, trace.totals, cells)):
@@ -229,8 +165,7 @@ def _cmd_simulate(args) -> int:
             f"(height / k0 + 1) x (m^k0 + 1) must be at most {RECURSE_WORK_LIMIT}{fan_in}"
         )
     # each chunk of trials fills every leaf's uniforms in a Python loop
-    chunk, spans = _layout(args.trials, spec.n_leaves)
-    chunks = sum(-(-(hi - lo) // chunk) for lo, hi in spans)
+    chunks = _serial_chunks(args.trials, spec.n_leaves)
     if chunks * spec.n_leaves > RECURSE_WORK_LIMIT:
         raise ValueError(
             f"--m {args.m} with --height {args.height} and --trials {args.trials} exceeds "
@@ -239,7 +174,7 @@ def _cmd_simulate(args) -> int:
         )
     config = SimConfig(
         spec=spec,
-        schedule=_rule_schedule(args, reduced.m, reduced.height, priors),
+        schedule=Schedule(reduced.m, reduced.height, args.rule, args.pb, args.phase, priors),
         leaf_pair=ErrorPair.from_linear(args.alpha0, args.beta0),
         trials=args.trials,
         seed=args.seed,

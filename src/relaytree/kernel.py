@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .logdomain import LOG_ZERO, LogProb, log1mexp, log_sum_exp
 
@@ -48,6 +50,7 @@ __all__ = [
     "lrt_step",
     "apply_rule",
     "majority_rule",
+    "Schedule",
     "alternating_phases",
     "total_error",
     "propagate",
@@ -112,11 +115,6 @@ class TiePhase(enum.Enum):
 
     TIES_TO_ONE = "one"
     TIES_TO_ZERO = "zero"
-
-    def flipped(self) -> "TiePhase":
-        if self is TiePhase.TIES_TO_ONE:
-            return TiePhase.TIES_TO_ZERO
-        return TiePhase.TIES_TO_ONE
 
 
 @dataclass(frozen=True)
@@ -441,14 +439,74 @@ def majority_rule(m: int, tie_prob: float = 0.5) -> FusionRule:
     return MajorityEven(m, tie_prob)
 
 
+@dataclass(frozen=True)
+class Schedule(Sequence):
+    """The rules of levels 1..levels of a fan-in m trace: majority with tie
+    coin pb (fair when None), ties alternating from `phase` ("one" when
+    None), or "lrt" under `priors`; the CLI's --rule, --pb, --phase and
+    --pi0, refused in its words.  Level k's rule is picked on demand from
+    the family's one or two rules, so no per-level list is built."""
+
+    m: int
+    levels: int
+    rule: str = "majority"
+    pb: Optional[float] = None
+    phase: Optional[str] = None
+    priors: Priors = Priors.equal()
+    _rules: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, pb, phase = self.m, self.pb, self.phase
+        if self.levels < 0:
+            raise ValueError(f"a schedule needs levels >= 0, got {self.levels}")
+        if self.rule == "majority":
+            if phase is not None:
+                raise ValueError("--phase conflicts with --rule majority; "
+                                 "it selects the alternating tie direction")
+            if pb is not None:
+                if m % 2 == 1:
+                    raise ValueError(f"--pb conflicts with odd deciding fan-in {m}; "
+                                     "ties need an even fan-in")
+                if not 0.0 < pb < 1.0:
+                    raise ValueError(f"--pb must be inside (0, 1), got {pb}; "
+                                     "for deterministic ties use --rule alternating")
+            rules = (majority_rule(m, 0.5 if pb is None else pb),)
+        elif self.rule == "alternating":
+            if pb is not None:
+                raise ValueError("--pb conflicts with --rule alternating; "
+                                 "its tie direction is deterministic")
+            if m % 2 == 1:
+                raise ValueError(f"--rule alternating conflicts with odd deciding fan-in {m}")
+            first = TiePhase(phase or "one")
+            rules = tuple(AlternatingMajority(m, ph)
+                          for ph in sorted(TiePhase, key=lambda ph: ph is not first))
+        elif self.rule == "lrt":
+            if pb is not None:
+                raise ValueError("--pb conflicts with --rule lrt; the test has no ties")
+            if phase is not None:
+                raise ValueError("--phase conflicts with --rule lrt")
+            if not 0.0 < self.priors.pi0 < 1.0:
+                raise ValueError(f"--rule lrt needs 0 < --pi0 < 1, got {self.priors.pi0}")
+            rules = (BayesianLRT(m, self.priors),)
+        else:
+            raise ValueError(f"rule must be majority, alternating or lrt, got {self.rule!r}")
+        object.__setattr__(self, "_rules", rules)
+
+    def __len__(self) -> int:
+        return self.levels
+
+    def __getitem__(self, k: int) -> FusionRule:
+        if not -self.levels <= k < self.levels:
+            raise IndexError(f"level index {k} outside a schedule of {self.levels} levels")
+        return self._rules[k % self.levels % len(self._rules)]
+
+    def __iter__(self):
+        return itertools.islice(itertools.cycle(self._rules), self.levels)
+
+
 def alternating_phases(height: int, first: TiePhase = TiePhase.TIES_TO_ONE) -> list:
     """Tie directions for levels 1..height, flipping at every level."""
-    phases = []
-    phase = first
-    for _ in range(height):
-        phases.append(phase)
-        phase = phase.flipped()
-    return phases
+    return [rule.phase for rule in Schedule(2, height, "alternating", phase=first.value)]
 
 
 def total_error(pair: ErrorPair, priors: Priors) -> LogProb:

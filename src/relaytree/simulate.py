@@ -224,6 +224,14 @@ def _layout(trials: int, n_leaves: int) -> tuple:
     return chunk, list(zip(cuts, cuts[1:] + [trials]))
 
 
+def _serial_chunks(trials: int, n_leaves: int) -> int:
+    """The chunks of trials that _layout makes on one core.  A shard's
+    chunk is never wider, so this counts the fewest leaf fills a run can
+    make, on any host."""
+    chunk = max(4, (max(1, _CHUNK_SAMPLES // n_leaves) + 3) // 4 * 4)
+    return -(-trials // chunk)
+
+
 def _run(config: SimConfig, pairs: tuple) -> SimResult:
     """Simulate the tree: exact sums travel upward for k0 - 1 levels and
     a binary rule decides at every k0-th level, i.e. at every level of a

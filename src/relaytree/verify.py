@@ -30,8 +30,8 @@ from .kernel import (
     MajorityEven,
     MajorityOdd,
     Priors,
+    Schedule,
     TiePhase,
-    alternating_phases,
     apply_rule,
     binom_tail,
     majority_rule,
@@ -78,11 +78,6 @@ def _pairs_close(x: ErrorPair, y: ErrorPair) -> bool:
 
 def _pair(a: float, b: float) -> ErrorPair:
     return ErrorPair.from_linear(a, b)
-
-
-def _alternating(m: int, height: int, first: TiePhase = TiePhase.TIES_TO_ONE) -> list:
-    """A schedule of `height` alternating-majority levels starting at `first`."""
-    return [AlternatingMajority(m, ph) for ph in alternating_phases(height, first)]
 
 
 def exact_majority_trace(alpha0: Fraction, m: int, levels: int) -> list:
@@ -382,9 +377,8 @@ def check_sandwich_on_traces() -> Iterator[str]:
         lam = bounds.per_level_exponent(m)
         informative = 0.5 / math.comb(m, lam)
         alphas = (0.1, 0.3, informative)
-        rule = majority_rule(m)
         for a0 in alphas:
-            trace = propagate(_pair(a0, a0), [rule] * 12, Priors.equal())
+            trace = propagate(_pair(a0, a0), Schedule(m, 12), Priors.equal())
             for k, pair in enumerate(trace.pairs):
                 sw = bounds.level_bounds(a0, m, k, bounds.RateKind.MAJORITY_RANDOM)
                 if not sw.contains(pair.alpha.log2_inverse, tol=1e-6):
@@ -396,12 +390,11 @@ def check_sandwich_on_traces() -> Iterator[str]:
             # the even-k alternating bound telescopes with one tie-inclusive
             # step per pair, which anchors ties-to-zero at level 1; at m=2
             # the opposite order squares the constant and escapes the bound
-            firsts = [TiePhase.TIES_TO_ZERO]
-            if m >= 4:
-                firsts.append(TiePhase.TIES_TO_ONE)
+            firsts = ["zero", "one"] if m >= 4 else ["zero"]
             for a0 in alphas:
                 for first in firsts:
-                    trace = propagate(_pair(a0, a0), _alternating(m, 12, first), Priors.equal())
+                    schedule = Schedule(m, 12, "alternating", phase=first)
+                    trace = propagate(_pair(a0, a0), schedule, Priors.equal())
                     for k in range(0, 13, 2):
                         sw = bounds.level_bounds(
                             a0, m, k, bounds.RateKind.ALTERNATING
@@ -410,7 +403,7 @@ def check_sandwich_on_traces() -> Iterator[str]:
                         if not sw.contains(bits, tol=1e-6):
                             yield (
                                 f"alternating m={m}, a0={a0}, k={k}, "
-                                f"first={first.value}: {bits} outside "
+                                f"first={first}: {bits} outside "
                                 f"[{sw.lower}, {sw.upper}]"
                             )
 
@@ -422,7 +415,7 @@ def check_exponent_ratio_convergence() -> Iterator[str]:
         lam = bounds.per_level_exponent(m)
         log2_c = math.log2(math.comb(m, lam))
         for a0 in (0.1, 0.01):
-            trace = propagate(_pair(a0, a0), [majority_rule(m)] * 10, Priors.equal())
+            trace = propagate(_pair(a0, a0), Schedule(m, 10), Priors.equal())
             ratios = [
                 trace.pairs[k].alpha.log2_inverse / lam**k for k in range(11)
             ]
@@ -450,14 +443,15 @@ def check_total_bounds() -> Iterator[str]:
     # follows the order that escapes the even-height constant
     for m in (4, 6):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
-            for first in (TiePhase.TIES_TO_ONE, TiePhase.TIES_TO_ZERO):
-                trace = propagate(_pair(0.1, 0.15), _alternating(m, 4, first), priors)
+            for first in ("one", "zero"):
+                schedule = Schedule(m, 4, "alternating", phase=first)
+                trace = propagate(_pair(0.1, 0.15), schedule, priors)
                 for k in (2, 4):
                     sw = bounds.total_bounds(0.1, 0.15, priors, m, k, bounds.RateKind.ALTERNATING)
                     got = trace.totals[k].log2_inverse
                     if not sw.contains(got, tol=1e-9):
                         yield (
-                            f"alternating total m={m}, first={first.value}, "
+                            f"alternating total m={m}, first={first}, "
                             f"k={k}: {got} outside [{sw.lower}, {sw.upper}]"
                         )
 
@@ -503,21 +497,6 @@ def check_rate_collapse() -> Iterator[str]:
 
 # ------------------------------------------------------------------- sim
 
-def _binary_config(m, height, a0, rule_kind, trials, seed, hyp=Hypothesis.H0):
-    spec = alph.TreeSpec(m, height, 2)
-    if rule_kind == "majority":
-        schedule = [majority_rule(m)] * height
-    elif rule_kind == "majority_biased":
-        schedule = [MajorityEven(m, 0.3)] * height
-    elif rule_kind == "alternating":
-        schedule = _alternating(m, height)
-    elif rule_kind == "lrt":
-        schedule = [BayesianLRT(m, Priors.equal())] * height
-    else:
-        raise ValueError(rule_kind)
-    return SimConfig(spec, tuple(schedule), _pair(a0, a0), trials, seed, hyp)
-
-
 @_suite("sim", "agreement")
 def check_sim_agreement() -> Iterator[str]:
     """|z| <= 4 between simulation and recursion across the rule matrix.
@@ -527,14 +506,15 @@ def check_sim_agreement() -> Iterator[str]:
     """
     seed = 20260817
     for m in (2, 3, 4, 5):
-        kinds = ["majority", "lrt"]
+        kinds = {"majority": {}, "lrt": {"rule": "lrt"}}
         if m % 2 == 0:
-            kinds += ["majority_biased", "alternating"]
-        for kind in kinds:
+            kinds.update(majority_biased={"pb": 0.3}, alternating={"rule": "alternating"})
+        for kind, flags in kinds.items():
             for height in (1, 2, 3):
                 for a0 in (0.1, 0.3):
                     for hyp in (Hypothesis.H0, Hypothesis.H1):
-                        cfg = _binary_config(m, height, a0, kind, _TRIALS, seed, hyp)
+                        cfg = SimConfig(alph.TreeSpec(m, height, 2), Schedule(m, height, **flags),
+                                        _pair(a0, a0), _TRIALS, seed, hyp)
                         seed += 1
                         rep = compare_to_analytic(cfg)
                         if rep.flagged:
@@ -569,7 +549,7 @@ def check_alphabet_equivalence_sim() -> Iterator[str]:
     for m, d, h, a0 in ((2, 3, 4, 0.3), (3, 10, 3, 0.3)):
         spec = alph.TreeSpec(m, h, d)
         red_spec = alph.equivalent_tree(spec)
-        rules = [majority_rule(red_spec.m, 0.5)] * red_spec.height
+        rules = Schedule(red_spec.m, red_spec.height)
         for hyp in (Hypothesis.H0, Hypothesis.H1):
             rep = compare_to_analytic(
                 SimConfig(spec, rules, _pair(a0, a0), _TRIALS, 99, hyp)

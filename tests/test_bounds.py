@@ -1,5 +1,6 @@
 """Closed-form error-decay bounds, exponents, and sample sizes."""
 
+import itertools
 import math
 import time
 
@@ -11,6 +12,7 @@ from relaytree.bounds import (
     BoundInapplicableError,
     BoundSandwich,
     RateKind,
+    bound_cells,
     exponent,
     exponent_table,
     level_bounds,
@@ -25,8 +27,10 @@ from relaytree.kernel import (
     ErrorPair,
     MajorityOdd,
     Priors,
+    Schedule,
     alternating_phases,
     propagate,
+    total_error,
 )
 
 
@@ -183,6 +187,51 @@ class TestTotalBounds:
         for k in (4, 3):  # refused before the height is checked
             with pytest.raises(BoundInapplicableError, match="m=2"):
                 total_bounds(0.1, 0.1, Priors.equal(), 2, k, RateKind.ALTERNATING)
+
+
+class TestBoundCells:
+    """bound_cells picks each family's theorem: the cells of level k are
+    what total_bounds or lrt_lower_bound gives at k, or () where none does."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("pi0", [0.3, 0.5])
+    def test_majority_is_total_bounds_at_random_ties(self, m, pi0):
+        priors = Priors(pi0, 1.0 - pi0)
+        for pb in (None, 0.5) if m % 2 == 0 else (None,):
+            cells = bound_cells(Schedule(m, 20, pb=pb, priors=priors), 0.1, 0.2)
+            for k, got in enumerate(itertools.islice(cells, 21)):
+                sw = total_bounds(0.1, 0.2, priors, m, k)
+                assert got == (sw.lower, sw.upper)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("phase", ["one", "zero"])
+    def test_alternating_is_total_bounds_at_even_levels(self, m, phase):
+        priors = Priors(0.3, 0.7)
+        cells = bound_cells(Schedule(m, 20, "alternating", phase=phase, priors=priors), 0.1, 0.2)
+        for k, got in enumerate(itertools.islice(cells, 21)):
+            if k % 2:
+                assert got == ()
+            else:
+                sw = total_bounds(0.1, 0.2, priors, m, k, RateKind.ALTERNATING)
+                assert got == (sw.lower, sw.upper)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("pi0", [0.3, 0.5])
+    def test_lrt_is_its_lower_bound(self, m, pi0):
+        priors = Priors(pi0, 1.0 - pi0)
+        total0 = total_error(ErrorPair.from_linear(0.1, 0.2), priors).linear
+        cells = bound_cells(Schedule(m, 20, "lrt", priors=priors), 0.1, 0.2)
+        for k, got in enumerate(itertools.islice(cells, 21)):
+            assert got == (lrt_lower_bound(total0, priors, m, k),)
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule(2, 20, pb=0.3),
+        Schedule(6, 20, pb=0.9, priors=Priors(0.7, 0.3)),
+        Schedule(2, 20, "alternating"),
+        Schedule(2, 20, "alternating", phase="zero"),
+    ], ids=["coin-m2", "coin-m6", "alternating-m2-one", "alternating-m2-zero"])
+    def test_no_theorem_yields_empty_cells(self, schedule):
+        assert list(itertools.islice(bound_cells(schedule, 0.1, 0.2), 21)) == [()] * 21
 
 
 class TestDoubleRange:

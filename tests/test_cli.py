@@ -257,7 +257,7 @@ class TestRecurseConflicts:
         def per_level(*args, **kwargs):
             raise AssertionError("per-level work before the work check")
 
-        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "Schedule", per_level)
         self.conflict(capsys, [
             "recurse", "--m", m, "--alpha0", "0.1", "--beta0", "0.1",
             "--levels", levels,
@@ -614,7 +614,7 @@ class TestSimulate:
         def per_level(*args, **kwargs):
             raise AssertionError("per-level work before the budget check")
 
-        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "Schedule", per_level)
         monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run([
             "simulate", "--m", "2", "--height", "1000000000", "--alpha0", "0.1",
@@ -635,7 +635,7 @@ class TestSimulate:
         def per_level(*args, **kwargs):
             raise AssertionError("per-level work before the work check")
 
-        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "Schedule", per_level)
         monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run(["simulate", *flags, "--alpha0", "0.1", "--beta0", "0.2",
                         "--trials", "1", "--seed", "1"])
@@ -664,7 +664,7 @@ class TestSimulate:
         def per_level(*args, **kwargs):
             raise AssertionError("per-level work before the leaf check")
 
-        monkeypatch.setattr(cli, "_rule_schedule", per_level)
+        monkeypatch.setattr(cli, "Schedule", per_level)
         monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run(["simulate", "--m", "2", "--height", "30", "--alpha0", "0.1",
                         "--beta0", "0.2", "--trials", "1", "--seed", "1"])
@@ -687,11 +687,9 @@ class TestSimulate:
     @pytest.mark.parametrize("samples, trials, chunks", [
         # serial: 16 leaves x 4 trials per chunk, 10 trials in 3 chunks
         ({"_CHUNK_SAMPLES": 64}, 10, 3),
-        # two shards of 10,000 trials, each in chunks of 4,096 trials
-        ({"_SHARD_SAMPLES": 1 << 17}, 20_000, 6),
     ])
     def test_fill_limit_counts_every_chunk(self, capsys, monkeypatch, samples, trials, chunks):
-        # the limit is the run's leaf fills, leaves x chunks, as the run makes them
+        # the limit is a serial run's leaf fills, leaves x chunks, as the run makes them
         for name, value in samples.items():
             monkeypatch.setattr(simulate_module, name, value)
         monkeypatch.setattr(simulate_module, "_cores", lambda: 2)
@@ -714,6 +712,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"--trials {trials} exceeds the work limit" in err
         assert f"its {chunks} chunk(s) of trials x m^height = 16 leaves must be at most" in err
+
+    @pytest.mark.parametrize("cores", [1, 2, 4, 8])
+    def test_fill_limit_does_not_depend_on_cores(self, capsys, monkeypatch, cores):
+        # one serial chunk of 100,000 trials fills 8 leaves once, within the
+        # limit of 16; two or more shards would fill them in 4 or more chunks
+        monkeypatch.setattr(simulate_module, "_cores", lambda: cores)
+        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16)
+        assert cli.run(["simulate", "--m", "2", "--height", "3", "--alpha0", "0.1",
+                        "--beta0", "0.1", "--trials", "100000", "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flags, needles", [
         (["--pb", "0.3"], ("--pb", "odd")),

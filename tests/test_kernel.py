@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from relaytree.kernel import (
     MajorityEven,
     MajorityOdd,
     Priors,
+    Schedule,
     TiePhase,
     alternating_phases,
     apply_rule,
@@ -429,12 +431,92 @@ class TestRuleTypes:
             TiePhase.TIES_TO_ZERO,
             TiePhase.TIES_TO_ONE,
         ]
-        assert TiePhase.TIES_TO_ONE.flipped() is TiePhase.TIES_TO_ZERO
+        assert Schedule(2, 2, "alternating")[1].phase is TiePhase.TIES_TO_ZERO
 
     def test_apply_rule_rejects_a_non_rule(self):
         rule = object()
         with pytest.raises(TypeError, match=re.escape(repr(rule))):
             apply_rule(pair(0.1, 0.1), rule)
+
+
+def rules_by_hand(m, levels, rule, pb, phase, pi0):
+    """The rules of levels 1..levels, written out per family, or None
+    where the flags conflict."""
+    if rule == "majority" and phase is None and (pb is None or m % 2 == 0):
+        return [MajorityOdd(m) if m % 2 else MajorityEven(m, 0.5 if pb is None else pb)] * levels
+    if rule == "alternating" and pb is None and m % 2 == 0:
+        first, second = TiePhase.TIES_TO_ONE, TiePhase.TIES_TO_ZERO
+        if phase == "zero":
+            first, second = second, first
+        return [AlternatingMajority(m, second if k % 2 else first) for k in range(levels)]
+    if rule == "lrt" and pb is None and phase is None:
+        return [BayesianLRT(m, Priors(pi0, 1.0 - pi0))] * levels
+    return None
+
+
+class TestSchedule:
+    def test_every_combination_is_its_rules_written_out(self):
+        accepted = 0
+        for rule in ("majority", "alternating", "lrt"):
+            for m in range(2, 7):
+                for levels in range(7):
+                    for pb in (None, 0.3, 0.5, 0.9):
+                        for phase in (None, "one", "zero"):
+                            for pi0 in (0.3, 0.5):
+                                want = rules_by_hand(m, levels, rule, pb, phase, pi0)
+                                priors = Priors(pi0, 1.0 - pi0)
+                                if want is None:
+                                    with pytest.raises(ValueError):
+                                        Schedule(m, levels, rule, pb, phase, priors)
+                                    continue
+                                got = Schedule(m, levels, rule, pb, phase, priors)
+                                accepted += 1
+                                assert len(got) == levels
+                                assert list(got) == want
+                                assert [got[k] for k in range(-levels, levels)] == want * 2
+        # majority: 2 odd fan-ins x 2 priors + 3 even x 4 coins x 2 priors;
+        # alternating: 3 even x 3 phases x 2 priors; lrt: 5 x 2 priors
+        assert accepted == 7 * (2 * 2 + 3 * 4 * 2 + 3 * 3 * 2 + 5 * 2)
+
+    def test_a_billion_levels_answer_at_once(self):
+        start = time.perf_counter()
+        schedule = Schedule(2, 10**9)
+        assert len(schedule) == 10**9
+        assert schedule[0] == schedule[-1] == schedule[10**9 - 1] == MajorityEven(2, 0.5)
+        alternating = Schedule(2, 10**9, "alternating")
+        last = AlternatingMajority(2, TiePhase.TIES_TO_ZERO)
+        assert alternating[10**9 - 1] == alternating[-1] == last
+        assert alternating[-10**9] == AlternatingMajority(2, TiePhase.TIES_TO_ONE)
+        for k in (10**9, -10**9 - 1):
+            with pytest.raises(IndexError):
+                schedule[k]
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("args, kwargs, text", [
+        ((4, 1), {"phase": "one"},
+         "--phase conflicts with --rule majority; it selects the alternating tie direction"),
+        ((3, 1), {"pb": 0.3},
+         "--pb conflicts with odd deciding fan-in 3; ties need an even fan-in"),
+        ((4, 1), {"pb": 1.0},
+         "--pb must be inside (0, 1), got 1.0; for deterministic ties use --rule alternating"),
+        ((4, 1, "alternating"), {"pb": 0.3},
+         "--pb conflicts with --rule alternating; its tie direction is deterministic"),
+        ((3, 1, "alternating"), {}, "--rule alternating conflicts with odd deciding fan-in 3"),
+        ((4, 1, "lrt"), {"pb": 0.3}, "--pb conflicts with --rule lrt; the test has no ties"),
+        ((4, 1, "lrt"), {"phase": "one"}, "--phase conflicts with --rule lrt"),
+        ((3, 1, "lrt"), {"priors": Priors(1.0, 0.0)}, "--rule lrt needs 0 < --pi0 < 1, got 1.0"),
+        ((3, -1), {}, "a schedule needs levels >= 0, got -1"),
+        ((3, 1, "median"), {}, "rule must be majority, alternating or lrt, got 'median'"),
+    ])
+    def test_refusals_keep_the_cli_texts(self, args, kwargs, text):
+        with pytest.raises(ValueError) as err:
+            Schedule(*args, **kwargs)
+        assert str(err.value) == text
+
+    def test_propagate_takes_it_as_its_list(self):
+        for schedule in (Schedule(4, 5, "alternating", phase="zero"), Schedule(3, 4, "lrt")):
+            assert propagate(pair(0.1, 0.2), schedule, Priors.equal()) == propagate(
+                pair(0.1, 0.2), list(schedule), Priors.equal())
 
 
 def lrt_table_per_count(pair, priors, m):

@@ -449,7 +449,8 @@ def test_cross_check_scores_kernel_rules_through_apply_rule(monkeypatch):
     real = AlternatingMajority.table
 
     def ties_swapped(rule, p):
-        return real(AlternatingMajority(rule.m, rule.phase.flipped()), p)
+        other = next(ph for ph in TiePhase if ph is not rule.phase)
+        return real(AlternatingMajority(rule.m, other), p)
 
     monkeypatch.setattr(AlternatingMajority, "table", ties_swapped)
     fails = verify.check_kernel_matches_enumeration(fanins=(4,), grid=[0.1, 0.3])

@@ -338,6 +338,18 @@ class TestShards:
         else:
             compare_to_analytic(config)
 
+    @pytest.mark.parametrize("trials, n_leaves", [
+        (1, 1), (10, 16), (20_000, 16), (10**6, 8), (38_146, 262_144), (999, 3**7)])
+    def test_serial_chunks_are_the_fewest_a_layout_makes(self, monkeypatch, trials, n_leaves):
+        def chunks(cpus):
+            monkeypatch.setattr(simulate_module, "_cores", lambda: cpus)
+            chunk, spans = simulate_module._layout(trials, n_leaves)
+            return sum(-(-(hi - lo) // chunk) for lo, hi in spans)
+
+        serial = simulate_module._serial_chunks(trials, n_leaves)
+        assert serial == chunks(1)
+        assert all(chunks(cpus) >= serial for cpus in (2, 3, 4, 8, 64))
+
     @pytest.mark.parametrize("failing_shard, error", [
         (0, RuntimeError), (1, RuntimeError), (0, KeyboardInterrupt)])
     def test_shard_exception_reaches_caller(self, sim, sharded, monkeypatch, failing_shard,
