@@ -20,22 +20,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import bounds
+from . import bounds, kernel
 from .alphabet import TreeSpec, avg_bits, bits_bounds, equivalent_tree, k0_of, rates_from_k0
 from .kernel import ErrorPair, Priors, Schedule, propagate
-from .simulate import DEFAULT_BUDGET, Hypothesis, SimConfig, compare_to_analytic
-from .simulate import _check_budget, _serial_chunks  # the limits a run is held to before it starts
+from .simulate import Hypothesis, SimConfig, compare_to_analytic
 from .verify import SUITES, run_suites
 
 __all__ = ["run", "main"]
-
-# Most (levels + 1) x (m + 1) count terms a recurse trace, or the deciding
-# tree of a simulate run, may take, and most leaf fills (leaves x chunks)
-# a simulate run may make.  Its costliest corners on a 2-vCPU Xeon:
-# m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
-# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 6.1 s, and
-# 262,144 leaves in one chunk of 16 trials, 3.1 s.
-RECURSE_WORK_LIMIT = 300_000
 
 
 def _fmt(x) -> str:
@@ -104,10 +95,10 @@ _LN2 = math.log(2.0)
 
 def _cmd_recurse(args) -> int:
     m = args.m
-    if (args.levels + 1) * (m + 1) > RECURSE_WORK_LIMIT:
+    if (args.levels + 1) * (m + 1) > kernel.WORK_LIMIT:
         raise ValueError(
             f"--levels {args.levels} with --m {m} exceeds the work limit: "
-            f"(levels + 1) x (m + 1) must be at most {RECURSE_WORK_LIMIT}"
+            f"(levels + 1) x (m + 1) must be at most {kernel.WORK_LIMIT}"
         )
     priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = Schedule(m, args.levels, args.rule, args.pb, args.phase, priors)
@@ -156,22 +147,7 @@ def _cmd_recurse(args) -> int:
 def _cmd_simulate(args) -> int:
     priors = Priors(args.pi0, 1.0 - args.pi0)
     spec = TreeSpec(args.m, args.height, args.d)
-    _check_budget(spec, args.trials, args.budget)  # before any per-level list
     reduced = equivalent_tree(spec)
-    if (reduced.height + 1) * (reduced.m + 1) > RECURSE_WORK_LIMIT:
-        fan_in = f"; its deciding fan-in is m^k0 = {reduced.m}" if args.d > 2 else ""
-        raise ValueError(
-            f"--m {args.m} with --height {args.height} exceeds the work limit: "
-            f"(height / k0 + 1) x (m^k0 + 1) must be at most {RECURSE_WORK_LIMIT}{fan_in}"
-        )
-    # each chunk of trials fills every leaf's uniforms in a Python loop
-    chunks = _serial_chunks(args.trials, spec.n_leaves)
-    if chunks * spec.n_leaves > RECURSE_WORK_LIMIT:
-        raise ValueError(
-            f"--m {args.m} with --height {args.height} and --trials {args.trials} exceeds "
-            f"the work limit: its {chunks} chunk(s) of trials x m^height = {spec.n_leaves} "
-            f"leaves must be at most {RECURSE_WORK_LIMIT} leaf fills"
-        )
     config = SimConfig(
         spec=spec,
         schedule=Schedule(reduced.m, reduced.height, args.rule, args.pb, args.phase, priors),
@@ -180,7 +156,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         hypothesis=Hypothesis(args.hypothesis),
     )
-    report = compare_to_analytic(config, budget=args.budget)
+    report = compare_to_analytic(config)
     if report.flagged:
         print(
             f"warning: |z| = {abs(report.z_score):.2f} > 4 against the "
@@ -286,8 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--hypothesis", choices=["h0", "h1"], default="h0")
-    p.add_argument("--budget", type=_within(int, 1), default=DEFAULT_BUDGET,
-                   help="maximum leaf samples before refusing")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("exponents", help="decay-exponent table")

@@ -49,6 +49,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import kernel
 from .alphabet import TreeSpec, equivalent_tree
 from .kernel import ErrorPair, Priors, propagate
 
@@ -61,7 +62,7 @@ __all__ = [
     "compare_to_analytic",
 ]
 
-DEFAULT_BUDGET = 10**10  # leaf samples per call before refusing
+DEFAULT_BUDGET = 10**10  # most leaf samples a SimConfig admits
 # doubles per fill below which a shard's thread costs more than it gains:
 # on a 2-vCPU host, two shards on trees of 8-256 leaves ran at 0.37-0.6x
 # the serial speed with fills of 1024 doubles, 0.83-1.29x with 2048 and
@@ -81,11 +82,15 @@ class Hypothesis(enum.Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation request.
+    """One simulation request, admitted only if it runs in bounded time.
 
     The schedule names the deciding rules, bottom up: one at every k0-th
     level, each of fan-in m^k0 over the count of ones below it, i.e. the
     reduced (m^k0, 2) tree's schedule.  The levels between forward counts.
+
+    Each limit is refused, in the CLI's words, before the work it bounds:
+    DEFAULT_BUDGET leaf samples, and kernel.WORK_LIMIT count terms in the
+    deciding tree and leaf fills; the schedule is read only after those.
     """
 
     spec: TreeSpec
@@ -96,23 +101,46 @@ class SimConfig:
     hypothesis: Hypothesis
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        spec, trials = self.spec, self.trials
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a uint64, got {self.seed}")
-        reduced = equivalent_tree(self.spec)
-        k0 = self.spec.k0
+        # m**height, built a level at a time and never past the budget
+        leaves = 1
+        for _ in range(spec.height):
+            leaves *= spec.m
+            if trials * leaves > DEFAULT_BUDGET:
+                raise ValueError(
+                    f"simulation needs {trials} trials x {spec.m}^{spec.height} "
+                    f"leaves, more leaf samples than the budget of {DEFAULT_BUDGET}"
+                )
+        reduced = equivalent_tree(spec)
+        if (reduced.height + 1) * (reduced.m + 1) > kernel.WORK_LIMIT:
+            fan_in = f"; its deciding fan-in is m^k0 = {reduced.m}" if spec.d > 2 else ""
+            raise ValueError(
+                f"--m {spec.m} with --height {spec.height} exceeds the work limit: "
+                f"(height / k0 + 1) x (m^k0 + 1) must be at most {kernel.WORK_LIMIT}{fan_in}"
+            )
+        # each chunk of trials fills every leaf's uniforms in a Python loop
+        chunks = _serial_chunks(trials, leaves)
+        if chunks * leaves > kernel.WORK_LIMIT:
+            raise ValueError(
+                f"--m {spec.m} with --height {spec.height} and --trials {trials} exceeds "
+                f"the work limit: its {chunks} chunk(s) of trials x m^height = {leaves} "
+                f"leaves must be at most {kernel.WORK_LIMIT} leaf fills"
+            )
         if len(self.schedule) != reduced.height:
             raise ValueError(
                 f"schedule has {len(self.schedule)} rules for height "
-                f"{self.spec.height}; k0={k0} needs {reduced.height}, one per deciding level"
+                f"{spec.height}; k0={spec.k0} needs {reduced.height}, one per deciding level"
             )
+        object.__setattr__(self, "schedule", tuple(self.schedule))
         for i, rule in enumerate(self.schedule, 1):
             rule_m = getattr(rule, "m", None)
             if rule_m != reduced.m:
                 raise ValueError(
-                    f"rule at level {i * k0} must have fan-in m^k0 = {reduced.m}, got {rule_m}"
+                    f"rule at level {i * spec.k0} must have fan-in m^k0 = {reduced.m}, got {rule_m}"
                 )
 
 
@@ -187,20 +215,6 @@ def _decide(counts: np.ndarray, runs: tuple, streams: _Streams,
     return reduce(np.logical_or, hits) if hits else np.zeros(counts.shape, dtype=bool)
 
 
-def _check_budget(spec: TreeSpec, trials: int, budget: int) -> None:
-    """Refuse a run of more than `budget` leaf samples, multiplying the
-    leaf count m**height up a level at a time and never past the budget."""
-    leaves = 1
-    for _ in range(spec.height):
-        leaves *= spec.m
-        if max(trials, 1) * leaves > budget:
-            raise ValueError(
-                f"simulation needs {trials} trials x {spec.m}^{spec.height} "
-                f"leaves, more leaf samples than the budget of {budget}; "
-                f"pass a larger budget to allow it"
-            )
-
-
 def _cores() -> int:
     """Cores this process may run on, which a CPU affinity mask can cut
     below the host's count."""
@@ -218,18 +232,22 @@ def _layout(trials: int, n_leaves: int) -> tuple:
     and _MIN_FILL >= 4 keeps every shard non-empty."""
     fill = min(trials, _SHARD_SAMPLES // n_leaves)
     workers = max(1, min(_cores(), fill // _MIN_FILL))
-    chunk = max(1, (_CHUNK_SAMPLES if workers == 1 else _SHARD_SAMPLES) // n_leaves)
-    chunk = max(4, (chunk // workers + 3) // 4 * 4)
+    chunk = _chunk(_CHUNK_SAMPLES if workers == 1 else _SHARD_SAMPLES, n_leaves, workers)
     cuts = [trials * i // workers // 4 * 4 for i in range(workers)]
     return chunk, list(zip(cuts, cuts[1:] + [trials]))
+
+
+def _chunk(samples: int, n_leaves: int, workers: int = 1) -> int:
+    """Trials per chunk when `workers` shards split buffers of `samples`
+    leaf samples, rounded up to a multiple of 4."""
+    return max(4, (max(1, samples // n_leaves) // workers + 3) // 4 * 4)
 
 
 def _serial_chunks(trials: int, n_leaves: int) -> int:
     """The chunks of trials that _layout makes on one core.  A shard's
     chunk is never wider, so this counts the fewest leaf fills a run can
     make, on any host."""
-    chunk = max(4, (max(1, _CHUNK_SAMPLES // n_leaves) + 3) // 4 * 4)
-    return -(-trials // chunk)
+    return -(-trials // _chunk(_CHUNK_SAMPLES, n_leaves))
 
 
 def _run(config: SimConfig, pairs: tuple) -> SimResult:
@@ -323,7 +341,7 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
     return SimResult(error_count, config.trials, estimate, ci)
 
 
-def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET) -> ComparisonReport:
+def compare_to_analytic(config: SimConfig) -> ComparisonReport:
     """Run the simulation and score it against the closed form, the
     reduced tree's `propagate` trace.
 
@@ -331,7 +349,6 @@ def compare_to_analytic(config: SimConfig, *, budget: int = DEFAULT_BUDGET) -> C
     deviation implied by the analytic probability.  When that deviation
     is zero the z-score is 0 for exact agreement and +/-inf otherwise.
     """
-    _check_budget(config.spec, config.trials, budget)
     pairs = propagate(config.leaf_pair, config.schedule, Priors.equal()).pairs
     result = _run(config, pairs)
     pair = pairs[-1]

@@ -101,8 +101,7 @@ FAST = [
     f"simulate --m 2 --height 2 {_LEAVES} --trials 10 --seed 18446744073709551616",
     # simulate: the budget, the deciding tree's work limit, and the leaf
     # fills, leaves x chunks of trials, that its work limit also bounds
-    f"simulate --m 2 --height 2 {_LEAVES} --trials 2 --seed 1 --budget 8",
-    f"simulate --m 2 --height 2 {_LEAVES} --trials 3 --seed 1 --budget 8",
+    f"simulate --m 2 --height 1 {_LEAVES} --trials 5000000001 --seed 1",
     f"simulate --m 2 --height 1000000000 {_LEAVES} --trials 1 --seed 1",
     f"simulate --m 150000 --height 1 {_LEAVES} --trials 1 --seed 1",
     f"simulate --m 600 --height 2 --d 700 {_LEAVES} --trials 1 --seed 1",

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from relaytree import cli
+from relaytree import cli, kernel
 from relaytree import simulate as simulate_module
+from relaytree.alphabet import TreeSpec
 from relaytree.bounds import BoundInapplicableError, RateKind, lrt_lower_bound, total_bounds
 from relaytree.kernel import ErrorPair, Priors, total_error
 from relaytree.verify import SUITES, exact_majority_trace
@@ -264,7 +265,7 @@ class TestRecurseConflicts:
         ], "--levels", "--m", "work limit")
 
     def test_work_limit_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 5 * 4)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 5 * 4)
         argv = ["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1"]
         assert cli.run([*argv, "--levels", "4"]) == 0
         capsys.readouterr()
@@ -549,7 +550,6 @@ SAMPLESIZE = ["samplesize", "--m", "3", "--alpha0", "0.1", "--beta0", "0.1",
     (["alphabet", "--m", "2", "--k0-max", "3"], "--k0-max", "0"),
     (["exponents", "--m-min", "2", "--m-max", "4"], "--m-min", "1"),
     (["exponents", "--m-min", "2", "--m-max", "4"], "--m-max", "65"),
-    (SIMULATE, "--budget", "0"),
 ])
 def test_out_of_domain_number_is_refused(capsys, argv, flag, value):
     # argparse checks every occurrence of a flag, so the appended one is read
@@ -600,22 +600,37 @@ class TestSimulate:
         assert code == 2
         assert "multiple of k0" in capsys.readouterr().err
 
-    def test_budget_refusal_is_usage_error(self, capsys):
+    @pytest.fixture
+    def no_per_level_work(self, monkeypatch):
+        """Make each piece of a run's per-level work raise: reading the
+        schedule, building m**height, the closed form and the run itself."""
+        def per_level(*args, **kwargs):
+            raise AssertionError("per-level work before the admission check")
+
+        monkeypatch.setattr(kernel.Schedule, "__iter__", per_level)
+        monkeypatch.setattr(kernel.Schedule, "__getitem__", per_level)
+        monkeypatch.setattr(TreeSpec, "n_leaves", property(per_level))
+        monkeypatch.setattr(simulate_module, "propagate", per_level)
+        monkeypatch.setattr(simulate_module, "_run", per_level)
+
+    def test_budget_refusal_is_usage_error(self, capsys, monkeypatch):
+        # 100 trials x 4 leaves is 400 leaf samples
+        monkeypatch.setattr(simulate_module, "DEFAULT_BUDGET", 10)
         code = cli.run([
             "simulate", "--m", "2", "--height", "2", "--alpha0", "0.1",
             "--beta0", "0.1", "--trials", "100", "--seed", "1",
-            "--budget", "10",
         ])
         assert code == 2
-        assert "budget" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: simulation needs 100 trials x 2^2 leaves, more leaf samples "
+            "than the budget of 10\n")
 
-    def test_tall_tree_refused_before_any_per_level_work(self, capsys, monkeypatch):
+    def test_budget_flag_is_gone(self, capsys):
+        assert cli.run([*self.ARGS, "--budget", "10"]) == 2
+        assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
+
+    def test_tall_tree_refused_before_any_per_level_work(self, capsys, no_per_level_work):
         # a schedule, or 2**height written out, would take gigabytes here
-        def per_level(*args, **kwargs):
-            raise AssertionError("per-level work before the budget check")
-
-        monkeypatch.setattr(cli, "Schedule", per_level)
-        monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run([
             "simulate", "--m", "2", "--height", "1000000000", "--alpha0", "0.1",
             "--beta0", "0.1", "--trials", "1", "--seed", "1",
@@ -630,13 +645,8 @@ class TestSimulate:
         (["--m", "600", "--height", "2", "--d", "700"], ("--m 600", "m^k0 = 360000")),
     ])
     def test_wide_fan_in_refused_before_any_per_level_work(
-        self, capsys, monkeypatch, flags, needles
+        self, capsys, no_per_level_work, flags, needles
     ):
-        def per_level(*args, **kwargs):
-            raise AssertionError("per-level work before the work check")
-
-        monkeypatch.setattr(cli, "Schedule", per_level)
-        monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run(["simulate", *flags, "--alpha0", "0.1", "--beta0", "0.2",
                         "--trials", "1", "--seed", "1"])
         err = capsys.readouterr().err
@@ -650,22 +660,17 @@ class TestSimulate:
         # (height + 1) x (m + 1) = 3 x 3 at m = 2, height 2, above its 4 leaves
         argv = ["simulate", "--m", "2", "--height", "2", "--alpha0", "0.1",
                 "--beta0", "0.1", "--trials", "10", "--seed", "1"]
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 3)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 3 * 3)
         assert cli.run(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 3 * 3 - 1)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 3 * 3 - 1)
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert "work limit" in err and "(height / k0 + 1) x (m^k0 + 1)" in err
 
-    def test_tall_tree_refused_by_its_leaf_count(self, capsys, monkeypatch):
+    def test_tall_tree_refused_by_its_leaf_count(self, capsys, no_per_level_work):
         # 2^30 leaves fit the budget and the deciding tree fits the work
         # limit, but filling every leaf took over 2 minutes for one trial
-        def per_level(*args, **kwargs):
-            raise AssertionError("per-level work before the leaf check")
-
-        monkeypatch.setattr(cli, "Schedule", per_level)
-        monkeypatch.setattr(cli, "SimConfig", per_level)
         code = cli.run(["simulate", "--m", "2", "--height", "30", "--alpha0", "0.1",
                         "--beta0", "0.2", "--trials", "1", "--seed", "1"])
         err = capsys.readouterr().err
@@ -677,10 +682,10 @@ class TestSimulate:
         # 2^4 = 16 leaves at m = 2, height 4, above (4 + 1) x (2 + 1) = 15
         argv = ["simulate", "--m", "2", "--height", "4", "--alpha0", "0.1",
                 "--beta0", "0.1", "--trials", "10", "--seed", "1"]
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 16)
         assert cli.run(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 15)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 15)
         assert cli.run(argv) == 2
         assert "16 leaves must be at most 15" in capsys.readouterr().err
 
@@ -703,11 +708,11 @@ class TestSimulate:
         monkeypatch.setattr(simulate_module._Streams, "fill", counted)
         argv = ["simulate", "--m", "2", "--height", "4", "--alpha0", "0.1", "--beta0", "0.1",
                 "--trials", str(trials), "--seed", "1"]
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16 * chunks)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 16 * chunks)
         assert cli.run(argv) == 0
         assert len(leaf_fills) == 16 * chunks
         capsys.readouterr()
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16 * chunks - 1)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 16 * chunks - 1)
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"--trials {trials} exceeds the work limit" in err
@@ -718,7 +723,7 @@ class TestSimulate:
         # one serial chunk of 100,000 trials fills 8 leaves once, within the
         # limit of 16; two or more shards would fill them in 4 or more chunks
         monkeypatch.setattr(simulate_module, "_cores", lambda: cores)
-        monkeypatch.setattr(cli, "RECURSE_WORK_LIMIT", 16)
+        monkeypatch.setattr(kernel, "WORK_LIMIT", 16)
         assert cli.run(["simulate", "--m", "2", "--height", "3", "--alpha0", "0.1",
                         "--beta0", "0.1", "--trials", "100000", "--seed", "1"]) == 0
         assert capsys.readouterr().err == ""
@@ -742,7 +747,7 @@ class TestSimulate:
     def test_flag_warning_when_z_large(self, capsys, monkeypatch):
         from relaytree.simulate import ComparisonReport, SimResult
 
-        def fake(config, budget):
+        def fake(config):
             r = SimResult(5, 10, 0.5, 0.3)
             return ComparisonReport(r, 0.1, 9.0, True)
 

@@ -69,3 +69,14 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_cli_imports_no_private_name():
+    # the CLI goes through each module's public names, so the rules it
+    # holds a run to are the ones an API caller meets
+    path = ROOT / "src" / "relaytree" / "cli.py"
+    private = [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

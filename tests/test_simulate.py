@@ -4,15 +4,18 @@ Runs here are deliberately small; the statistically heavy agreement
 matrix lives in the verify suite and the acceptance tests.
 """
 
+import importlib.util
 import math
 import sys
 import threading
+from collections.abc import Sequence
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relaytree import kernel
+from relaytree import kernel, verify
 from relaytree import simulate as simulate_module
 from relaytree.alphabet import TreeSpec
 from relaytree.kernel import (
@@ -27,8 +30,10 @@ from relaytree.kernel import (
 )
 from relaytree.simulate import (
     DEFAULT_BUDGET,
+    ComparisonReport,
     Hypothesis,
     SimConfig,
+    SimResult,
     compare_to_analytic,
 )
 
@@ -390,17 +395,101 @@ class TestShards:
         assert sibling_starts <= {200 if failing_shard == 0 else 0}
 
 
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_bench_workloads()
+
+
+class Unreadable(Sequence):
+    """A schedule of n rules, any of which fails the test when read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("a rule was read")
+
+    def __iter__(self):
+        raise AssertionError("the schedule was iterated")
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("spec, trials, text", [
+        (TreeSpec(150000, 1), 1,
+         "--m 150000 with --height 1 exceeds the work limit: "
+         "(height / k0 + 1) x (m^k0 + 1) must be at most 300000"),
+        (TreeSpec(2, 30), 1,
+         "--m 2 with --height 30 and --trials 1 exceeds the work limit: its 1 chunk(s) "
+         "of trials x m^height = 1073741824 leaves must be at most 300000 leaf fills"),
+        (TreeSpec(2, 18), 38_146,
+         "--m 2 with --height 18 and --trials 38146 exceeds the work limit: its 2385 chunk(s) "
+         "of trials x m^height = 262144 leaves must be at most 300000 leaf fills"),
+        (TreeSpec(2, 10**9), 1,
+         "simulation needs 1 trials x 2^1000000000 leaves, more leaf samples "
+         "than the budget of 10000000000"),
+    ], ids=["fan-in", "2^30-leaves", "2385-chunks", "height-1e9"])
+    def test_refuses_what_the_cli_refused_before_any_per_level_work(
+        self, monkeypatch, spec, trials, text
+    ):
+        def per_level(*args, **kwargs):
+            raise AssertionError("m**height was built")
+
+        monkeypatch.setattr(TreeSpec, "n_leaves", property(per_level))
+        with pytest.raises(ValueError) as info:
+            SimConfig(spec, Unreadable(spec.height), ErrorPair.from_linear(0.1, 0.2),
+                      trials, 1, Hypothesis.H0)
+        assert str(info.value) == text
+
+    def test_long_schedule_refused_unread(self):
+        # copying a 10^7-level Schedule before this refusal took 0.21 s and 104 MB
+        with pytest.raises(ValueError, match=r"^schedule has 10000000 rules for height 3;"):
+            SimConfig(TreeSpec(2, 3), Unreadable(10**7), ErrorPair.from_linear(0.1, 0.1),
+                      10, 1, Hypothesis.H0)
+
+    def test_admits_every_config_verify_builds(self, monkeypatch):
+        built = []
+
+        def record(config):
+            built.append(config)
+            return ComparisonReport(SimResult(0, config.trials, 0.0, 0.0), 0.0, 0.0, False)
+
+        monkeypatch.setattr(verify, "compare_to_analytic", record)
+        for check in (verify.check_sim_agreement, verify.check_alphabet_equivalence_sim):
+            list(check())  # a refused config raises here
+        # 144 agreement configs, one frozen d=5 tree, and two trees x two
+        # hypotheses, each run and its reduced twin
+        assert len(built) == 144 + 1 + 8
+
+    @pytest.mark.parametrize("stratum", [*BENCH.MC_NARROW, *BENCH.MC_WIDE],
+                             ids=lambda st: st.name)
+    def test_admits_every_benchmark_stratum(self, stratum):
+        lo, hi = stratum.err_range
+        config = BENCH.mc_config({stratum.name: stratum}, (stratum.name, lo, hi, "h1", 1))
+        assert config.trials == stratum.trials
+
+
 class TestBudget:
     def test_refuses_oversized_run(self):
-        c = binary_config(5, 6, MajorityOdd(5), trials=10**9)
-        with pytest.raises(ValueError, match="budget"):
-            compare_to_analytic(c)
+        with pytest.raises(ValueError, match="budget of 10000000000"):
+            binary_config(5, 6, MajorityOdd(5), trials=10**9)
 
-    def test_explicit_budget_allows(self):
+    def test_budget_is_inclusive(self, monkeypatch):
+        # 50 trials x 3 leaves is 150 leaf samples
+        monkeypatch.setattr(simulate_module, "DEFAULT_BUDGET", 150)
         c = binary_config(3, 1, MajorityOdd(3), trials=50)
-        assert compare_to_analytic(c, budget=150).result.trials == 50
+        assert compare_to_analytic(c).result.trials == 50
+        monkeypatch.setattr(simulate_module, "DEFAULT_BUDGET", 149)
         with pytest.raises(ValueError):
-            compare_to_analytic(c, budget=149)
+            binary_config(3, 1, MajorityOdd(3), trials=50)
 
     def test_default_budget_value(self):
         assert DEFAULT_BUDGET == 10**10
