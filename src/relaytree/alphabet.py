@@ -153,6 +153,6 @@ def bits_bounds(m: int) -> tuple:
 def alphabet_schedule(spec: TreeSpec, rules: Sequence[FusionRule]) -> list:
     """The deciding rules as `simulate.SimConfig` takes them, unchanged.
 
-    Only `bench/workloads.py` still imports this; it goes when that file
-    next changes (ROADMAP item 1)."""
+    Only `bench/workloads.py` and `tests/test_acceptance.py` still call
+    this; it goes when the former next changes (ROADMAP item 1)."""
     return list(rules)

@@ -316,13 +316,13 @@ def sample_size(m: int, alpha0: float, beta0: float, epsilon: float) -> SampleSi
     cannot certify any decay for these leaves, raises
     BoundInapplicableError rather than returning a vacuous answer.
     """
+    lam = per_level_exponent(m)
     bits_a = _bits(alpha0, "alpha0")
     bits_b = _bits(beta0, "beta0")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if max(alpha0, beta0) <= epsilon:
         return SampleSize(n_real=1.0, k=0, n_tree=1)
-    lam = per_level_exponent(m)
     # C(m, lam) is the largest of m + 1 terms summing to 2^m, so
     # log2 c >= m - log2(m + 1): refuse in O(1) what would fail below
     if m - math.log2(m + 1) >= min(bits_a, bits_b):

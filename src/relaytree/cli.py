@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -22,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import bounds, kernel
 from .alphabet import TreeSpec, avg_bits, bits_bounds, equivalent_tree, k0_of, rates_from_k0
-from .kernel import ErrorPair, Priors, Schedule, propagate
+from .kernel import ErrorPair, Priors, Schedule, iter_levels
 from .simulate import Hypothesis, SimConfig, compare_to_analytic
 from .verify import SUITES, run_suites
 
@@ -102,32 +101,21 @@ def _cmd_recurse(args) -> int:
         )
     priors = Priors(args.pi0, 1.0 - args.pi0)
     schedule = Schedule(m, args.levels, args.rule, args.pb, args.phase, priors)
-    # the bound cells need no trace: take them up to the first refused level
-    # K, run the trace below K only, and raise K's refusal after those rows
-    # pass their own checks
-    bounds_by_level = bounds.bound_cells(schedule, args.alpha0, args.beta0)
-    cells, refusal = [], None
-    try:
-        for bound in itertools.islice(bounds_by_level, args.levels + 1):
-            cells.append(bound)
-    except ValueError as err:
-        refusal = err
-    leaf = ErrorPair.from_linear(args.alpha0, args.beta0)
-    trace = propagate(leaf, dataclasses.replace(schedule, levels=len(cells) - 1), priors)
-
-    lines = []
-    for k, (pair, tot, bound) in enumerate(zip(trace.pairs, trace.totals, cells)):
+    # levels are taken in order, each its bound cells, then its step, then
+    # its row's checks, so the first refusal is the lowest level's
+    cells = itertools.islice(bounds.bound_cells(schedule, args.alpha0, args.beta0), args.levels + 1)
+    walk = iter_levels(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
+    lines, below = [], None
+    for k, (bound, (pair, tot)) in enumerate(zip(cells, walk)):
         # each log read once: the columns are LogProb.linear and .log2_inverse
         la, lb, lt = pair.alpha.value, pair.beta.value, tot.value
         logs = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
         if math.inf in logs:
             # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1);
             # a bound column is refused before it would read inf
-            table = schedule[k - 1].table(trace.pairs[k - 1])
-            _refuse_overflow(k, (pair.alpha, pair.beta, tot), table)
+            _refuse_overflow(k, (pair.alpha, pair.beta, tot), schedule[k - 1].table(below))
         lines.append(_RECURSE_ROWS[len(bound)] % (k, math.exp(la), math.exp(lb), *logs, *bound))
-    if refusal is not None:
-        raise refusal
+        below = pair
     _emit_lines(
         [
             "level",

@@ -15,10 +15,11 @@ exactly in the log domain:
   * the Bayesian likelihood-ratio test with threshold pi0/pi1.
 
 Propagating a schedule of rules up the tree yields the full per-level
-trace of error pairs.  Every deciding rule also gives its table
-P(output 1 | s ones among m), a tuple of entries that carries its runs
-of equal entries, found once when the table is built: per (m, tie) for
-majority, and from the crossing window for the likelihood-ratio test.
+trace of error pairs, which `iter_levels` walks one level at a time.
+Every deciding rule also gives its table P(output 1 | s ones among m), a
+tuple of entries that carries its runs of equal entries, found once when
+the table is built: per (m, tie) for majority, and from the crossing
+window for the likelihood-ratio test.
 One step, summed over those runs, serves every rule, and the simulator
 decides by the same runs.
 """
@@ -53,6 +54,7 @@ __all__ = [
     "Schedule",
     "alternating_phases",
     "total_error",
+    "iter_levels",
     "propagate",
 ]
 
@@ -551,19 +553,25 @@ class LevelTrace:
     totals: tuple
 
 
+def iter_levels(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
+    """The error pair and total of levels 0, 1, ..., len(schedule) of a
+    trace up a tree, one rule per level: level k's step runs only when
+    level k is taken.  A step's error is raised with its level attached."""
+    log_pi = _log_priors(priors)
+    pair = pair0
+    yield pair, _total(pair, *log_pi)
+    for k, rule in enumerate(schedule, start=1):
+        try:
+            pair = apply_rule(pair, rule)
+        except ValueError as err:
+            raise ValueError(f"level {k}: {err}") from err
+        yield pair, _total(pair, *log_pi)
+
+
 def propagate(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors) -> LevelTrace:
     """Run the error recursion up a tree, one rule per level.
 
     Raises the underlying step error with the failing level attached.
     """
-    log_pi = _log_priors(priors)
-    pairs = [pair0]
-    totals = [_total(pair0, *log_pi)]
-    for k, rule in enumerate(schedule, start=1):
-        try:
-            nxt = apply_rule(pairs[-1], rule)
-        except ValueError as err:
-            raise ValueError(f"level {k}: {err}") from err
-        pairs.append(nxt)
-        totals.append(_total(nxt, *log_pi))
-    return LevelTrace(tuple(pairs), tuple(totals))
+    pairs, totals = zip(*iter_levels(pair0, schedule, priors))
+    return LevelTrace(pairs, totals)

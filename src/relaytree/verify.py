@@ -34,6 +34,7 @@ from .kernel import (
     TiePhase,
     apply_rule,
     binom_tail,
+    iter_levels,
     majority_rule,
     propagate,
     total_error,
@@ -431,29 +432,31 @@ def check_exponent_ratio_convergence() -> Iterator[str]:
                 )
 
 
+def _outside_cells(schedule: Schedule, a0: float, b0: float) -> Iterator[str]:
+    """The levels of a trace by `schedule` from leaf pair (a0, b0) whose
+    total bits leave, by more than 1e-9, the cells that bounds.bound_cells
+    gives the same level: below its lower cell, or above its upper one."""
+    walk = iter_levels(_pair(a0, b0), schedule, schedule.priors)
+    for k, (cells, (_, total)) in enumerate(zip(bounds.bound_cells(schedule, a0, b0), walk)):
+        bits = total.log2_inverse
+        lower = cells[0] if cells else -math.inf
+        upper = cells[1] if len(cells) == 2 else math.inf
+        if not lower - 1e-9 <= bits <= upper + 1e-9:
+            yield f"level {k}: total {bits} bits outside [{lower}, {upper}]"
+
+
 @_suite("bounds")
 def check_total_bounds() -> Iterator[str]:
-    """Traced root totals lie inside their total-error sandwiches."""
-    sw = bounds.total_bounds(0.1, 0.1, Priors.equal(), 3, 4)
-    trace = propagate(_pair(0.1, 0.1), [MajorityOdd(3)] * 4, Priors.equal())
-    bits = trace.totals[-1].log2_inverse
-    if not sw.contains(bits, tol=1e-9):
-        yield f"root total {bits} outside [{sw.lower}, {sw.upper}]"
+    """Traced totals lie inside their total-error sandwiches at every level."""
+    yield from (f"majority m=3, {msg}" for msg in _outside_cells(Schedule(3, 4), 0.1, 0.1))
     # alternating totals: m >= 4 only; at m=2 one of alpha/beta always
     # follows the order that escapes the even-height constant
     for m in (4, 6):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
             for first in ("one", "zero"):
-                schedule = Schedule(m, 4, "alternating", phase=first)
-                trace = propagate(_pair(0.1, 0.15), schedule, priors)
-                for k in (2, 4):
-                    sw = bounds.total_bounds(0.1, 0.15, priors, m, k, bounds.RateKind.ALTERNATING)
-                    got = trace.totals[k].log2_inverse
-                    if not sw.contains(got, tol=1e-9):
-                        yield (
-                            f"alternating total m={m}, first={first}, "
-                            f"k={k}: {got} outside [{sw.lower}, {sw.upper}]"
-                        )
+                schedule = Schedule(m, 4, "alternating", phase=first, priors=priors)
+                yield from (f"alternating m={m}, pi0={priors.pi0}, first={first}, {msg}"
+                            for msg in _outside_cells(schedule, 0.1, 0.15))
 
 
 @_suite("bounds")
@@ -461,17 +464,8 @@ def check_lrt_lower_bound() -> Iterator[str]:
     """The LRT guarantee holds on traced likelihood-ratio totals."""
     for m in (3, 5):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
-            pair0 = _pair(0.1, 0.1)
-            leaf_total = total_error(pair0, priors).linear
-            trace = propagate(pair0, [BayesianLRT(m, priors)] * 3, priors)
-            for k in range(1, 4):
-                guar = bounds.lrt_lower_bound(leaf_total, priors, m, k)
-                actual = trace.totals[k].log2_inverse
-                if actual < guar - 1e-9:
-                    yield (
-                        f"m={m}, priors=({priors.pi0},{priors.pi1}), k={k}: "
-                        f"actual {actual} bits < guaranteed {guar}"
-                    )
+            yield from (f"lrt m={m}, pi0={priors.pi0}, {msg}"
+                        for msg in _outside_cells(Schedule(m, 3, "lrt", priors=priors), 0.1, 0.1))
 
 
 # -------------------------------------------------------------- alphabet

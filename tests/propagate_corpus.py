@@ -1,27 +1,37 @@
-"""The standing `.hex()` corpus of `propagate` at depth: for each rule
-family and fan-in, the sha256 of every level's `alpha.value.hex()` and
-`beta.value.hex()`, recorded in `propagate_corpus.json` next to this file.
+"""The standing `.hex()` corpora of the kernel's exact values, recorded next
+to this file, one manifest per family:
 
-    python tests/propagate_corpus.py record      # rewrite the manifest from this tree
-    python tests/propagate_corpus.py check       # replay it; exit 1 on any difference
+  * `propagate_corpus.json`: for each rule family and fan-in, the sha256
+    of every level's `alpha.value.hex()` and `beta.value.hex()`;
+  * `binom_tail_corpus.json`: for each fan-in and count window, the sha256
+    of `binom_tail(m, s_lo, s_hi, p).value.hex()` over every log p of
+    LOG_PS.
 
-Each case runs from the leaf pair (0.1, 0.2) for LEVELS levels, or up to
-its first refused level, whose refusal text is recorded too.  The
-families are odd and fair majority, a 0.3 tie coin, both alternating
-phases, and the likelihood-ratio test at pi0 0.3 and 0.5, each at every
-fan-in of FANINS that it accepts.
+    python tests/propagate_corpus.py record      # rewrite the manifests from this tree
+    python tests/propagate_corpus.py check       # replay them; exit 1 on any difference
+
+Each trace walks from the leaf pair (0.1, 0.2) for LEVELS levels, or up
+to its first refused level, whose refusal text is recorded too.  The
+trace families are odd and fair majority, a 0.3 tie coin, both
+alternating phases, and the likelihood-ratio test at pi0 0.3 and 0.5,
+each at every fan-in of FANINS that it accepts.  The tails run at
+fan-ins up to 10,000 (the table of log C(m, s) costs time quadratic in
+m) over the full, upper, lower and a single-count window, with log p
+from -1e300 to -1e-300 and both point masses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
-from relaytree import ErrorPair, Priors, Schedule, propagate
+from relaytree import ErrorPair, LogProb, Priors, Schedule, binom_tail, iter_levels
 
-MANIFEST = Path(__file__).resolve().with_name("propagate_corpus.json")
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "propagate_corpus.json"
 LEVELS = 1000
 FANINS = (2, 3, 4, 5, 255)
 LEAF = (0.1, 0.2)
@@ -37,27 +47,57 @@ FAMILIES = {
 CASES = [f"{name} m={m}" for name, (_, odd) in FAMILIES.items()
          for m in FANINS if odd or m % 2 == 0]
 
+TAIL_MANIFEST = HERE / "binom_tail_corpus.json"
+TAIL_FANINS = (2, 3, 10, 101, 1000, 10000)
+# window name -> its counts [s_lo, s_hi] at fan-in m
+WINDOWS = {
+    "full": lambda m: (0, m),
+    "upper": lambda m: ((m + 1) // 2, m),
+    "lower": lambda m: (0, m // 2),
+    "single": lambda m: (m // 3, m // 3),
+}
+LOG_PS = (*(-10.0**e for e in range(300, -301, -10)), math.log(0.5), -math.inf, 0.0)
+TAIL_CASES = [f"m={m} {window}" for m in TAIL_FANINS for window in WINDOWS]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def outcome(case: str) -> dict:
-    """The levels a case runs, the refusal that stops it (or None) and
-    the sha256 of its pairs' `.hex()` lines."""
+    """The levels a trace case runs, the refusal that stops it (or None)
+    and the sha256 of its pairs' `.hex()` lines."""
     name, m = case.split(" m=")
     flags, m = FAMILIES[name][0], int(m)
     priors = flags.get("priors", Priors.equal())
-    leaf, levels, refusal = ErrorPair.from_linear(*LEAF), LEVELS, None
+    pairs, refusal = [], None
     try:
-        trace = propagate(leaf, Schedule(m, levels, **flags), priors)
-    except ValueError as err:  # "level k: ...": run up to the level below k
+        for pair, _ in iter_levels(ErrorPair.from_linear(*LEAF), Schedule(m, LEVELS, **flags), priors):
+            pairs.append(pair)
+    except ValueError as err:  # "level k: ...", after levels 0..k-1
         refusal = str(err)
-        levels = int(refusal.split(":")[0].removeprefix("level ")) - 1
-        trace = propagate(leaf, Schedule(m, levels, **flags), priors)
-    text = "".join(f"{p.alpha.value.hex()} {p.beta.value.hex()}\n" for p in trace.pairs)
-    return {"levels": levels, "refusal": refusal,
-            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    text = "".join(f"{p.alpha.value.hex()} {p.beta.value.hex()}\n" for p in pairs)
+    return {"levels": len(pairs) - 1, "refusal": refusal, "sha256": _sha256(text)}
 
 
-def differences(entries: dict) -> list:
-    """The cases whose replay differs from their manifest entry."""
+def tail_outcome(case: str) -> dict:
+    """The sha256 of a tail case's `.hex()` lines, one per log p."""
+    m, window = case.split(" ")
+    m = int(m.removeprefix("m="))
+    s_lo, s_hi = WINDOWS[window](m)
+    text = "".join(f"{binom_tail(m, s_lo, s_hi, LogProb(lp)).value.hex()}\n" for lp in LOG_PS)
+    return {"sha256": _sha256(text)}
+
+
+# family -> (manifest, cases, outcome)
+CORPORA = {
+    "propagate": (MANIFEST, CASES, outcome),
+    "binom_tail": (TAIL_MANIFEST, TAIL_CASES, tail_outcome),
+}
+
+
+def differences(entries: dict, outcome=outcome) -> list:
+    """The cases whose replay by `outcome` differs from their manifest entry."""
     found = []
     for case, want in entries.items():
         got = outcome(case)
@@ -68,15 +108,19 @@ def differences(entries: dict) -> list:
 
 def main(argv) -> int:
     if argv == ["record"]:
-        MANIFEST.write_text(json.dumps({case: outcome(case) for case in CASES}, indent=1) + "\n")
+        for manifest, cases, run in CORPORA.values():
+            manifest.write_text(json.dumps({case: run(case) for case in cases}, indent=1) + "\n")
         return 0
     if argv == ["check"]:
-        entries = json.loads(MANIFEST.read_text())
-        found = differences(entries)
-        for msg in found:
-            print(msg)
-        print(f"{len(entries) - len(found)} of {len(entries)} corpus entries match")
-        return 1 if found else 0
+        failed = False
+        for family, (manifest, _, run) in CORPORA.items():
+            entries = json.loads(manifest.read_text())
+            found = differences(entries, run)
+            for msg in found:
+                print(msg)
+            print(f"{len(entries) - len(found)} of {len(entries)} {family} corpus entries match")
+            failed = failed or bool(found)
+        return 1 if failed else 0
     print(__doc__, file=sys.stderr)
     return 2
 

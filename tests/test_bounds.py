@@ -388,6 +388,13 @@ class TestSampleSize:
             got = sample_size(3, *args)
             assert got == type(got)(n_real=1.0, k=0, n_tree=1)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("epsilon", [0.5, 1e-6], ids=["met", "unmet"])
+    def test_fan_in_below_two_is_refused(self, m, epsilon):
+        # before the leaves are checked against the target, met or not
+        with pytest.raises(ValueError, match=f"^fusion needs m >= 2, got {m}$"):
+            sample_size(m, 0.1, 0.1, epsilon)
+
     def test_inapplicable_weak_leaves(self):
         # log2(1/0.4) < log2 C(3,2): the bound certifies nothing
         with pytest.raises(BoundInapplicableError, match="bound inapplicable"):

@@ -462,10 +462,14 @@ class TestLog2InverseOverflow:
         # the table (0, 0, 1) gives alpha' = alpha^2, whose log overflows to -inf
         (["--m", "2", "--pi0", "0.8", "--levels", "2048"],
          "level 2048: alpha_log2inv exceeds double range"),
+        # the step at level 2049 refuses that -inf, but the row below it
+        # is refused first
+        (["--m", "2", "--pi0", "0.8", "--levels", "2100"],
+         "level 2048: alpha_log2inv exceeds double range"),
         (["--m", "6", "--pi0", "0.5", "--levels", "572"],
          "level 572: likelihood-ratio rule at m=6: both sides of count 2 "
          "leave double range"),
-    ], ids=["m4-log2", "m2-log", "m6-both-sides"])
+    ], ids=["m4-log2", "m2-log", "m2-log-before-step", "m6-both-sides"])
     def test_deep_lrt_is_refused(self, capsys, argv, message):
         code = cli.run(["recurse", "--rule", "lrt", *argv, "--alpha0", "0.1", "--beta0", "0.2"])
         captured = capsys.readouterr()
@@ -496,20 +500,20 @@ class TestLog2InverseOverflow:
 
     def test_trace_stops_below_the_first_refused_bound_level(self, capsys, monkeypatch):
         # the bound factor for m = 3 leaves double range at level 1023
-        real, steps = cli.propagate, []
+        real, steps = kernel.apply_rule, []
 
-        def spy(pair0, schedule, priors):
-            steps.append(len(schedule))
-            return real(pair0, schedule, priors)
+        def spy(pair, rule):
+            steps.append(rule)
+            return real(pair, rule)
 
-        monkeypatch.setattr(cli, "propagate", spy)
+        monkeypatch.setattr(kernel, "apply_rule", spy)
         code = cli.run(["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.2",
                         "--levels", "74999"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: level 1023: bound factor for m=3 exceeds double range\n"
-        assert steps == [1022]  # levels 1..1022, none at or past 1023
+        assert len(steps) == 1022  # levels 1..1022, none at or past 1023
 
     def test_exact_lrt_zero_prints_inf(self, capsys):
         # pi0 = 0.9 makes the table decide 0 at every count: alpha' = 0

@@ -25,6 +25,7 @@ from relaytree.kernel import (
     alternating_phases,
     apply_rule,
     binom_tail,
+    iter_levels,
     majority_rule,
     propagate,
     total_error,
@@ -864,3 +865,33 @@ class TestPropagate:
         sched = [MajorityOdd(3), BayesianLRT(3, Priors.equal())]
         with pytest.raises(ValueError, match="level 2"):
             propagate(pair(0.2, 0.0), sched, Priors.equal())
+
+
+class TestIterLevels:
+    def test_a_level_steps_only_when_taken(self, monkeypatch):
+        real, rules = kernel.apply_rule, []
+
+        def spy(pair0, rule):
+            rules.append(rule)
+            return real(pair0, rule)
+
+        monkeypatch.setattr(kernel, "apply_rule", spy)
+        start = time.perf_counter()
+        walk = iter_levels(pair(0.1, 0.2), Schedule(2, 10**9), Priors.equal())
+        assert rules == []
+        taken = list(itertools.islice(walk, 3))
+        assert time.perf_counter() - start < 1.0
+        assert len(taken) == 3
+        assert rules == [MajorityEven(2, 0.5)] * 2
+
+    def test_an_empty_schedule_yields_the_leaf_level_only(self):
+        leaf = pair(0.1, 0.2)
+        assert list(iter_levels(leaf, Schedule(3, 0), Priors(0.3, 0.7))) == [
+            (leaf, total_error(leaf, Priors(0.3, 0.7)))]
+
+    def test_a_refused_step_ends_the_walk_after_the_levels_below(self):
+        sched = [MajorityOdd(3), BayesianLRT(3, Priors.equal())]
+        walk = iter_levels(pair(0.2, 0.0), sched, Priors.equal())
+        assert len([next(walk), next(walk)]) == 2
+        with pytest.raises(ValueError, match="^level 2: likelihood-ratio rule undefined"):
+            next(walk)

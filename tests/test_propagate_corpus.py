@@ -1,13 +1,14 @@
-"""The standing `.hex()` corpus of `propagate` replays as recorded (see
-propagate_corpus.py)."""
+"""The standing `.hex()` corpora of `propagate` and `binom_tail` replay as
+recorded (see propagate_corpus.py)."""
 
 import json
+import math
 
 import propagate_corpus
 
 
-def manifest() -> dict:
-    return json.loads(propagate_corpus.MANIFEST.read_text())
+def manifest(path=propagate_corpus.MANIFEST) -> dict:
+    return json.loads(path.read_text())
 
 
 def test_manifest_holds_every_case_in_order():
@@ -23,3 +24,28 @@ def test_a_leaf_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
     monkeypatch.setattr(propagate_corpus, "LEAF", (0.1000000001, 0.2))
     case = "majority m=3"
     assert propagate_corpus.differences({case: manifest()[case]}) != []
+
+
+def test_tail_manifest_holds_every_case_in_order():
+    assert list(manifest(propagate_corpus.TAIL_MANIFEST)) == propagate_corpus.TAIL_CASES
+    assert len(propagate_corpus.TAIL_CASES) == 6 * 4
+    assert max(propagate_corpus.TAIL_FANINS) == 10_000
+    log_ps = propagate_corpus.LOG_PS
+    assert (min(lp for lp in log_ps if lp > -math.inf), max(lp for lp in log_ps if lp < 0.0)) \
+        == (-1e300, -1e-300)
+    assert -math.inf in log_ps and 0.0 in log_ps
+
+
+def test_every_tail_case_replays_as_recorded():
+    entries = manifest(propagate_corpus.TAIL_MANIFEST)
+    assert propagate_corpus.differences(entries, propagate_corpus.tail_outcome) == []
+
+
+def test_a_tail_p_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
+    moved = tuple(math.log(0.5000000001) if lp == math.log(0.5) else lp
+                  for lp in propagate_corpus.LOG_PS)
+    assert moved != propagate_corpus.LOG_PS
+    monkeypatch.setattr(propagate_corpus, "LOG_PS", moved)
+    case = "m=1000 upper"
+    entry = manifest(propagate_corpus.TAIL_MANIFEST)[case]
+    assert propagate_corpus.differences({case: entry}, propagate_corpus.tail_outcome) != []

@@ -158,20 +158,45 @@ def test_exponent_ratio_convergence_sees_a_wrong_exponent(monkeypatch):
     assert any(": limit ratio " in msg and " outside [" in msg for msg in fails)
 
 
+def shifted_cells(monkeypatch, bits):
+    """Make verify's bound cells sit `bits` higher than the real ones."""
+    real = verify.bounds.bound_cells
+    monkeypatch.setattr(verify.bounds, "bound_cells", lambda schedule, a0, b0: (
+        tuple(cell + bits for cell in cells) for cells in real(schedule, a0, b0)))
+
+
 def test_total_bounds_sees_a_shifted_total_bound(monkeypatch):
-    monkeypatch.setattr(verify.bounds, "total_bounds", shifted(verify.bounds.total_bounds, 1e3))
+    shifted_cells(monkeypatch, 1e3)
     fails = verify.check_total_bounds()
-    assert len(fails) == 1 + 2 * 2 * 2 * 2
-    assert fails[0].startswith("root total ")
-    assert all(msg.startswith("alternating total m=") for msg in fails[1:])
+    # levels 0..4 of the m=3 trace, and levels 0, 2, 4 of the 8 alternating ones
+    assert len(fails) == 5 + 2 * 2 * 2 * 3
+    assert all(msg.startswith("majority m=3, level ") for msg in fails[:5])
+    assert all(msg.startswith("alternating m=") for msg in fails[5:])
+    assert all(" bits outside [" in msg for msg in fails)
+
+
+def test_total_bounds_sees_alternating_traces_given_the_random_tie_theorem(monkeypatch):
+    # alternating traces outrun the random-tie upper bound at m = 4, level 4
+    real = verify.bounds.bound_cells
+
+    def random_tie(schedule, a0, b0):
+        if schedule.rule == "alternating":
+            schedule = dataclasses.replace(schedule, rule="majority", phase=None)
+        return real(schedule, a0, b0)
+
+    monkeypatch.setattr(verify.bounds, "bound_cells", random_tie)
+    fails = verify.check_total_bounds()
+    assert len(fails) == 2
+    assert all(msg.startswith("alternating m=4, ") and ", first=one, level 4: total " in msg
+               for msg in fails)
 
 
 def test_lrt_lower_bound_sees_a_guarantee_above_the_trace(monkeypatch):
-    real = verify.bounds.lrt_lower_bound
-    monkeypatch.setattr(verify.bounds, "lrt_lower_bound", lambda *args: real(*args) + 1e3)
+    shifted_cells(monkeypatch, 1e3)
     fails = verify.check_lrt_lower_bound()
-    assert len(fails) == 2 * 2 * 3
-    assert all(" bits < guaranteed " in msg for msg in fails)
+    # levels 0..3 of each of the four traces; the guarantee has no upper cell
+    assert len(fails) == 2 * 2 * 4
+    assert all(msg.startswith("lrt m=") and msg.endswith(", inf]") for msg in fails)
 
 
 # -------------------------------------------------------------- alphabet

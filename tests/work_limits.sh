@@ -3,9 +3,10 @@
 # past it.  Each accepted run must finish well inside 120 s (the README
 # states their times) and print the CSV recorded earlier: the two recurse
 # traces while recurse still wrote its rows through csv.writer, the
-# simulate row before simulate had a work limit.  One fan-in more, a
-# 2^30-leaf tree and a 262,144-leaf tree with 38,146 trials in 2,385
-# chunks must each be refused with exit 2 before any per-level work.
+# simulate row before simulate had a work limit.  One level more and one
+# fan-in more for recurse, and for simulate one fan-in more, a 2^30-leaf
+# tree and a 262,144-leaf tree with 38,146 trials in 2,385 chunks, must
+# each be refused with exit 2 before any per-level work.
 #
 #   sh tests/work_limits.sh                                   # the relaytree on PATH
 #   PYTHONPATH="$PWD/src" RELAYTREE="python -m relaytree.cli" sh tests/work_limits.sh
@@ -27,10 +28,12 @@ EOF
 
 refused() {
   code=0
-  timeout 5 $relaytree simulate "$@" --seed 1 --alpha0 0.1 --beta0 0.2 || code=$?
+  timeout 5 $relaytree "$@" --alpha0 0.1 --beta0 0.2 || code=$?
   test "$code" -eq 2
 }
-refused --m 150000 --height 1 --trials 1
-refused --m 2 --height 30 --trials 1
-refused --m 2 --height 18 --trials 38146
+refused recurse --m 2 --levels 100000
+refused recurse --m 150000 --levels 1
+refused simulate --m 150000 --height 1 --trials 1 --seed 1
+refused simulate --m 2 --height 30 --trials 1 --seed 1
+refused simulate --m 2 --height 18 --trials 38146 --seed 1
 echo "work limits: ok"
