@@ -12,33 +12,20 @@ def manifest(path=propagate_corpus.MANIFEST) -> dict:
 
 
 def test_manifest_holds_every_case_in_order():
-    assert list(manifest()) == propagate_corpus.CASES
+    for path, cases, _ in propagate_corpus.CORPORA.values():
+        assert list(manifest(path)) == cases
     assert len(propagate_corpus.CASES) == 21
 
 
 def test_every_case_replays_as_recorded():
-    assert propagate_corpus.differences(manifest()) == []
+    for path, _, outcome in propagate_corpus.CORPORA.values():
+        assert propagate_corpus.differences(manifest(path), outcome) == []
 
 
 def test_a_leaf_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
     monkeypatch.setattr(propagate_corpus, "LEAF", (0.1000000001, 0.2))
     case = "majority m=3"
     assert propagate_corpus.differences({case: manifest()[case]}) != []
-
-
-def test_tail_manifest_holds_every_case_in_order():
-    assert list(manifest(propagate_corpus.TAIL_MANIFEST)) == propagate_corpus.TAIL_CASES
-    assert len(propagate_corpus.TAIL_CASES) == 6 * 4
-    assert max(propagate_corpus.TAIL_FANINS) == 10_000
-    log_ps = propagate_corpus.LOG_PS
-    assert (min(lp for lp in log_ps if lp > -math.inf), max(lp for lp in log_ps if lp < 0.0)) \
-        == (-1e300, -1e-300)
-    assert -math.inf in log_ps and 0.0 in log_ps
-
-
-def test_every_tail_case_replays_as_recorded():
-    entries = manifest(propagate_corpus.TAIL_MANIFEST)
-    assert propagate_corpus.differences(entries, propagate_corpus.tail_outcome) == []
 
 
 def test_a_tail_p_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
