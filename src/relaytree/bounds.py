@@ -21,15 +21,12 @@ from .kernel import ErrorPair, Priors, total_error
 
 __all__ = [
     "RateKind",
-    "BoundSandwich",
     "RateReport",
     "SampleSize",
     "BoundInapplicableError",
     "per_level_exponent",
     "ratio_poly",
     "level_bounds",
-    "total_bounds",
-    "lrt_lower_bound",
     "bound_cells",
     "exponent",
     "sample_size",
@@ -47,21 +44,6 @@ class RateKind(enum.Enum):
 
 class BoundInapplicableError(ValueError):
     """The requested bound is vacuous for these inputs."""
-
-
-@dataclass(frozen=True)
-class BoundSandwich:
-    """Two-sided bound, in bits, on a log2(1/p) quantity."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-9:
-            raise ValueError(f"bound crossed: [{self.lower}, {self.upper}]")
-
-    def contains(self, bits: float, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= bits <= self.upper + tol
 
 
 @dataclass(frozen=True)
@@ -117,10 +99,6 @@ def _bits(p: float, name: str) -> float:
     return -math.log2(p)
 
 
-def _out_of_range(m: int, k: int) -> ValueError:
-    return ValueError(f"level {k}: bound factor for m={m} exceeds double range")
-
-
 def _scaled(factor: int, bits: float, m: int, k: int) -> float:
     """factor * bits, the exact factor rounded as float() rounds it,
     refused past double range: a bound column never reads inf."""
@@ -129,7 +107,7 @@ def _scaled(factor: int, bits: float, m: int, k: int) -> float:
     except OverflowError:  # the factor is past 2^1024
         value = math.inf
     if not math.isfinite(value):
-        raise _out_of_range(m, k)
+        raise ValueError(f"level {k}: bound factor for m={m} exceeds double range")
     return value
 
 
@@ -138,68 +116,35 @@ def _log2_c(m: int) -> float:
     return math.log2(math.comb(m, per_level_exponent(m)))
 
 
-def level_bounds(alpha0: float, m: int, k: int, strategy: RateKind) -> BoundSandwich:
-    """Two-sided bound on log2(1/alpha_k) after k fusion levels.
+def level_bounds(alpha0: float, m: int, strategy: RateKind):
+    """Two-sided bounds, lower first, on log2(1/alpha_k) at levels
+    k = 0, 1, 2, ...: alpha_k lies in
 
     factor * (log2(1/alpha0) - log2(c))  <=  log2(1/alpha_k)  <=  factor * log2(1/alpha0)
 
     with factor the accumulated per-level exponent and c the sandwich
-    constant C(m, floor((m+1)/2)).  Valid for the randomized-tie majority
-    family at any k >= 0 and for the alternating family at even k.
+    constant C(m, floor((m+1)/2)), or () at a level where the strategy
+    gives none.  The randomized-tie majority bound holds at every level.
+    The alternating bound holds at even levels only (odd levels yield ()),
+    and at m = 2 only when the first level ties to zero: with ties to one
+    first, alpha from 0.1 has 7.636 bits at level 4, below the 9.288-bit
+    lower bound there.  A level's refusal is raised when it is reached.
     """
     bits0 = _bits(alpha0, "alpha0")
-    return BoundSandwich(*next(_by_level((bits0 - _log2_c(m), bits0), m, strategy, k)))
+    return _by_level((bits0 - _log2_c(m), bits0), m, strategy)
 
 
-def total_bounds(
-    alpha0: float,
-    beta0: float,
-    priors: Priors,
-    m: int,
-    k: int,
-    strategy: RateKind = RateKind.MAJORITY_RANDOM,
-) -> BoundSandwich:
-    """Two-sided bound on log2(1/P_N), the total error at the root of a
-    height-k tree with N = m^k leaves.
-
-    The lower bound runs the level bound from the worse leaf error; the
-    upper bound mixes the per-type upper bounds with the priors.  The
-    alternating sandwich is refused at m = 2, where whichever tie direction
-    comes first, alpha or beta escapes the even-height constant.
-    """
-    terms = _total_terms(alpha0, beta0, priors, m, strategy)
-    return BoundSandwich(*next(_by_level(terms, m, strategy, k)))
-
-
-def _total_terms(alpha0: float, beta0: float, priors: Priors, m: int,
-                 strategy: RateKind) -> tuple:
-    """The leaf bits that total_bounds scales by the factor: (lower, upper)."""
-    if strategy is RateKind.ALTERNATING and m == 2:
-        raise BoundInapplicableError(
-            "bound inapplicable: the alternating total-error sandwich does "
-            "not hold at m=2"
-        )
+def _total_terms(alpha0: float, beta0: float, priors: Priors, m: int) -> tuple:
+    """The leaf bits that the total-error bounds scale by the factor:
+    (lower, upper)."""
     bits_a = _bits(alpha0, "alpha0")
     bits_b = _bits(beta0, "beta0")
     worse = min(bits_a, bits_b)  # bits of max(alpha0, beta0)
     return worse - _log2_c(m), priors.pi0 * bits_a + priors.pi1 * bits_b
 
 
-def lrt_lower_bound(total0: float, priors: Priors, m: int, k: int) -> float:
-    """Guaranteed bits at the root of a height-k tree, N = m^k leaves,
-    under likelihood-ratio fusion.
-
-    log2(1/P_N) >= N^(log_M lambda) * (log2(1/L0) - log2(penalty)) with
-    penalty = 2 C(m, lambda) max(pi) / min(pi)^lambda and L0 the total
-    error of a single leaf.  May be negative (vacuous) for weak leaves;
-    returned as-is.
-    """
-    terms = (_lrt_term(total0, priors, m),)
-    return next(_by_level(terms, m, RateKind.MAJORITY_RANDOM, k))[0]
-
-
 def _lrt_term(total0: float, priors: Priors, m: int) -> float:
-    """The leaf bits that lrt_lower_bound scales by the factor."""
+    """The leaf bits that the likelihood-ratio lower bound scales by the factor."""
     priors.require_positive()
     bits0 = _bits(total0, "total0")
     lam = per_level_exponent(m)
@@ -216,12 +161,23 @@ def _lrt_term(total0: float, priors: Priors, m: int) -> float:
 
 
 def bound_cells(schedule, alpha0: float, beta0: float):
-    """The bound cells, lower first, of levels 0, 1, 2, ... of a trace by a
-    kernel.Schedule from leaf pair (alpha0, beta0): what total_bounds
-    (random-tie majority or alternating) or lrt_lower_bound gives there,
-    from leaf terms taken at this call, and () where no theorem applies
-    (a biased coin, alternating at m = 2).  A level's refusal is raised
-    when it is reached."""
+    """The bound cells, lower first, on log2(1/P_k), the total error at
+    levels k = 0, 1, 2, ... of a trace by a kernel.Schedule from leaf pair
+    (alpha0, beta0): the root of a height-k tree with N = m^k leaves.
+
+    Random-tie majority and alternating give (lower, upper): the lower
+    cell is the level bound of the worse leaf, factor * (log2(1/max(alpha0,
+    beta0)) - log2(c)), and the upper cell mixes the two sides' level
+    bounds by the priors, factor * (pi0 log2(1/alpha0) + pi1 log2(1/beta0)),
+    with factor and c as in level_bounds (alternating at even levels only).
+    Likelihood-ratio fusion gives (lower,): the guarantee
+    N^(log_M lambda) * (log2(1/L0) - log2(penalty)), with penalty =
+    2 C(m, lambda) max(pi) / min(pi)^lambda and L0 the total error of a
+    leaf; it may be negative (vacuous) for weak leaves.  () is yielded
+    where no theorem applies: a biased coin, and alternating at m = 2,
+    where whichever tie direction comes first, alpha or beta escapes the
+    even-level constant.  The leaf terms are taken at this call; a level's
+    refusal is raised when it is reached."""
     m, priors, rule = schedule.m, schedule.priors, schedule.rule
     if rule == "lrt":
         total0 = total_error(ErrorPair.from_linear(alpha0, beta0), priors).linear
@@ -229,26 +185,20 @@ def bound_cells(schedule, alpha0: float, beta0: float):
     if schedule.pb not in (None, 0.5) or (rule == "alternating" and m == 2):
         return itertools.repeat(())
     strategy = RateKind.ALTERNATING if rule == "alternating" else RateKind.MAJORITY_RANDOM
-    return _by_level(_total_terms(alpha0, beta0, priors, m, strategy), m, strategy)
+    return _by_level(_total_terms(alpha0, beta0, priors, m), m, strategy)
 
 
-def _by_level(terms: tuple, m: int, strategy: RateKind, k: int = 0):
-    """The bounds at levels k, k + 1, ...: each leaf term (from
-    `_total_terms` or `_lrt_term`) times the factor, the product of the
-    per-level exponents, or () at a level where the strategy has no bound.
-    The exact factor is carried up, one multiplication per bounded level,
-    and a level whose factor or bound leaves double range is refused when
-    it is reached."""
-    if k < 0:
-        raise ValueError(f"level k must be >= 0, got {k}")
+def _by_level(terms: tuple, m: int, strategy: RateKind):
+    """The bounds at levels 0, 1, 2, ...: each leaf term (from
+    `level_bounds`, `_total_terms` or `_lrt_term`) times the factor, the
+    product of the per-level exponents, or () at a level where the
+    strategy has no bound.  The exact factor is carried up, one
+    multiplication per bounded level, and a level whose factor or bound
+    leaves double range is refused when it is reached."""
     lam = per_level_exponent(m)
     if strategy is RateKind.MAJORITY_RANDOM:
         base, period = lam, 1
     elif strategy is RateKind.ALTERNATING:
-        if k % 2 == 1:
-            raise ValueError(
-                f"alternating bounds hold at even heights only, got k={k}"
-            )
         if m % 2 == 1:
             raise ValueError(f"alternating strategy needs even m, got {m}")
         # tie-to-one levels contribute m/2, tie-to-zero levels m/2 + 1,
@@ -256,10 +206,8 @@ def _by_level(terms: tuple, m: int, strategy: RateKind, k: int = 0):
         base, period = lam * (lam + 1), 2
     else:
         raise ValueError(f"no level bounds for strategy {strategy}")
-    if base > 1 and k // period > 1025 / math.log2(base):
-        raise _out_of_range(m, k)  # above 2^1025: refused before it is built
-    factor = base ** (k // period)
-    for k in itertools.count(k):
+    factor = 1
+    for k in itertools.count():
         if k % period:
             yield ()
             continue

@@ -73,14 +73,6 @@ class ErrorPair:
     def from_linear(cls, alpha: float, beta: float) -> "ErrorPair":
         return cls(LogProb.from_linear(alpha), LogProb.from_linear(beta))
 
-    @property
-    def alpha_linear(self) -> float:
-        return self.alpha.linear
-
-    @property
-    def beta_linear(self) -> float:
-        return self.beta.linear
-
 
 @dataclass(frozen=True)
 class Priors:

@@ -371,6 +371,15 @@ def check_ratio_poly() -> Iterator[str]:
                 prev = val
 
 
+def _outside_level_bounds(trace, a0: float, m: int, strategy) -> Iterator[tuple]:
+    """(k, text) for each level k of `trace` whose log2(1/alpha_k) leaves,
+    by more than 1e-6, the level bounds that bounds.level_bounds gives it."""
+    for k, (pair, cells) in enumerate(zip(trace.pairs, bounds.level_bounds(a0, m, strategy))):
+        bits = pair.alpha.log2_inverse
+        if cells and not cells[0] - 1e-6 <= bits <= cells[1] + 1e-6:
+            yield k, f"{bits} outside [{cells[0]}, {cells[1]}]"
+
+
 @_suite("bounds")
 def check_sandwich_on_traces() -> Iterator[str]:
     """Traced log2(1/alpha_k) lies inside the telescoped level bounds."""
@@ -380,13 +389,8 @@ def check_sandwich_on_traces() -> Iterator[str]:
         alphas = (0.1, 0.3, informative)
         for a0 in alphas:
             trace = propagate(_pair(a0, a0), Schedule(m, 12), Priors.equal())
-            for k, pair in enumerate(trace.pairs):
-                sw = bounds.level_bounds(a0, m, k, bounds.RateKind.MAJORITY_RANDOM)
-                if not sw.contains(pair.alpha.log2_inverse, tol=1e-6):
-                    yield (
-                        f"majority m={m}, a0={a0}, k={k}: "
-                        f"{pair.alpha.log2_inverse} outside [{sw.lower}, {sw.upper}]"
-                    )
+            for k, msg in _outside_level_bounds(trace, a0, m, bounds.RateKind.MAJORITY_RANDOM):
+                yield f"majority m={m}, a0={a0}, k={k}: {msg}"
         if m % 2 == 0:
             # the even-k alternating bound telescopes with one tie-inclusive
             # step per pair, which anchors ties-to-zero at level 1; at m=2
@@ -396,17 +400,8 @@ def check_sandwich_on_traces() -> Iterator[str]:
                 for first in firsts:
                     schedule = Schedule(m, 12, "alternating", phase=first)
                     trace = propagate(_pair(a0, a0), schedule, Priors.equal())
-                    for k in range(0, 13, 2):
-                        sw = bounds.level_bounds(
-                            a0, m, k, bounds.RateKind.ALTERNATING
-                        )
-                        bits = trace.pairs[k].alpha.log2_inverse
-                        if not sw.contains(bits, tol=1e-6):
-                            yield (
-                                f"alternating m={m}, a0={a0}, k={k}, "
-                                f"first={first}: {bits} outside "
-                                f"[{sw.lower}, {sw.upper}]"
-                            )
+                    for k, msg in _outside_level_bounds(trace, a0, m, bounds.RateKind.ALTERNATING):
+                        yield f"alternating m={m}, a0={a0}, k={k}, first={first}: {msg}"
 
 
 @_suite("bounds")

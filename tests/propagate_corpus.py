@@ -1,11 +1,16 @@
-"""The standing `.hex()` corpora of the kernel's exact values, recorded next
-to this file, one manifest per family:
+"""The standing `.hex()` corpora of the kernel's and the oracle's exact
+values, recorded next to this file, one manifest per family:
 
   * `propagate_corpus.json`: for each rule family and fan-in, the sha256
     of every level's `alpha.value.hex()` and `beta.value.hex()`;
   * `binom_tail_corpus.json`: for each fan-in and count window, the sha256
     of `binom_tail(m, s_lo, s_hi, p).value.hex()` over every log p of
-    LOG_PS.
+    LOG_PS;
+  * `oracle_corpus.json`: for each fan-in of ORACLE_FANINS, the sha256 of
+    `enumerate_alpha` and `enumerate_beta` of each majority twin (at even
+    m, one per tie weight of TIE_WEIGHTS) over ORACLE_GRID, and of
+    `map_step`'s pair on `h0_likelihoods` and `h1_likelihoods` at both
+    ORACLE_PRIORS, for each (alpha, beta) from every other ORACLE_GRID value.
 
     python tests/propagate_corpus.py record      # rewrite the manifests from this tree
     python tests/propagate_corpus.py check       # replay them; exit 1 on any difference
@@ -28,7 +33,10 @@ import math
 import sys
 from pathlib import Path
 
-from relaytree import ErrorPair, LogProb, Priors, Schedule, binom_tail, iter_levels
+from relaytree import (
+    ErrorPair, LogProb, Priors, Schedule, binom_tail, enumerate_alpha, enumerate_beta,
+    h0_likelihoods, h1_likelihoods, iter_levels, majority_vector_rule, map_step,
+)
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "propagate_corpus.json"
@@ -58,6 +66,16 @@ WINDOWS = {
 }
 LOG_PS = (*(-10.0**e for e in range(300, -301, -10)), math.log(0.5), -math.inf, 0.0)
 TAIL_CASES = [f"m={m} {window}" for m in TAIL_FANINS for window in WINDOWS]
+
+ORACLE_MANIFEST = HERE / "oracle_corpus.json"
+# from m = 10 on, a sum has 1,024 terms or more and is taken exactly in integers
+ORACLE_FANINS = range(2, 17)
+ORACLE_GRID = (1e-9, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5)
+TIE_WEIGHTS = (0.5, 0.3, 1.0, 0.0)
+ORACLE_PRIORS = (Priors.equal(), Priors(0.3, 0.7))
+ORACLE_CASES = [f"m={m} {part}" for m in ORACLE_FANINS
+                for part in ([f"tie={w}" for w in TIE_WEIGHTS] if m % 2 == 0 else ["majority"])
+                + ["map"]]
 
 
 def _sha256(text: str) -> str:
@@ -89,10 +107,28 @@ def tail_outcome(case: str) -> dict:
     return {"sha256": _sha256(text)}
 
 
+def oracle_outcome(case: str) -> dict:
+    """The sha256 of an oracle case's `.hex()` lines: one per grid value of
+    a majority twin, or one per (priors, alpha, beta) of the MAP step."""
+    m, part = case.split(" ")
+    m = int(m.removeprefix("m="))
+    if part == "map":
+        sub = ORACLE_GRID[::2]
+        pairs = (map_step(h0_likelihoods(a, m), h1_likelihoods(b, m), priors)
+                 for priors in ORACLE_PRIORS for a in sub for b in sub)
+        text = "".join(f"{p.alpha.value.hex()} {p.beta.value.hex()}\n" for p in pairs)
+    else:
+        rule = majority_vector_rule(m, float(part.removeprefix("tie=")) if m % 2 == 0 else 0.5)
+        text = "".join(f"{enumerate_alpha(rule, x).hex()} {enumerate_beta(rule, x).hex()}\n"
+                       for x in ORACLE_GRID)
+    return {"sha256": _sha256(text)}
+
+
 # family -> (manifest, cases, outcome)
 CORPORA = {
     "propagate": (MANIFEST, CASES, outcome),
     "binom_tail": (TAIL_MANIFEST, TAIL_CASES, tail_outcome),
+    "oracle": (ORACLE_MANIFEST, ORACLE_CASES, oracle_outcome),
 }
 
 

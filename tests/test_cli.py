@@ -18,7 +18,6 @@ import pytest
 from relaytree import cli, kernel
 from relaytree import simulate as simulate_module
 from relaytree.alphabet import TreeSpec
-from relaytree.bounds import BoundInapplicableError, RateKind, lrt_lower_bound, total_bounds
 from relaytree.kernel import ErrorPair, Priors, total_error
 from relaytree.verify import SUITES, exact_majority_trace
 
@@ -128,8 +127,10 @@ class TestRecurse:
     ], ids=["odd-m3", "odd-m255", "even-m2", "even-m4", "alternating-m2", "alternating-m4",
             "lrt-m2", "lrt-m3", "lrt-m4", "lrt-m255"])
     def test_bound_cells_are_the_bound_functions(self, capsys, flags):
-        # every printed bound cell is "%.12g" of total_bounds or
-        # lrt_lower_bound called at its own level, empty where they give none
+        # every printed bound cell is "%.12g" of the theorem's closed form
+        # at its own level, empty where none applies: the exact factor
+        # lambda^k, or (lambda (lambda + 1))^(k/2) for alternating, times
+        # the leaf bits, so the same expression gives the same bits
         a0, b0 = 0.1, 0.2
         code, _, rows = run_csv(capsys, ["recurse", *flags, "--alpha0", "0.1", "--beta0", "0.2"])
         assert code == 0
@@ -137,21 +138,22 @@ class TestRecurse:
         m, rule = int(opts["--m"]), opts.get("--rule", "majority")
         pi0 = float(opts.get("--pi0", 0.5))
         priors = Priors(pi0, 1.0 - pi0)
+        lam = (m + 1) // 2
+        bits_a, bits_b = -math.log2(a0), -math.log2(b0)
         total0 = total_error(ErrorPair.from_linear(a0, b0), priors).linear
+        lo, hi = sorted((priors.pi0, priors.pi1))
+        penalty = 2.0 * math.comb(m, lam) * hi / lo**lam
         assert len(rows) == int(opts["--levels"]) + 1
         for k, row in enumerate(rows):
             if rule == "lrt":
-                want = ["%.12g" % lrt_lower_bound(total0, priors, m, k), ""]
-            elif rule == "alternating" and k % 2:
+                want = ["%.12g" % (lam**k * (-math.log2(total0) - math.log2(penalty))), ""]
+            elif rule == "alternating" and (m == 2 or k % 2):
                 want = ["", ""]
             else:
-                strategy = (RateKind.ALTERNATING if rule == "alternating"
-                            else RateKind.MAJORITY_RANDOM)
-                try:
-                    sw = total_bounds(a0, b0, priors, m, k, strategy)
-                    want = ["%.12g" % sw.lower, "%.12g" % sw.upper]
-                except BoundInapplicableError:  # alternating at m = 2
-                    want = ["", ""]
+                factor = (lam * (lam + 1)) ** (k // 2) if rule == "alternating" else lam**k
+                lower = factor * (min(bits_a, bits_b) - math.log2(math.comb(m, lam)))
+                upper = factor * (priors.pi0 * bits_a + priors.pi1 * bits_b)
+                want = ["%.12g" % lower, "%.12g" % upper]
             assert row[6:] == want, k
 
     def test_zero_levels(self, capsys):

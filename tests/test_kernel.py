@@ -324,8 +324,8 @@ class TestThresholdStep:
 class TestErrorPairAndPriors:
     def test_pair_accessors(self):
         p = pair(0.1, 0.2)
-        assert p.alpha_linear == pytest.approx(0.1, rel=1e-15, abs=0)
-        assert p.beta_linear == pytest.approx(0.2, rel=1e-15, abs=0)
+        assert p.alpha.linear == pytest.approx(0.1, rel=1e-15, abs=0)
+        assert p.beta.linear == pytest.approx(0.2, rel=1e-15, abs=0)
 
     def test_pair_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -356,8 +356,8 @@ class TestErrorPairAndPriors:
 class TestMajoritySteps:
     def test_odd_m3(self):
         out = apply_rule(pair(0.1, 0.2), MajorityOdd(3))
-        assert out.alpha_linear == pytest.approx(3 * 0.01 * 0.9 + 0.001, rel=1e-14, abs=0)
-        assert out.beta_linear == pytest.approx(3 * 0.04 * 0.8 + 0.008, rel=1e-14, abs=0)
+        assert out.alpha.linear == pytest.approx(3 * 0.01 * 0.9 + 0.001, rel=1e-14, abs=0)
+        assert out.beta.linear == pytest.approx(3 * 0.04 * 0.8 + 0.008, rel=1e-14, abs=0)
 
     def test_odd_rejects_even_m(self):
         with pytest.raises(ValueError):
@@ -373,8 +373,8 @@ class TestMajoritySteps:
         # alpha' = a^2 + 2 b_tie a (1 - a) with tie weight b_tie
         a, b, w = 0.1, 0.2, 0.25
         out = apply_rule(pair(a, b), MajorityEven(2, w))
-        assert out.alpha_linear == pytest.approx(a * a + 2 * w * a * (1 - a), rel=1e-14, abs=0)
-        assert out.beta_linear == pytest.approx(
+        assert out.alpha.linear == pytest.approx(a * a + 2 * w * a * (1 - a), rel=1e-14, abs=0)
+        assert out.beta.linear == pytest.approx(
             b * b + 2 * (1 - w) * b * (1 - b), rel=1e-14, abs=0
         )
 
@@ -383,11 +383,11 @@ class TestMajoritySteps:
         # and beta shrinks; ties to zero mirrors
         a, b = 0.1, 0.2
         one = apply_rule(pair(a, b), AlternatingMajority(2, TiePhase.TIES_TO_ONE))
-        assert one.alpha_linear == pytest.approx(a * (2 - a), rel=1e-13, abs=0)
-        assert one.beta_linear == pytest.approx(b * b, rel=1e-14, abs=0)
+        assert one.alpha.linear == pytest.approx(a * (2 - a), rel=1e-13, abs=0)
+        assert one.beta.linear == pytest.approx(b * b, rel=1e-14, abs=0)
         zero = apply_rule(pair(a, b), AlternatingMajority(2, TiePhase.TIES_TO_ZERO))
-        assert zero.alpha_linear == pytest.approx(a * a, rel=1e-14, abs=0)
-        assert zero.beta_linear == pytest.approx(b * (2 - b), rel=1e-13, abs=0)
+        assert zero.alpha.linear == pytest.approx(a * a, rel=1e-14, abs=0)
+        assert zero.beta.linear == pytest.approx(b * (2 - b), rel=1e-13, abs=0)
 
     @given(error_probs, error_probs, st.sampled_from([3, 5, 7, 9]))
     @settings(max_examples=200)
@@ -398,7 +398,7 @@ class TestMajoritySteps:
             math.comb(m, s) * fa**s * (1 - fa) ** (m - s) for s in range(half, m + 1)
         )
         got = apply_rule(pair(a, b), MajorityOdd(m))
-        assert got.alpha_linear == pytest.approx(float(want), rel=1e-12, abs=0)
+        assert got.alpha.linear == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestRuleTypes:
@@ -617,8 +617,8 @@ class TestLRT:
         lrt = BayesianLRT(3, Priors.equal())
         assert lrt.table(p) == (0.0, 1.0, 1.0, 1.0)
         out = apply_rule(p, lrt)
-        assert out.alpha_linear == pytest.approx(0.029701, rel=1e-12, abs=0)
-        assert out.beta_linear == pytest.approx(0.027, rel=1e-12, abs=0)
+        assert out.alpha.linear == pytest.approx(0.029701, rel=1e-12, abs=0)
+        assert out.beta.linear == pytest.approx(0.027, rel=1e-12, abs=0)
 
     def test_uninformative_pair_follows_a_skewed_prior(self):
         out = apply_rule(pair(0.5, 0.5), BayesianLRT(2, Priors(0.9, 0.1)))
@@ -628,8 +628,8 @@ class TestLRT:
     def test_uninformative_pair_decides_one_everywhere(self):
         # alpha = beta = 1/2 makes every count an exact tie
         out = apply_rule(pair(0.5, 0.5), BayesianLRT(3, Priors.equal()))
-        assert out.alpha_linear == pytest.approx(1.0, rel=1e-15, abs=0)
-        assert out.beta_linear == 0.0
+        assert out.alpha.linear == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert out.beta.linear == 0.0
 
     def test_requires_positive_priors(self):
         with pytest.raises(ValueError):
@@ -771,15 +771,15 @@ class TestPropagate:
         trace = propagate(pair(0.1, 0.1), sched, Priors.equal())
         assert len(trace.pairs) == 5
         assert len(trace.totals) == 5
-        assert trace.pairs[0].alpha_linear == pytest.approx(0.1, rel=1e-15, abs=0)
+        assert trace.pairs[0].alpha.linear == pytest.approx(0.1, rel=1e-15, abs=0)
 
     def test_m3_symmetric_two_levels(self):
         sched = [MajorityOdd(3)] * 2
         trace = propagate(pair(0.1, 0.1), sched, Priors.equal())
         a1 = 3 * 0.01 * 0.9 + 0.001
         a2 = 3 * a1**2 * (1 - a1) + a1**3
-        assert trace.pairs[1].alpha_linear == pytest.approx(a1, rel=1e-14, abs=0)
-        assert trace.pairs[-1].alpha_linear == pytest.approx(a2, rel=1e-13, abs=0)
+        assert trace.pairs[1].alpha.linear == pytest.approx(a1, rel=1e-14, abs=0)
+        assert trace.pairs[-1].alpha.linear == pytest.approx(a2, rel=1e-13, abs=0)
         assert trace.totals[2].linear == pytest.approx(a2, rel=1e-13, abs=0)
 
     def test_m2_fair_coin_fixed_point(self):
@@ -800,13 +800,13 @@ class TestPropagate:
     ])
     def test_hand_computed_roots(self, schedule, x, want):
         root = propagate(pair(x, x), schedule, Priors.equal()).pairs[-1]
-        assert (root.alpha_linear, root.beta_linear) == pytest.approx(want, rel=1e-12, abs=0)
+        assert (root.alpha.linear, root.beta.linear) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_totals_mix_each_level(self):
         priors = Priors(0.25, 0.75)
         trace = propagate(pair(0.2, 0.05), [MajorityOdd(3)] * 5, priors)
         for p, total in zip(trace.pairs, trace.totals, strict=True):
-            want = 0.25 * p.alpha_linear + 0.75 * p.beta_linear
+            want = 0.25 * p.alpha.linear + 0.75 * p.beta.linear
             assert total.linear == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_boundary_pair_is_a_fixed_point(self):

@@ -55,16 +55,16 @@ def map_optimum(p, priors, m):
 def test_enumerate_matches_hand_m2():
     # ties to one at m=2: alpha' = a^2 + 2a(1-a), beta' = b^2
     out = enumerate_step(pair(0.1, 0.2), 2, majority_vector_rule(2, 1.0))
-    assert out.alpha_linear == pytest.approx(0.01 + 2 * 0.1 * 0.9, rel=1e-14, abs=0)
-    assert out.beta_linear == pytest.approx(0.04, rel=1e-14, abs=0)
+    assert out.alpha.linear == pytest.approx(0.01 + 2 * 0.1 * 0.9, rel=1e-14, abs=0)
+    assert out.beta.linear == pytest.approx(0.04, rel=1e-14, abs=0)
 
 
 def test_enumerate_matches_kernel_odd():
     for m in (3, 5, 7):
         got = enumerate_step(pair(0.13, 0.31), m, majority_vector_rule(m))
         want = apply_rule(pair(0.13, 0.31), MajorityOdd(m))
-        assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
-        assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
+        assert got.alpha.linear == pytest.approx(want.alpha.linear, rel=1e-12, abs=0)
+        assert got.beta.linear == pytest.approx(want.beta.linear, rel=1e-12, abs=0)
 
 
 def even_majority(m, w):
@@ -81,8 +81,8 @@ def even_majority(m, w):
 def test_enumerate_matches_kernel_even(a, b, m, w):
     got = enumerate_step(pair(a, b), m, majority_vector_rule(m, w))
     want = apply_rule(pair(a, b), even_majority(m, w))
-    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-11, abs=0)
-    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-11, abs=0)
+    assert got.alpha.linear == pytest.approx(want.alpha.linear, rel=1e-11, abs=0)
+    assert got.beta.linear == pytest.approx(want.beta.linear, rel=1e-11, abs=0)
 
 
 def rule_family(m):
@@ -106,8 +106,8 @@ def test_rule_tables_match_kernel_steps(m):
         for rule in rule_family(m):
             got = enumerate_step(pair(a, b), m, count_vector_rule(m, rule.table(pair(a, b))))
             want = apply_rule(pair(a, b), rule)
-            assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0), rule
-            assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0), rule
+            assert got.alpha.linear == pytest.approx(want.alpha.linear, rel=1e-12, abs=0), rule
+            assert got.beta.linear == pytest.approx(want.beta.linear, rel=1e-12, abs=0), rule
 
 
 @st.composite
@@ -129,8 +129,8 @@ def test_table_step_matches_enumeration(table, a, b):
     m = len(table) - 1
     got = _table_step(pair(a, b), _CountTable(table))
     want = enumerate_step(pair(a, b), m, count_vector_rule(m, table))
-    assert got.alpha_linear == pytest.approx(want.alpha_linear, rel=1e-12, abs=0)
-    assert got.beta_linear == pytest.approx(want.beta_linear, rel=1e-12, abs=0)
+    assert got.alpha.linear == pytest.approx(want.alpha.linear, rel=1e-12, abs=0)
+    assert got.beta.linear == pytest.approx(want.beta.linear, rel=1e-12, abs=0)
 
 
 def test_fanin_caps():
@@ -353,8 +353,8 @@ def test_optimal_never_loses_to_majority():
         for m in (2, 3, 4, 5):
             best = map_optimum(pair(a, b), priors, m)
             maj = enumerate_step(pair(a, b), m, majority_vector_rule(m))
-            best_total = priors.pi0 * best.alpha_linear + priors.pi1 * best.beta_linear
-            maj_total = priors.pi0 * maj.alpha_linear + priors.pi1 * maj.beta_linear
+            best_total = priors.pi0 * best.alpha.linear + priors.pi1 * best.beta.linear
+            maj_total = priors.pi0 * maj.alpha.linear + priors.pi1 * maj.beta.linear
             assert best_total <= maj_total * (1 + 1e-12)
 
 
@@ -462,7 +462,7 @@ def beta_leaks_into_alpha(real):
     """A kernel step whose alpha' moves with beta: scaled by 1 + 1e-6 beta."""
     def leaky(p, rule):
         got = real(p, rule)
-        return ErrorPair.from_linear(got.alpha_linear * (1 + 1e-6 * p.beta_linear), got.beta_linear)
+        return ErrorPair.from_linear(got.alpha.linear * (1 + 1e-6 * p.beta.linear), got.beta.linear)
 
     return leaky
 

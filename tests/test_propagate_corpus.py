@@ -1,5 +1,5 @@
-"""The standing `.hex()` corpora of `propagate` and `binom_tail` replay as
-recorded (see propagate_corpus.py)."""
+"""The standing `.hex()` corpora of `propagate`, `binom_tail` and the
+oracle's sums replay as recorded (see propagate_corpus.py)."""
 
 import json
 import math
@@ -36,3 +36,12 @@ def test_a_tail_p_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
     case = "m=1000 upper"
     entry = manifest(propagate_corpus.TAIL_MANIFEST)[case]
     assert propagate_corpus.differences({case: entry}, propagate_corpus.tail_outcome) != []
+
+
+def test_an_oracle_grid_value_moved_in_its_tenth_digit_fails_the_replay(monkeypatch):
+    moved = tuple(0.3000000001 if x == 0.3 else x for x in propagate_corpus.ORACLE_GRID)
+    assert moved != propagate_corpus.ORACLE_GRID
+    monkeypatch.setattr(propagate_corpus, "ORACLE_GRID", moved)
+    case = "m=12 tie=0.3"  # 4,096 terms a sum: the exact integer route
+    entry = manifest(propagate_corpus.ORACLE_MANIFEST)[case]
+    assert propagate_corpus.differences({case: entry}, propagate_corpus.oracle_outcome) != []

@@ -598,7 +598,7 @@ class TestAlphabetEquivalence:
             [MajorityEven(4)],
             leaf, 200000, 13, Hypothesis.H0,
         )
-        want = apply_rule(leaf, MajorityEven(4, 0.5)).alpha_linear
+        want = apply_rule(leaf, MajorityEven(4, 0.5)).alpha.linear
         wide_report = compare_to_analytic(wide)
         narrow_report = compare_to_analytic(narrow)
         assert wide_report.analytic == pytest.approx(want, rel=1e-12, abs=0)
