@@ -437,8 +437,8 @@ def majority_rule(m: int, tie_prob: float = 0.5) -> FusionRule:
 # tree of a simulation, may take, and most leaf fills (leaves x chunks)
 # a simulation may make.  Its costliest corners on a 2-vCPU Xeon:
 # m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
-# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 6.1 s, and
-# 262,144 leaves in one chunk of 16 trials, 3.1 s.
+# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 5.1-6.1 s,
+# and 262,144 leaves in one chunk of 16 trials, 1.0-1.5 s.
 WORK_LIMIT = 300_000
 
 

@@ -284,6 +284,33 @@ class TestDeterminism:
                 != compare_to_analytic(other).result.error_count)
 
 
+PHILOX = np.random.Philox
+
+
+class SubPhilox(np.random.Philox):
+    pass
+
+
+class TestStreams:
+    @pytest.mark.parametrize("philox", [PHILOX, SubPhilox])
+    def test_fill_matches_an_independent_reference(self, monkeypatch, philox):
+        # node uid's stream is Philox keyed (seed, uid), and trial i reads
+        # double i of it.  One instance serves every call, and lengths of
+        # 1 and 7 doubles leave its Philox mid-block: each re-key must
+        # empty the buffer again.
+        seed = 2**63 + 11
+        monkeypatch.setattr(np.random, "Philox", philox)
+        streams = simulate_module._Streams(seed)
+        for uid in (0, 1, 2**32 + 5, 2**64 - 1):
+            for start in (0, 4, 1000):
+                for n in (1, 7, 64):
+                    key = np.array([seed, uid], dtype=np.uint64)
+                    want = np.random.Generator(PHILOX(key=key)).random(start + n)[start:]
+                    out = np.empty(n)
+                    assert streams.fill(uid, start, out) is out
+                    assert np.array_equal(out, want), (uid, start, n)
+
+
 @pytest.fixture
 def sharded(monkeypatch):
     """Shard any run of 4 trials per core or more; returns a setter for
@@ -393,6 +420,52 @@ class TestShards:
         # a sibling that sees the stop before its first chunk runs none
         assert all(stopped)
         assert sibling_starts <= {200 if failing_shard == 0 else 0}
+
+
+# one tie-coin rule family each, 64 leaves: block rows of 3 leave a
+# partial last block at the leaves and at every level that decides
+BLOCK_CASES = {
+    "even_m2_h6": (TreeSpec(2, 6), [MajorityEven(2)] * 6),
+    "biased_m4_h3": (TreeSpec(4, 3), [MajorityEven(4, 0.3)] * 3),
+    "count_forwarding_d3": (TreeSpec(2, 6, 3), [MajorityEven(4)] * 3),
+}
+
+
+class TestBlocks:
+    # 200 trials tie at nearly every node; 8 trials leave nodes without
+    # a tie, so a level's tie-coin rows have gaps
+    @pytest.mark.parametrize("a, trials", [(0.3, 200), (0.45, 8)])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_block_rows_are_invisible(self, sharded, monkeypatch, name, a, trials):
+        spec, rules = BLOCK_CASES[name]
+        configs = [SimConfig(spec, rules, ErrorPair.from_linear(a, a), trials, seed, hyp)
+                   for seed in range(1, 6) for hyp in Hypothesis]
+        default = simulate_module._BLOCK_DOUBLES
+        real, shapes = simulate_module._decide, set()
+
+        def spy(counts, runs, streams, uid_base, start, u):
+            shapes.add(u.shape)
+            return real(counts, runs, streams, uid_base, start, u)
+
+        monkeypatch.setattr(simulate_module, "_decide", spy)
+
+        def counts(cpus, rows):
+            sharded(cpus)
+            # trials split evenly over the shards, so rows x (trials per
+            # shard) doubles give every shard's block exactly `rows` rows
+            monkeypatch.setattr(simulate_module, "_BLOCK_DOUBLES",
+                                default if rows is None else rows * (trials // cpus))
+            shapes.clear()
+            got = [compare_to_analytic(c).result.error_count for c in configs]
+            if rows is not None:
+                assert shapes == {(rows, trials // cpus)}
+            return got
+
+        want = counts(1, None)
+        assert any(want)
+        for cpus in (1, 2):
+            for rows in (1, 3, None):
+                assert counts(cpus, rows) == want, (cpus, rows)
 
 
 def _load_bench_workloads():
