@@ -8,38 +8,35 @@ are counted and scored against the closed form of the reduced (m^k0, 2)
 tree.  A `SimConfig` names only the deciding rules, one per k0-th level.
 
 Randomness is counter-based: node j (leaves first, then each level in
-turn) has the Philox stream keyed by (seed, j), and trial i reads double
-i of it.  Results are therefore bit-for-bit reproducible however trials
-are chunked, and a tie coin at one node never perturbs another node's
-draws, so a node none of whose counts in a chunk lands on a fractional
-table entry draws no coins at all.  One Philox serves every stream of a
-run: moving to another node or chunk only re-keys it and sets its
-counter, through the public state setter, from a state of plain ints.
+turn) has the Philox stream keyed by (seed, j), and trial i reads raw
+word i of it, compared at an integer cut (`_cut`) so that no double is
+made, yet the count is the one numpy's double i would give.  Results are
+bit-for-bit reproducible however trials are chunked, and a tie coin at
+one node never perturbs another node's draws, so a node none of whose
+counts in a chunk lands on a fractional table entry draws no coins.  One
+Philox serves every stream of a run: moving to another node or chunk
+only re-keys it, through the public state setter, from plain ints.
 
 Trials run in chunks, laid out node-major: a level is a nodes x trials
 array, so each leaf fills one contiguous row of bits, and a level's
-counts sum m adjacent rows.  Counts use the narrowest unsigned type that
-holds m^k0, the largest count any level can carry.  Each node fills its
-own row of uniforms, but leaves and tie coins are thresholded a block of
-rows at a time, in a buffer of at most `_BLOCK_DOUBLES` doubles that is
-allocated once per shard: on wide trees with few trials, one
-comparison's fixed cost is paid per block rather than per node.
+counts sum m adjacent rows, in the narrowest unsigned type that holds
+m^k0.  Rows of leaf or tie-coin words are staged into a block of
+`_BLOCK_WORDS` words per shard and compared a block at a time, so on
+wide trees with few trials one comparison's fixed cost is paid per
+block; a row wider than half the block is compared where it was drawn.
 
 A long run is split into contiguous trial shards, one per core this
-process may run on, that run at the same time on threads: a fill or a
-ufunc releases the interpreter lock for its whole array, so long fills
-really do overlap.  Each shard has its own Philox and its own buffers,
-and starts on a multiple of 4, so trial i still reads double i of its
-node's stream and the counts are the same as a serial run's, as with
-chunking.  All shards' buffers together hold `_SHARD_SAMPLES` leaf
-samples, and a run takes only as many shards as keep every fill at
-`_MIN_FILL` doubles or more: shorter fills lose more to hand-offs of the
-lock than another core gains.  So a run stays serial, on the calling
-thread, when it has fewer than 2 * `_MIN_FILL` trials or more than 64
-leaves.  Decision tables are built on the calling thread before any
-shard starts.  If a shard raises, the others stop at their next chunk
-and the error reaches the caller.  Only two shards, on 2 cores, have
-been measured; more shards on more cores are untested for speed.
+process may run on, on threads: a fill or a ufunc releases the
+interpreter lock for its whole array, so long fills overlap.  Each shard
+has its own Philox and buffers and starts on a multiple of 4, so the
+counts are a serial run's.  All shards' buffers together hold
+`_SHARD_SAMPLES` leaf samples, and a run takes only as many shards as
+keep every fill at `_MIN_FILL` words or more, since shorter fills lose
+more to hand-offs of the lock than a core gains: a run stays serial
+with fewer than 2 * `_MIN_FILL` trials or more than 64 leaves.  Tables
+are built before any shard starts; if a shard raises, the others stop
+at their next chunk and the error reaches the caller.  Only two shards,
+on 2 cores, have been measured for speed.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**10  # most leaf samples a SimConfig admits
-# doubles per fill below which a shard's thread costs more than it gains:
+# draws per fill below which a shard's thread costs more than it gains:
 # on a 2-vCPU host, two shards on trees of 8-256 leaves ran at 0.37-0.6x
 # the serial speed with fills of 1024 doubles, 0.83-1.29x with 2048 and
 # 1.1-1.64x with 4096
@@ -78,9 +75,9 @@ _CHUNK_SAMPLES = 4_000_000
 # leaf samples that all shards' buffers hold together; two threads'
 # temporaries and allocator arenas at _CHUNK_SAMPLES raised peak RSS by 2-8 %
 _SHARD_SAMPLES = 1 << 19
-# doubles in a block of uniforms that is thresholded at once: up to
-# max(1, _BLOCK_DOUBLES // trials) leaf or tie-coin rows, at most 256 KB
-_BLOCK_DOUBLES = 1 << 15
+# words of the block rows are staged in: 2^14 ran 4-8 % faster than 2^12
+# on rows of 400-1000 words, but staging lost 3-7 % on 2-3 rows of 2-8K
+_BLOCK_WORDS = 1 << 14
 
 
 class Hypothesis(enum.Enum):
@@ -130,7 +127,7 @@ class SimConfig:
                 f"--m {spec.m} with --height {spec.height} exceeds the work limit: "
                 f"(height / k0 + 1) x (m^k0 + 1) must be at most {kernel.WORK_LIMIT}{fan_in}"
             )
-        # each chunk of trials fills every leaf's uniforms in a Python loop
+        # each chunk of trials draws every leaf's words in a Python loop
         chunks = _serial_chunks(trials, leaves)
         if chunks * leaves > kernel.WORK_LIMIT:
             raise ValueError(
@@ -171,49 +168,46 @@ class ComparisonReport:
 
 
 class _Streams:
-    """Every node's uniform stream, served by one re-keyed Philox.
-
-    Philox is counter-based: the stream of node uid is fixed by its key
-    (seed, uid), and trial i reads double i of it, i.e. word i % 4 of
-    counter block i // 4.  Moving to another node or chunk start only
-    sets the key and the counter, which is far cheaper than building a
-    bit generator.  Chunk starts are multiples of 4, so a stream opens
-    on a block boundary with the buffer empty.  The state it sets holds
-    plain ints, not uint64 arrays, which the public state setter reads
-    2.3-2.5x faster.
-    """
+    """Every node's raw words from one Philox, re-keyed (seed, uid) from
+    plain ints, which its state setter reads 2.3-2.5x faster than uint64
+    arrays.  Trial i reads word i % 4 of counter block i // 4; chunks start
+    on multiples of 4, so a stream opens with the buffer empty."""
 
     def __init__(self, seed: int):
         self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        # the instance's own state dict: its bit_generator name must match
-        # the instance's class, which may be a subclass of Philox; its
-        # buffer_pos stays at 4, the empty buffer, whatever is drawn
+        # the instance's own state dict, named for its class, which may
+        # subclass Philox; its buffer_pos stays at 4, the empty buffer
         self._state = self._bg.state
         inner = self._state["state"]
         self._counter = inner["counter"] = inner["counter"].tolist()
         self._key = inner["key"] = inner["key"].tolist()
         self._state["buffer"] = self._state["buffer"].tolist()
 
-    def fill(self, uid: int, start: int, out: np.ndarray) -> np.ndarray:
-        """Write node uid's doubles for trials start.. into out."""
+    def words(self, uid: int, start: int, n: int) -> np.ndarray:
+        """Node uid's words for trials start..start + n - 1."""
         self._counter[0] = start // 4
         self._key[1] = uid
         self._bg.state = self._state
-        return self._gen.random(out=out)
+        return self._bg.random_raw(n)
+
+
+def _cut(p: float) -> np.uint64:
+    """The cut for 0 <= p < 1: numpy's double from word w, (w >> 11) *
+    2^-53, is below p exactly when w < ceil(p * 2^53) << 11."""
+    return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
 
 
 def _decide(counts: np.ndarray, runs: tuple, streams: _Streams,
-            uid_base: int, start: int, u: np.ndarray) -> np.ndarray:
+            uid_base: int, start: int, block: np.ndarray) -> np.ndarray:
     """Apply a decision table, split into its runs (lo, hi, P) of equal
     entries, to one-counts laid out nodes x trials: trial i decides 1
-    when its uniform is below table[count].  Deciding costs comparisons
+    when its draw is below table[count].  Deciding costs comparisons
     on the counts rather than a per-element table gather.
 
     Node j of the level draws from stream uid_base + j, and only when one
     of its trials lands on a fractional entry: streams are per node, so
-    skipping a node's draws leaves every other draw where it was.  u is
-    the shard's block of uniforms, rows x trials.
+    skipping a node's draws leaves every other draw where it was.  block
+    is the shard's block of words, rows x trials.
     """
     top = runs[-1][1]
     hits = []
@@ -224,27 +218,33 @@ def _decide(counts: np.ndarray, runs: tuple, streams: _Streams,
                 heads = np.zeros_like(hit)
                 tied = np.flatnonzero(hit.any(axis=1)).tolist()
                 # a row of heads that no tied node owns is never read
-                _threshold(streams, tied, uid_base, start, u, p, heads)
+                _threshold(streams, tied, uid_base, start, block, p, heads)
                 hit &= heads
             hits.append(hit)
     return reduce(np.logical_or, hits) if hits else np.zeros(counts.shape, dtype=bool)
 
 
 def _threshold(streams: _Streams, nodes, uid_base: int, start: int,
-               u: np.ndarray, p: float, out: np.ndarray) -> None:
-    """out[j] = node j's uniforms below p, for each j of the ascending
-    sequence nodes.  The listed nodes of a window of len(u) consecutive
-    ones fill the rows of u, the block, and the window is compared at
-    once; a row whose node is not listed is compared from stale doubles."""
-    rows = len(u)
+               block: np.ndarray, p: float, out: np.ndarray) -> None:
+    """out[j] = node j's draws below p, for each j of the ascending nodes;
+    p >= 1 marks every trial and p <= 0 none, undrawn.  The listed nodes of
+    each window of len(block) are staged into its rows and compared at once
+    (unlisted rows from stale words), a lone one where it was drawn."""
+    if not 0.0 < p < 1.0:
+        out[nodes] = p >= 1.0
+        return
+    cut, (rows, n) = _cut(p), block.shape
     i = 0
     while i < len(nodes):
         j0 = nodes[i]
         k = bisect.bisect_left(nodes, j0 + rows, i)
-        for j in nodes[i:k]:
-            streams.fill(uid_base + j, start, u[j - j0])
-        nb = nodes[k - 1] - j0 + 1
-        np.less(u[:nb], p, out=out[j0:j0 + nb])
+        if k == i + 1:
+            np.less(streams.words(uid_base + j0, start, n), cut, out=out[j0])
+        else:
+            for j in nodes[i:k]:
+                block[j - j0] = streams.words(uid_base + j, start, n)
+            nb = nodes[k - 1] - j0 + 1
+            np.less(block[:nb], cut, out=out[j0:j0 + nb])
         i = k
 
 
@@ -260,7 +260,7 @@ def _cores() -> int:
 def _layout(trials: int, n_leaves: int) -> tuple:
     """(chunk, spans): the most trials one chunk of a shard holds, and the
     shards' trial ranges [lo, hi), one per thread.  Every shard's fills
-    hold at least _MIN_FILL doubles; all shards' buffers together hold one
+    hold at least _MIN_FILL words; all shards' buffers together hold one
     chunk; shard and chunk starts stay block-aligned, on multiples of 4,
     and _MIN_FILL >= 4 keeps every shard non-empty."""
     fill = min(trials, _SHARD_SAMPLES // n_leaves)
@@ -313,14 +313,14 @@ def _run(config: SimConfig, pairs: tuple) -> SimResult:
         """Root ones over trials lo..hi - 1, lo a multiple of 4."""
         cs = min(chunk, hi - lo)  # a shorter run is a single chunk
         leaf_bits = np.empty((n_leaves, cs), dtype=bool)
-        # the block of uniforms that leaves and tie coins share
-        rows = max(1, min(n_leaves, _BLOCK_DOUBLES // cs))
-        u = np.zeros(rows * cs)
+        # the block of words that leaves and tie coins share
+        rows = max(1, min(n_leaves, _BLOCK_WORDS // cs))
+        words = np.empty(rows * cs, dtype=np.uint64)
         ones = 0
         start = lo
         while start < hi and not stop.is_set():
             cs = min(chunk, hi - start)
-            block = u[:rows * cs].reshape(rows, cs)
+            block = words[:rows * cs].reshape(rows, cs)
             values = leaf_bits[:, :cs]
             _threshold(streams, range(n_leaves), 0, start, block, p_one, values)
             uid = width = n_leaves  # node uids: leaves first, then each level

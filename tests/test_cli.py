@@ -704,14 +704,14 @@ class TestSimulate:
         for name, value in samples.items():
             monkeypatch.setattr(simulate_module, name, value)
         monkeypatch.setattr(simulate_module, "_cores", lambda: 2)
-        real, leaf_fills = simulate_module._Streams.fill, []
+        real, leaf_fills = simulate_module._Streams.words, []
 
-        def counted(streams, uid, start, out):
+        def counted(streams, uid, start, n):
             if uid < 16:
                 leaf_fills.append(uid)
-            return real(streams, uid, start, out)
+            return real(streams, uid, start, n)
 
-        monkeypatch.setattr(simulate_module._Streams, "fill", counted)
+        monkeypatch.setattr(simulate_module._Streams, "words", counted)
         argv = ["simulate", "--m", "2", "--height", "4", "--alpha0", "0.1", "--beta0", "0.1",
                 "--trials", str(trials), "--seed", "1"]
         monkeypatch.setattr(kernel, "WORK_LIMIT", 16 * chunks)

@@ -291,13 +291,29 @@ class SubPhilox(np.random.Philox):
     pass
 
 
+# both ends of the cut, exact multiples of 2^-53, the smallest subnormal,
+# and 0.3, whose p * 2^53 is not an integer
+CUT_PS = (0.0, 5e-324, 2.0**-53, 1e-300, 3 * 2.0**-53, 0.3, 0.5, 1 - 2.0**-53, 1.0)
+
+
+class Words:
+    """Streams that serve fixed words, or fail the test when drawn from."""
+
+    def __init__(self, words=None):
+        self.served = words
+
+    def words(self, uid, start, n):
+        assert self.served is not None, "a certain p drew words"
+        return self.served.copy()
+
+
 class TestStreams:
     @pytest.mark.parametrize("philox", [PHILOX, SubPhilox])
-    def test_fill_matches_an_independent_reference(self, monkeypatch, philox):
+    def test_words_match_an_independent_reference(self, monkeypatch, philox):
         # node uid's stream is Philox keyed (seed, uid), and trial i reads
-        # double i of it.  One instance serves every call, and lengths of
-        # 1 and 7 doubles leave its Philox mid-block: each re-key must
-        # empty the buffer again.
+        # word i of it, whose double is the one trial i compares with p.
+        # One instance serves every call, and lengths of 1 and 7 words
+        # leave its Philox mid-block: each re-key must empty the buffer.
         seed = 2**63 + 11
         monkeypatch.setattr(np.random, "Philox", philox)
         streams = simulate_module._Streams(seed)
@@ -305,10 +321,43 @@ class TestStreams:
             for start in (0, 4, 1000):
                 for n in (1, 7, 64):
                     key = np.array([seed, uid], dtype=np.uint64)
-                    want = np.random.Generator(PHILOX(key=key)).random(start + n)[start:]
-                    out = np.empty(n)
-                    assert streams.fill(uid, start, out) is out
-                    assert np.array_equal(out, want), (uid, start, n)
+                    want = PHILOX(key=key).random_raw(start + n)[start:]
+                    doubles = np.random.Generator(PHILOX(key=key)).random(start + n)[start:]
+                    words = streams.words(uid, start, n)
+                    assert np.array_equal(words, want), (uid, start, n)
+                    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+                    for p in CUT_PS:
+                        if p < 1.0:
+                            got = words < simulate_module._cut(p)
+                            assert np.array_equal(got, doubles < p), (uid, start, n, p)
+                        out = np.empty((1, n), dtype=bool)
+                        block = np.empty((1, n), dtype=np.uint64)
+                        simulate_module._threshold(streams, [0], uid, start, block, p, out)
+                        assert np.array_equal(out[0], doubles < p), (uid, start, n, p)
+
+    @pytest.mark.parametrize("p", CUT_PS[1:-1])
+    def test_cut_is_exact_at_its_edges(self, p):
+        # words of the last double below p and the first at or above it,
+        # with low bits 0 and 2047, compared where they were drawn and
+        # staged two rows to a block
+        c = math.ceil(math.ldexp(p, 53))
+        ks = sorted({min(max(k, 0), 2**53 - 1) for k in range(c - 2, c + 2)})
+        words = np.array([k << 11 | low for k in ks for low in (0, 2047)], dtype=np.uint64)
+        want = (words >> np.uint64(11)) * 2.0**-53 < p
+        assert want.any() and not want.all()
+        for rows in (1, 2):
+            out = np.empty((2, len(words)), dtype=bool)
+            block = np.empty((rows, len(words)), dtype=np.uint64)
+            simulate_module._threshold(Words(words), [0, 1], 0, 0, block, p, out)
+            assert np.array_equal(out, [want, want]), rows
+
+    @pytest.mark.parametrize("p, want", [(0.0, False), (1.0, True)])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_certain_p_draws_no_words(self, p, want, rows):
+        out = np.full((3, 5), not want)
+        block = np.empty((rows, 5), dtype=np.uint64)
+        simulate_module._threshold(Words(), range(3), 0, 0, block, p, out)
+        assert (out == want).all()
 
 
 @pytest.fixture
@@ -440,7 +489,7 @@ class TestBlocks:
         spec, rules = BLOCK_CASES[name]
         configs = [SimConfig(spec, rules, ErrorPair.from_linear(a, a), trials, seed, hyp)
                    for seed in range(1, 6) for hyp in Hypothesis]
-        default = simulate_module._BLOCK_DOUBLES
+        default = simulate_module._BLOCK_WORDS
         real, shapes = simulate_module._decide, set()
 
         def spy(counts, runs, streams, uid_base, start, u):
@@ -452,8 +501,8 @@ class TestBlocks:
         def counts(cpus, rows):
             sharded(cpus)
             # trials split evenly over the shards, so rows x (trials per
-            # shard) doubles give every shard's block exactly `rows` rows
-            monkeypatch.setattr(simulate_module, "_BLOCK_DOUBLES",
+            # shard) words give every shard's block exactly `rows` rows
+            monkeypatch.setattr(simulate_module, "_BLOCK_WORDS",
                                 default if rows is None else rows * (trials // cpus))
             shapes.clear()
             got = [compare_to_analytic(c).result.error_count for c in configs]
@@ -466,6 +515,23 @@ class TestBlocks:
         for cpus in (1, 2):
             for rows in (1, 3, None):
                 assert counts(cpus, rows) == want, (cpus, rows)
+
+
+class TestBoundaryLeafErrors:
+    # leaf errors of 0 and 1 mark no trial and every trial without a
+    # draw; 1e-300 and 1 - 2^-53 reach the lowest and highest cut
+    @pytest.mark.parametrize("a0, b0, hyp, errors", [
+        (0.0, 0.2, Hypothesis.H0, 0),
+        (0.1, 0.0, Hypothesis.H1, 0),
+        (1.0, 0.2, Hypothesis.H0, 1000),
+        (0.1, 1.0, Hypothesis.H1, 1000),
+        (1e-300, 0.2, Hypothesis.H0, 0),
+        (1 - 2.0**-53, 0.2, Hypothesis.H0, 1000),
+    ])
+    def test_error_counts(self, a0, b0, hyp, errors):
+        config = SimConfig(TreeSpec(3, 2), [MajorityOdd(3)] * 2,
+                           ErrorPair.from_linear(a0, b0), 1000, 1, hyp)
+        assert compare_to_analytic(config).result.error_count == errors
 
 
 def _load_bench_workloads():
