@@ -17,11 +17,11 @@ exactly in the log domain:
 Propagating a schedule of rules up the tree yields the full per-level
 trace of error pairs, which `iter_levels` walks one level at a time.
 Every deciding rule also gives its table P(output 1 | s ones among m), a
-tuple of entries that carries its runs of equal entries, found once when
-the table is built: per (m, tie) for majority, and from the crossing
-window for the likelihood-ratio test.
-One step, summed over those runs, serves every rule, and the simulator
-decides by the same runs.
+tuple of entries that carries its runs of equal entries and its step's
+weighted count windows, found once: per (m, tie) for majority, and per
+decided crossing window for the likelihood-ratio test.  One step serves
+every rule, taking log(1 - p) once a side and one tail walk a window;
+the simulator decides by the same runs.
 """
 
 from __future__ import annotations
@@ -165,11 +165,13 @@ class BayesianLRT:
 
     m: int
     priors: Priors
+    _log_priors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"fusion needs m >= 2, got {self.m}")
         self.priors.require_positive()
+        object.__setattr__(self, "_log_priors", _log_priors(self.priors))
 
     def table(self, pair: ErrorPair) -> "_CountTable":
         """The test fitted to messages with error pair `pair`.
@@ -191,7 +193,7 @@ class BayesianLRT:
                 "likelihood-ratio rule undefined for boundary error probabilities"
             )
         l1a, l1b = log1mexp(la), log1mexp(lb)
-        lp0, lp1 = math.log(self.priors.pi0), math.log(self.priors.pi1)
+        lp0, lp1 = self._log_priors
         # h1_side - h0_side is c0 + c1 s, so the table is one threshold (or its
         # complement) and only counts near the crossing x = -c0 / c1 need the
         # comparison.  Every term of a side is <= 0, so |side| peaks at s = 0 or
@@ -228,8 +230,15 @@ class BayesianLRT:
                 )
             else:  # one side overflowed to -inf: the finite side wins
                 decided.append(1.0 if h1_side > h0_side else 0.0)
-        entries = (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
-        return _CountTable(entries, _runs(decided, lo, m))
+        return _lrt_table(m, lo, tuple(decided))
+
+
+@functools.lru_cache(maxsize=16)
+def _lrt_table(m: int, lo: int, decided: tuple) -> "_CountTable":
+    """BayesianLRT's table over 0..m from the entries `decided` at counts
+    lo, lo + 1, ...: built once per window, which few levels change."""
+    entries = (decided[0],) * lo + decided + (decided[-1],) * (m + 1 - lo - len(decided))
+    return _CountTable(entries, _runs(decided, lo, m))
 
 
 FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT]
@@ -237,13 +246,22 @@ FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT]
 
 class _CountTable(tuple):
     """A count table, entry s = P(output 1 | s ones among m) for s = 0..m,
-    that carries its maximal runs (lo, hi, p) of equal entries p.  It
-    equals and hashes as the tuple of its entries; the runs are found
-    from the entries unless the builder passes them."""
+    that carries its maximal runs (lo, hi, p) of equal entries p and its
+    step's plan: the `threshold` k from which it decides 1, or None, and
+    the `windows` (log weight, lo, hi) of each side.  It equals and hashes
+    as the tuple of its entries; the runs are found from the entries
+    unless the builder passes them."""
 
     def __new__(cls, entries, runs=None):
         table = super().__new__(cls, entries)
-        table.runs = _runs(table, 0, len(table) - 1) if runs is None else runs
+        m = len(table) - 1
+        table.runs = runs = _runs(table, 0, m) if runs is None else runs
+        threshold = len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0
+        table.threshold = runs[1][0] if threshold else None
+        table.windows = (
+            tuple((math.log(p), lo, hi) for lo, hi, p in runs if p > 0.0),
+            tuple((math.log(1.0 - p), m - hi, m - lo) for lo, hi, p in runs if p < 1.0),
+        )
         return table
 
 
@@ -291,7 +309,7 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
     log-sum-exp, so tails deep below double underflow stay meaningful.
     Only the terms within 40 nats of the largest are built; log_sum_exp
     takes the others as one exact count (its `far`), which gives the bits
-    of the sum over every term.  The proof is at the walk below.
+    of the sum over every term.  The proof is at the walk, _tail.
     """
     if not 0 <= s_lo <= s_hi <= m:
         raise ValueError(f"count window [{s_lo}, {s_hi}] invalid for m={m}")
@@ -301,7 +319,12 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         # point mass: Binom(m, 0) sits at s = 0 and Binom(m, 1) at s = m
         at = 0 if log_p == LOG_ZERO else m
         return LogProb(0.0 if s_lo <= at <= s_hi else LOG_ZERO)
-    row = _log_comb_row(m)
+    return LogProb(_tail(m, s_lo, s_hi, log_p, log_q, _log_comb_row(m)))
+
+
+def _tail(m: int, s_lo: int, s_hi: int, log_p: float, log_q: float, row: tuple) -> float:
+    """binom_tail's value at 0 < p < 1 from log p, log q = log(1 - p) and
+    row = _log_comb_row(m), which a caller walking several windows takes once."""
     # The term t(s) is f(s) = ln C(m, s) + s ln p + (m - s) ln q as rounded;
     # f is concave, its steps ln((m - s)/(s + 1)) + ln p - ln q falling in s,
     # so on the window it rises to one maximum and falls away from it.  The
@@ -349,11 +372,10 @@ def binom_tail(m: int, s_lo: int, s_hi: int, p: LogProb) -> LogProb:
         if t - _CUT > cut:
             cut = t - _CUT
         s -= 1
-    if len(near) == 1:
-        # log_sum_exp([t], far) returns t, or t + 0.0 when far > 0, and t is
-        # never -0.0: row[s] >= +0.0 comes first in its sum
-        return LogProb(near[0])
-    return LogProb(log_sum_exp(near, far=s_hi - s_lo + 1 - len(near)))
+    # log_sum_exp([t], far) returns t, or t + 0.0 when far > 0, and t is never
+    # -0.0 (row[s] >= +0.0 comes first in its sum); LogProb reads residue > 0
+    t = near[0] if len(near) == 1 else log_sum_exp(near, far=s_hi - s_lo + 1 - len(near))
+    return t if t <= 0.0 else LogProb(t).value
 
 
 def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
@@ -361,35 +383,38 @@ def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
 
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
-    to the outgoing miss: under H1, s ones are m - s draws of beta.  The
-    runs are the ones the table carries.
+    to the outgoing miss: under H1, s ones are m - s draws of beta.  A
+    threshold table takes one binom_tail a side, any other its windows.
     """
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
         # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
         # rather than re-rounded through logs
         return pair
-    m = len(table) - 1
-    runs = table.runs
-    if len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0:
-        # a threshold table, decide 1 from k ones on: one tail per side
-        k = runs[1][0]
+    m, k = len(table) - 1, table.threshold
+    if k is not None:
         return ErrorPair(binom_tail(m, k, m, pair.alpha), binom_tail(m, m - k + 1, m, pair.beta))
-    alpha, beta = [], []
-    for lo, hi, p in runs:
-        if p > 0.0:
-            alpha.append((p, binom_tail(m, lo, hi, pair.alpha)))
-        if p < 1.0:
-            beta.append((1.0 - p, binom_tail(m, m - hi, m - lo, pair.beta)))
-    return ErrorPair(_weighted_sum(alpha), _weighted_sum(beta))
+    alpha, beta = table.windows
+    return ErrorPair(_side(m, alpha, pair.alpha), _side(m, beta, pair.beta))
 
 
-def _weighted_sum(tails: list) -> LogProb:
-    """log of sum w * tail over the (w, tail) pairs; a lone tail of
-    weight 1 is returned as it is."""
-    if len(tails) == 1 and tails[0][0] == 1.0:
-        return tails[0][1]
-    return LogProb(log_sum_exp([math.log(w) + tail.value for w, tail in tails]))
+def _side(m: int, windows: tuple, p: LogProb) -> LogProb:
+    """log of the sum of exp(w) * binom_tail(m, lo, hi, p) over the windows
+    (w, lo, hi), taking log q and the row once.  A lone window of weight 1
+    gives its tail: 0.0 + t is t, as t is never -0.0."""
+    log_p, log_q = p.value, log1mexp(p.value)
+    if log_p == LOG_ZERO or log_q == LOG_ZERO:  # a point mass
+        tails = [binom_tail(m, lo, hi, p).value for _, lo, hi in windows]
+    else:
+        row = _log_comb_row(m)
+        tails = [_tail(m, lo, hi, log_p, log_q, row) for _, lo, hi in windows]
+    return LogProb(log_sum_exp([w[0] + t for w, t in zip(windows, tails)]))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _rule(kind, *args) -> "FusionRule":
+    """kind(*args), built and checked once for the steps below."""
+    return kind(*args)
 
 
 def majority_step_odd(pair: ErrorPair, m: int) -> ErrorPair:
@@ -398,7 +423,7 @@ def majority_step_odd(pair: ErrorPair, m: int) -> ErrorPair:
     The outgoing false alarm is the upper tail P(Binom(m, alpha) >= (m+1)/2),
     and symmetrically for the miss.
     """
-    return _table_step(pair, MajorityOdd(m).table(pair))
+    return _table_step(pair, _rule(MajorityOdd, m).table(pair))
 
 
 def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
@@ -408,7 +433,7 @@ def lrt_step(pair: ErrorPair, priors: Priors, m: int) -> ErrorPair:
     outgoing alpha sums Binom(m, alpha) over counts deciding H1, outgoing
     beta sums Binom(m, 1-beta) over counts deciding H0.
     """
-    return _table_step(pair, BayesianLRT(m, priors).table(pair))
+    return _table_step(pair, _rule(BayesianLRT, m, priors).table(pair))
 
 
 def apply_rule(pair: ErrorPair, rule: FusionRule) -> ErrorPair:

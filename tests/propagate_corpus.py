@@ -41,7 +41,7 @@ from relaytree import (
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "propagate_corpus.json"
 LEVELS = 1000
-FANINS = (2, 3, 4, 5, 255)
+FANINS = (2, 3, 4, 5, 10, 64, 255)
 LEAF = (0.1, 0.2)
 # name -> (the Schedule's rule fields, whether an odd fan-in accepts them)
 FAMILIES = {

@@ -6,7 +6,9 @@ import math
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
+import propagate_corpus
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -319,6 +321,32 @@ class TestThresholdStep:
                     assert got.beta.value.hex() == want_b.hex(), case
         # every majority table is a threshold table, and over half the LRT ones
         assert thresholds > len(self.LOGS) ** 2 * (len(rules) - 1)
+
+
+class TestTieStep:
+    """A tie-coin table sums two windows a side, which share that side's
+    log q and row but each walk from its own cut: its pair is bit for bit
+    a tail per run weighted through log_sum_exp, at every log p of the
+    tail corpus, point masses included."""
+
+    @pytest.mark.parametrize("pb", [0.3, 0.5])
+    @pytest.mark.parametrize("m", [2, 4, 10, 64, 1000])
+    def test_tie_tables_match_a_tail_per_run(self, m, pb):
+        table = MajorityEven(m, pb).table(None)
+        assert table.threshold is None or (m, pb) == (2, 0.5)
+        logs = propagate_corpus.LOG_PS
+        # each log alpha against a log beta from elsewhere in the list, so a
+        # side that read the other side's log q would show
+        for shift in (0, 1, len(logs) // 2):
+            for la, lb in zip(logs, logs[shift:] + logs[:shift]):
+                p = ErrorPair(LogProb(la), LogProb(lb))
+                got = kernel._table_step(p, table)
+                if table == (0.0, 0.5, 1.0):  # fair m = 2 is its own fixed point
+                    want_a, want_b = la, lb
+                else:
+                    want_a, want_b = step_by_runs(p, table)
+                assert (got.alpha.value.hex(), got.beta.value.hex()) == (
+                    want_a.hex(), want_b.hex()), (la, lb)
 
 
 class TestErrorPairAndPriors:
@@ -674,6 +702,52 @@ class TestLRT:
         want = apply_rule(pair(0.2, 0.2), MajorityOdd(5))
         assert got.alpha.value == want.alpha.value
         assert got.beta.value == want.beta.value
+
+
+def lrt_table_afresh(m, lo, decided):
+    """A likelihood-ratio table built as every level once built it: the
+    decided window's entries, filled out to 0..m from its two ends, and
+    the runs of that window."""
+    hi = lo + len(decided) - 1
+    entries = (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
+    return entries, kernel._runs(decided, lo, m)
+
+
+class TestLRTMemo:
+    """The likelihood-ratio test keeps one table per decided window, which
+    no entry and no run can tell from a table built afresh."""
+
+    @given(st.integers(min_value=2, max_value=300),
+           st.floats(min_value=1e-3, max_value=1 - 1e-3),
+           st.one_of(st.just(0.0), st.floats(min_value=-1e-6, max_value=1e-6),
+                     st.floats(min_value=-0.5, max_value=0.5)),
+           st.floats(min_value=1e-6, max_value=1 - 1e-6),
+           st.floats(min_value=1e-6, max_value=1 - 1e-6))
+    @settings(max_examples=300, deadline=None)
+    def test_a_shared_table_is_the_table_built_afresh(self, m, pi0, step, a, b):
+        pi0s = (pi0, min(max(pi0 + step, 1e-3), 1 - 1e-3))
+        p = pair(a, b)
+        windows, real = [], kernel._lrt_table
+
+        def spy(m, lo, decided):
+            windows.append((lo, decided))
+            return real(m, lo, decided)
+
+        with mock.patch.object(kernel, "_lrt_table", spy):
+            tables = [BayesianLRT(m, Priors(x, 1.0 - x)).table(p) for x in pi0s]
+        for table, (lo, decided), x in zip(tables, windows, pi0s):
+            entries, runs = lrt_table_afresh(m, lo, decided)
+            assert tuple(table) == entries
+            assert table.runs == runs == runs_of(table)
+            assert table == lrt_table_per_count(p, Priors(x, 1.0 - x), m)
+        # two priors that decide the same window share one table object
+        assert (tables[0] is tables[1]) == (windows[0] == windows[1])
+
+    def test_priors_a_hair_apart_share_a_table(self):
+        p = pair(0.1, 0.2)
+        first = BayesianLRT(5, Priors(0.5, 0.5)).table(p)
+        assert BayesianLRT(5, Priors(0.5 + 1e-9, 0.5 - 1e-9)).table(p) is first
+        assert BayesianLRT(5, Priors(0.999, 0.001)).table(p) != first
 
 
 def runs_of(table):

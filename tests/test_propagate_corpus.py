@@ -14,7 +14,7 @@ def manifest(path=propagate_corpus.MANIFEST) -> dict:
 def test_manifest_holds_every_case_in_order():
     for path, cases, _ in propagate_corpus.CORPORA.values():
         assert list(manifest(path)) == cases
-    assert len(propagate_corpus.CASES) == 21
+    assert len(propagate_corpus.CASES) == 33
 
 
 def test_every_case_replays_as_recorded():

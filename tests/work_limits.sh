@@ -8,7 +8,11 @@
 # trials, before leaves and tie coins were thresholded a block of rows at
 # a time, and two more fill corners, 299,209 leaves of fan-in 547 with 16
 # trials and 100,000 leaves of fan-in 10 with 120, before draws were
-# compared as raw words.  One level more and one fan-in more for
+# compared as raw words.  Every simulate pin above but the 262,144-leaf
+# one holds a zero error count, so a moved draw would not change its CSV;
+# one more 262,144-leaf run at (0.45, 0.45) holds a nonzero count, 5 of
+# 16 trials in error, recorded before the kernel's level step shared one
+# tail walk across a table's windows.  One level more and one fan-in more for
 # recurse, and for simulate one fan-in more, a 2^30-leaf tree and a
 # 262,144-leaf tree with 38,146 trials in 2,385 chunks, must each be
 # refused with exit 2 before any per-level work.
@@ -31,6 +35,8 @@ timeout 120 $relaytree simulate --m 547 --height 2 --trials 16 --seed 1 \
   --alpha0 0.1 --beta0 0.2 > sim547.csv
 timeout 120 $relaytree simulate --m 10 --height 5 --trials 120 --seed 1 \
   --alpha0 0.1 --beta0 0.2 > sim100000.csv
+timeout 120 $relaytree simulate --m 2 --height 18 --trials 16 --seed 1 \
+  --alpha0 0.45 --beta0 0.45 > sim262144_errors.csv
 sha256sum -c <<'EOF'
 4095006552e77acab8b726350a1241e49a16abcc0eb1f44776cd0c879a55456f  m2.csv
 0f1f25e0371cf54290d70963f01aca29dce006d7f1d26493a2622ef805769743  m149999.csv
@@ -38,6 +44,7 @@ a899974c095678dfb01bd6657d2368bb6ecf50bed3684f092df92187c60378ea  sim149999.csv
 4f67423f923c241c645ca0fc00ca5ec638f7666b93b9b0fe9127545b336e663f  sim262144.csv
 a899974c095678dfb01bd6657d2368bb6ecf50bed3684f092df92187c60378ea  sim547.csv
 a899974c095678dfb01bd6657d2368bb6ecf50bed3684f092df92187c60378ea  sim100000.csv
+82551b8cbbd76e6129a581206004a0ee5e1a3b25d930cce7ddf2826afd8affd6  sim262144_errors.csv
 EOF
 
 refused() {
