@@ -21,7 +21,9 @@ tuple of entries that carries its runs of equal entries and its step's
 weighted count windows, found once: per (m, tie) for majority, and per
 decided crossing window for the likelihood-ratio test.  One step serves
 every rule, taking log(1 - p) once a side and one tail walk a window;
-the simulator decides by the same runs.
+the deep step, for a pair whose two sides are past exp's underflow,
+takes each window's lowest term with no walk, as the walk builds only
+that term there.  The simulator decides by the same runs.
 """
 
 from __future__ import annotations
@@ -383,15 +385,36 @@ def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
 
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
-    to the outgoing miss: under H1, s ones are m - s draws of beta.  A
-    threshold table takes one binom_tail a side, any other its windows.
+    to the outgoing miss: under H1, s ones are m - s draws of beta.  A deep
+    pair, both sides finite and past exp's underflow, takes each window's
+    lowest term; otherwise a threshold table takes one binom_tail a side,
+    any other its windows.
     """
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
         # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
         # rather than re-rounded through logs
         return pair
-    m, k = len(table) - 1, table.threshold
+    m = len(table) - 1
+    la, lb = pair.alpha.value, pair.beta.value
+    if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO:
+        # The deep step: the walk's value, built without it.  With exp(log p)
+        # 0.0, log1mexp is log1p(-0.0) = -0.0 and the walk starts at
+        # int((m + 1) * 0.0), clipped to the window's lo.  The next term is
+        # lower by at least 745.13 - ln m, over 40 for every m below e^705, so
+        # the walk builds the one term row[lo] + lo * log p + (m - lo) * -0.0,
+        # in _tail's operand order.  If lo * log p overflows, every term is
+        # -inf and the walk's log_sum_exp gives LOG_ZERO, as the term does.
+        # A side sums its windows' weighted terms as _side does; a lone window
+        # of weight 0.0 is its term (0.0 + t is t, as t is never -0.0).  Two
+        # windows can lie within 37 nats (m = 4, pb = 5e-324), so no max.
+        row = _log_comb_row(m)
+        sides = []
+        for windows, log_p in zip(table.windows, (la, lb)):
+            terms = [w + (row[lo] + lo * log_p + (m - lo) * -0.0) for w, lo, _ in windows]
+            sides.append(LogProb(terms[0] if len(terms) == 1 else log_sum_exp(terms)))
+        return ErrorPair(*sides)
+    k = table.threshold
     if k is not None:
         return ErrorPair(binom_tail(m, k, m, pair.alpha), binom_tail(m, m - k + 1, m, pair.beta))
     alpha, beta = table.windows

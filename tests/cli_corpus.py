@@ -56,6 +56,9 @@ FAST = [
     f"recurse --m 255 {_LEAVES} --levels 145",
     f"recurse --m 255 {_LEAVES} --levels 160",
     f"recurse --m 4 --pb 0.3 {_LEAVES} --levels 2000",
+    # level 5 steps a pair past exp's underflow whose two alpha windows lie
+    # 13.5 nats apart: the sum of both, not the larger, gives its digits
+    "recurse --m 10 --pb 5e-324 --alpha0 0.22 --beta0 0.01 --levels 8",
     f"recurse --m 2 --rule alternating {_LEAVES} --levels 3000",
     f"recurse --m 4 --rule lrt {_LEAVES} --levels 791",
     f"recurse --m 4 --rule lrt {_LEAVES} --levels 792",

@@ -69,9 +69,11 @@ def tail_by_fsum(m, s_lo, s_hi, log_p):
 
 
 # log p as deep traces produce it: down to the overflow edge, just below
-# exp's underflow, and a few ulps below 0 (p a hair under 1)
-DEEP_LOGS = [-1.7e308, -1e307, -1e290, -1e100, -745.2, -40.0, -37.43, -2.3,
-             -1e-17, -1e-300, -5e-324]
+# exp's underflow and the two doubles at its edge (the first with
+# exp(log p) == 0.0, the last with exp(log p) > 0), and a few ulps below 0
+# (p a hair under 1)
+DEEP_LOGS = [-1.7e308, -1e307, -1e290, -1e100, -745.2, -745.1332191019412,
+             -745.1332191019411, -40.0, -37.43, -2.3, -1e-17, -1e-300, -5e-324]
 deep_logs = st.one_of(
     st.sampled_from(DEEP_LOGS),
     st.floats(min_value=-1.7e308, max_value=-5e-324),
@@ -327,14 +329,17 @@ class TestTieStep:
     """A tie-coin table sums two windows a side, which share that side's
     log q and row but each walk from its own cut: its pair is bit for bit
     a tail per run weighted through log_sum_exp, at every log p of the
-    tail corpus, point masses included."""
+    tail corpus and of DEEP_LOGS, point masses included.  At pb = 5e-324
+    a pair past exp's underflow has its two alpha windows within 37 nats
+    (2 nats at m = 4 and log alpha = -745.2), so their sum is not their
+    larger term."""
 
-    @pytest.mark.parametrize("pb", [0.3, 0.5])
+    @pytest.mark.parametrize("pb", [0.3, 0.5, 5e-324])
     @pytest.mark.parametrize("m", [2, 4, 10, 64, 1000])
     def test_tie_tables_match_a_tail_per_run(self, m, pb):
         table = MajorityEven(m, pb).table(None)
         assert table.threshold is None or (m, pb) == (2, 0.5)
-        logs = propagate_corpus.LOG_PS
+        logs = [*propagate_corpus.LOG_PS, *DEEP_LOGS]
         # each log alpha against a log beta from elsewhere in the list, so a
         # side that read the other side's log q would show
         for shift in (0, 1, len(logs) // 2):
@@ -932,6 +937,31 @@ class TestPropagate:
         calls.clear()
         propagate(pair(0.1, 0.2), [BayesianLRT(5, Priors.equal())] * 3, Priors.equal())
         assert calls == ["lrt_step"] * 3
+
+    def test_deep_levels_walk_no_tail(self, monkeypatch):
+        # a level whose incoming pair has both sides past exp's underflow
+        # steps by each window's lowest term; every other level walks
+        real_step, real_tail, levels = kernel.apply_rule, kernel._tail, []
+
+        def step(incoming, rule):
+            levels.append([incoming, 0])
+            return real_step(incoming, rule)
+
+        def tail(*args):
+            levels[-1][1] += 1
+            return real_tail(*args)
+
+        monkeypatch.setattr(kernel, "apply_rule", step)
+        monkeypatch.setattr(kernel, "_tail", tail)
+        for schedule in (Schedule(3, 400), Schedule(4, 300, "lrt", priors=Priors(0.3, 0.7))):
+            levels.clear()
+            propagate(pair(0.1, 0.2), schedule, Priors.equal())
+            assert len(levels) == len(schedule)
+            deep = [math.exp(max(p.alpha.value, p.beta.value)) == 0.0 for p, _ in levels]
+            assert [walks == 0 for _, walks in levels] == deep
+            # from about level 10 on, every level is deep
+            first = deep.index(True)
+            assert 0 < first < 20 and all(deep[first:])
 
     def test_summation_in_schedule_names_the_level(self):
         # a level that cannot step its pair is named: here beta = 0 survives
