@@ -7,7 +7,9 @@ k0-th level makes an (M, D) tree behave exactly like an (M^k0, 2) tree
 on a fraction of the height, which buys a strictly better decay
 exponent per leaf at a bounded cost in bits per message.
 `equivalent_tree` names that reduced tree, and `simulate.SimConfig`
-takes its deciding rules, one per k0-th level.
+takes its deciding rules, one per k0-th level.  The rates are the binary
+exponents of `bounds.exponent` at fan-in M^k0; only the message cost is
+this module's own.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .bounds import RateKind, exponent
 from .kernel import FusionRule
 
 __all__ = [
@@ -99,23 +102,23 @@ class AlphabetRates:
 
 
 def rates_from_k0(m: int, k0: int) -> AlphabetRates:
-    """Exponents as functions of the counting depth k0 directly."""
+    """Exponents as functions of the counting depth k0 directly: those of
+    the (m^k0, 2) equivalent tree, the binary exponents at fan-in m^k0.
+    Past double range, where m^k0 + 1 leaves it, they are refused with a
+    ValueError that names m and k0."""
     if m < 2:
         raise ValueError(f"fan-in must be >= 2, got {m}")
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
     m_eff = m**k0
-    log_m = math.log(m)
-    log_m_eff = math.log(m_eff)
-    log2_term = math.log(2.0) / (log_m * k0)
-    rho = math.log(m_eff + 1) / log_m_eff - log2_term
-    if m % 2 == 1:
-        varrho = rho
-        sigma = None
-    else:
-        varrho = 1.0 - log2_term
-        sigma = 0.5 * (1.0 + math.log(m_eff + 2) / log_m_eff) - log2_term
-    return AlphabetRates(rho=rho, varrho=varrho, sigma=sigma)
+    try:
+        return AlphabetRates(
+            rho=exponent(m_eff, RateKind.UPPER_BOUND),
+            varrho=exponent(m_eff, RateKind.MAJORITY_RANDOM),
+            sigma=exponent(m_eff, RateKind.ALTERNATING) if m % 2 == 0 else None,
+        )
+    except OverflowError:
+        raise ValueError(f"rates for m={m}, k0={k0}: m^k0 exceeds double range") from None
 
 
 def rates(m: int, d: int) -> AlphabetRates:
@@ -146,8 +149,11 @@ def bits_bounds(m: int) -> tuple:
     """Large-k0 band for avg_bits: 1 + log2(m)/(m-1) - 1/m <= avg <= 1 + log2(m)/(m-1)."""
     if m < 2:
         raise ValueError(f"fan-in must be >= 2, got {m}")
-    spread = math.log2(m) / (m - 1)
-    return (1.0 + spread - 1.0 / m, 1.0 + spread)
+    try:
+        spread = math.log2(m) / (m - 1)
+        return (1.0 + spread - 1.0 / m, 1.0 + spread)
+    except OverflowError:
+        raise ValueError(f"bits_bounds for m={m}: m exceeds double range") from None
 
 
 def alphabet_schedule(spec: TreeSpec, rules: Sequence[FusionRule]) -> list:

@@ -272,8 +272,13 @@ def sample_size(m: int, alpha0: float, beta0: float, epsilon: float) -> SampleSi
     if max(alpha0, beta0) <= epsilon:
         return SampleSize(n_real=1.0, k=0, n_tree=1)
     # C(m, lam) is the largest of m + 1 terms summing to 2^m, so
-    # log2 c >= m - log2(m + 1): refuse in O(1) what would fail below
-    if m - math.log2(m + 1) >= min(bits_a, bits_b):
+    # log2 c >= m - log2(m + 1): refuse in O(1) what would fail below;
+    # an m past double range has its floor past every leaf's bits
+    try:
+        vacuous = m - math.log2(m + 1) >= min(bits_a, bits_b)
+    except OverflowError:
+        vacuous = True
+    if vacuous:
         raise BoundInapplicableError(
             f"bound inapplicable: leaf errors ({alpha0}, {beta0}) give "
             f"log2(1/max) = {min(bits_a, bits_b):.6g} <= m - log2(m + 1) "

@@ -191,8 +191,10 @@ def _cmd_alphabet(args) -> int:
     lo, hi = bits_bounds(args.m)
     rows = []
     for k0 in k0_values:
+        # avg_bits first: it refuses a row no later than the rates would
+        bits = avg_bits(args.m, k0)
         r = rates_from_k0(args.m, k0)
-        rows.append([k0, r.rho, r.varrho, r.sigma, avg_bits(args.m, k0), lo, hi])
+        rows.append([k0, r.rho, r.varrho, r.sigma, bits, lo, hi])
     _emit_csv(
         ["k0", "rho", "varrho", "sigma", "avg_bits", "band_lower", "band_upper"],
         rows,

@@ -6,13 +6,14 @@ returns the failures as a list (empty means pass), so the same functions
 back both the command-line `verify` subcommand and the test suite.  A
 check here reaches its answer by a route independent of the code it
 checks: 2^m enumeration, exact `Fraction` traces, the proved sandwiches
-on dense grids and on traces, identities between the closed forms of two
-modules, or Monte Carlo.  Hand-computed example values and refusal
-messages are pinned in `tests/`, not here.
+on dense grids and on traces, the exponents read off exact traces, or
+Monte Carlo.  Hand-computed example values and refusal messages are
+pinned in `tests/`, not here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Iterator
@@ -32,6 +33,7 @@ from .kernel import (
     Priors,
     Schedule,
     TiePhase,
+    WORK_LIMIT,
     apply_rule,
     binom_tail,
     iter_levels,
@@ -466,22 +468,30 @@ def check_lrt_lower_bound() -> Iterator[str]:
 # -------------------------------------------------------------- alphabet
 
 @_suite("alphabet")
-def check_rate_collapse() -> Iterator[str]:
-    """d=2 alphabet rates must equal the binary exponents."""
-    for m in range(2, 21):
-        r = alph.rates(m, 2)
-        upper = bounds.exponent(m, bounds.RateKind.UPPER_BOUND)
-        major = bounds.exponent(m, bounds.RateKind.MAJORITY_RANDOM)
-        if abs(r.rho - upper) > 1e-12:
-            yield f"m={m}: rho {r.rho} != upper {upper}"
+def check_rates_on_traces() -> Iterator[str]:
+    """The alphabet rates are the slopes of exact traces at fan-in m^k0:
+    for m = 2..8 and m^k0 <= 5000, log2 log2(1/P_k) of the equivalent
+    tree's trace from (0.1, 0.2), against log2 of its leaves, rises at
+    varrho under random-tie majority and sigma under alternating ties,
+    and never faster than rho.  The slope spans the last 40 finite levels
+    within the work limit (at most 3000): an even gap, since the
+    alternating exponent alternates level by level."""
+    gap = 40
+    for m, k0 in [(m, k0) for m in range(2, 9) for k0 in range(1, 13) if m**k0 <= 5000]:
+        n, r = m**k0, alph.rates_from_k0(m, k0)
+        levels = min(WORK_LIMIT // (n + 1) - 1, 3000)
+        families = [("majority", "varrho", r.varrho)]
         if m % 2 == 0:
-            alt = bounds.exponent(m, bounds.RateKind.ALTERNATING)
-            if abs(r.varrho - major) > 1e-12:
-                yield f"m={m}: varrho {r.varrho} != majority {major}"
-            if abs(r.sigma - alt) > 1e-12:
-                yield f"m={m}: sigma {r.sigma} != alternating {alt}"
-        elif abs(r.varrho - upper) > 1e-12:
-            yield f"m={m}: odd varrho {r.varrho} != {upper}"
+            families.append(("alternating", "sigma", r.sigma))
+        for rule, name, rate in families:
+            walk = iter_levels(_pair(0.1, 0.2), Schedule(n, levels, rule), Priors.equal())
+            bits = itertools.takewhile(math.isfinite, (t.log2_inverse for _, t in walk))
+            depth = [math.log2(b) for b in bits]
+            slope = (depth[-1] - depth[-1 - gap]) / (gap * math.log2(n))
+            if not _log_close(slope, rate):
+                yield f"m={m}, k0={k0}, {rule}: slope {slope} vs {name} {rate}"
+            if slope > r.rho + TOL:
+                yield f"m={m}, k0={k0}, {rule}: slope {slope} above rho {r.rho}"
 
 
 # ------------------------------------------------------------------- sim

@@ -121,12 +121,15 @@ FAST = [
     "alphabet --m 1000 --k0-max 110",
     "alphabet --m 2 --d 4 --k0-max 3",
     "alphabet --m 2",
+    # an m past double range is refused, not an OverflowError
+    f"alphabet --m {2**1024} --k0-max 3",
     "samplesize --m 3 --alpha0 0.1 --beta0 0.1 --epsilon 1e-6",
     "samplesize --m 2 --alpha0 0.1 --beta0 0.1 --epsilon 1e-6",
     "samplesize --m 3 --alpha0 0.4 --beta0 0.4 --epsilon 1e-6",
     "samplesize --m 7 --alpha0 0.01 --beta0 0.3 --epsilon 1e-12",
     "samplesize --m 3 --alpha0 0.1 --beta0 0.1 --epsilon 0.5",
     "samplesize --m 1000000000 --alpha0 0.1 --beta0 0.1 --epsilon 1e-6",
+    f"samplesize --m {2**1024} --alpha0 0.1 --beta0 0.1 --epsilon 1e-6",
     # verify: the pass output of the fast suites
     "verify --suite alphabet",
     "verify --suite bounds",

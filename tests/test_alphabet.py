@@ -138,6 +138,39 @@ class TestRates:
             rates_from_k0(3, 0)
 
 
+def closed_form_rates(m, k0):
+    """(rho, varrho, sigma) of an (m, d) tree from their closed forms in
+    m and k0, the reference for rates_from_k0's route through exponent."""
+    m_eff = m**k0
+    log_m_eff = math.log(m_eff)
+    log2_term = math.log(2.0) / (math.log(m) * k0)
+    rho = math.log(m_eff + 1) / log_m_eff - log2_term
+    if m % 2 == 1:
+        return rho, rho, None
+    varrho = 1.0 - log2_term
+    sigma = 0.5 * (1.0 + math.log(m_eff + 2) / log_m_eff) - log2_term
+    return rho, varrho, sigma
+
+
+class TestRatesAtTheRefusalEdges:
+    # the last admitted rows: m^k0 = 2^1022, 3^645 and 1000^102
+    @pytest.mark.parametrize("m, k0", [(2, 1022), (3, 645), (1000, 102)])
+    def test_closed_forms(self, m, k0):
+        r = rates_from_k0(m, k0)
+        for got, want in zip((r.rho, r.varrho, r.sigma), closed_form_rates(m, k0)):
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, rel=1e-15, abs=0), (m, k0)
+
+    def test_past_double_range_names_m_and_k0(self):
+        # 1000^103 + 1 rounds past the largest double
+        with pytest.raises(ValueError, match="m=1000, k0=103"):
+            rates_from_k0(1000, 103)
+        with pytest.raises(ValueError, match="m=2, k0=1024"):
+            rates_from_k0(2, 1024)
+
+
 class TestAvgBits:
     def test_single_level_is_one_bit(self):
         assert avg_bits(7, 1) == 1.0
@@ -164,6 +197,11 @@ class TestAvgBits:
         # one bit, under the band floor for every m
         lo, _ = bits_bounds(10)
         assert avg_bits(10, 1) < lo
+
+    def test_band_past_double_range_names_m(self):
+        bits_bounds(2**1023)
+        with pytest.raises(ValueError, match=f"m={2**1024}: m exceeds double range"):
+            bits_bounds(2**1024)
 
     def test_past_double_range_names_m_and_k0(self):
         avg_bits(2, 1022)  # the block's 2^1023 - 2 nodes still fit a double

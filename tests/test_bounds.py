@@ -446,8 +446,10 @@ class TestSampleSize:
             raise AssertionError("C(m, lam) was built")
 
         monkeypatch.setattr(math, "comb", no_comb)
-        with pytest.raises(BoundInapplicableError, match="m=1000000000"):
-            sample_size(10**9, 0.1, 0.1, 1e-6)
+        # at 2^1024, m - log2(m + 1) leaves double range: past any leaf bits
+        for m in (10**9, 2**1024):
+            with pytest.raises(BoundInapplicableError, match=f"<= log2\\(c\\) for m={m}$"):
+                sample_size(m, 0.1, 0.1, 1e-6)
 
     def test_subnormal_epsilon_is_refused(self):
         # 1/epsilon overflows to inf, and no tree size would reach it

@@ -999,3 +999,54 @@ class TestIterLevels:
         assert len([next(walk), next(walk)]) == 2
         with pytest.raises(ValueError, match="^level 2: likelihood-ratio rule undefined"):
             next(walk)
+
+
+@st.composite
+def relabelled_schedules(draw):
+    """A schedule and its relabelling, the same trees with H0 and H1
+    swapped: a tie coin pb becomes 1 - pb, the alternating phase flips,
+    and the priors swap.  Tie weights have exact complements, and the
+    likelihood ratio runs at unequal priors only, so no count is an exact
+    tie that both labellings would send to H1."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8, 10, 63, 64, 255, 1000]))
+    levels = draw(st.integers(min_value=0, max_value=min(400, kernel.WORK_LIMIT // (m + 1) - 1)))
+    family = draw(st.sampled_from(["majority", "tie", "alternating", "lrt"] if m % 2 == 0
+                                  else ["majority", "lrt"]))
+    pi0 = draw(st.sampled_from([0.25, 0.75] if family == "lrt" else [0.25, 0.5, 0.75]))
+    flags, swapped = {}, {}
+    if family == "tie":
+        pb = draw(st.sampled_from([0.25, 0.75]))
+        flags, swapped = {"pb": pb}, {"pb": 1.0 - pb}
+    elif family == "alternating":
+        phase = draw(st.sampled_from(["one", "zero"]))
+        flags, swapped = {"phase": phase}, {"phase": {"one": "zero", "zero": "one"}[phase]}
+    rule = "majority" if family == "tie" else family
+    return (Schedule(m, levels, rule, priors=Priors(pi0, 1.0 - pi0), **flags),
+            Schedule(m, levels, rule, priors=Priors(1.0 - pi0, pi0), **swapped))
+
+
+def logs_and_refusal(pair0, schedule):
+    """(log alpha, log beta, log total) of each level of a trace, and the
+    level whose step was refused, None if none was."""
+    rows = []
+    try:
+        for p, total in iter_levels(pair0, schedule, schedule.priors):
+            rows.append((p.alpha.value, p.beta.value, total.value))
+    except ValueError:
+        return rows, len(rows)
+    return rows, None
+
+
+class TestRelabelling:
+    @given(relabelled_schedules(),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example((Schedule(1000, 298), Schedule(1000, 298)), 5e-324, 1 - 2**-53)
+    @example((Schedule(255, 60, "lrt", priors=Priors(0.25, 0.75)),
+              Schedule(255, 60, "lrt", priors=Priors(0.75, 0.25))), 1e-300, 0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_swapping_the_hypotheses_swaps_alpha_and_beta_bit_for_bit(self, schedules, a0, b0):
+        rows, refused = logs_and_refusal(pair(a0, b0), schedules[0])
+        swapped_rows, swapped_refused = logs_and_refusal(pair(b0, a0), schedules[1])
+        assert [(lb, la, lt) for la, lb, lt in swapped_rows] == rows
+        assert swapped_refused == refused

@@ -7,6 +7,7 @@ tie_weight_sandwich mutations live in tests/test_oracle.py.
 """
 
 import dataclasses
+import math
 
 from relaytree import oracle, verify
 from relaytree.kernel import BayesianLRT, ErrorPair, MajorityOdd, _CountTable, apply_rule
@@ -30,7 +31,7 @@ NAMES = [
     "bounds.exponent_ratio_convergence",
     "bounds.total_bounds",
     "bounds.lrt_lower_bound",
-    "alphabet.rate_collapse",
+    "alphabet.rates_on_traces",
     "sim.agreement",
     "sim.alphabet_equivalence",
 ]
@@ -193,13 +194,44 @@ def test_lrt_lower_bound_sees_a_guarantee_above_the_trace(monkeypatch):
 
 # -------------------------------------------------------------- alphabet
 
-def test_rate_collapse_sees_a_wrong_rho(monkeypatch):
-    real = verify.alph.rates
-    monkeypatch.setattr(verify.alph, "rates",
-                        lambda m, d: dataclasses.replace(real(m, d), rho=real(m, d).rho + 1e-9))
-    fails = verify.check_rate_collapse()
-    assert len(fails) == 19  # m = 2 .. 20
-    assert all(": rho " in msg and " != upper " in msg for msg in fails)
+def mutated_rates(monkeypatch, **fields):
+    """Make verify's alphabet rates carry field(m, k0, rates) for each of
+    `fields` in place of the true rate."""
+    real = verify.alph.rates_from_k0
+
+    def mutated(m, k0):
+        r = real(m, k0)
+        return dataclasses.replace(r, **{name: fn(m, k0, r) for name, fn in fields.items()})
+
+    monkeypatch.setattr(verify.alph, "rates_from_k0", mutated)
+
+
+def test_rates_on_traces_sees_a_wrong_rate(monkeypatch):
+    mutated_rates(monkeypatch, varrho=lambda m, k0, r: r.varrho + 1e-9)
+    fails = verify.check_rates_on_traces()
+    # every majority case: m = 2..8, each k0 with m^k0 <= 5000
+    assert len(fails) == 12 + 7 + 6 + 5 + 4 + 4 + 4
+    assert all(", majority: slope " in msg and " vs varrho " in msg for msg in fails)
+
+    # the alternating exponent's formula at fan-in m^k0 + 1, not m^k0
+    def sigma(m, k0, r):
+        n = m**k0 + 1
+        return (0.5 * (math.log(n) + math.log(n + 2)) - math.log(2.0)) / math.log(n)
+
+    monkeypatch.undo()
+    mutated_rates(monkeypatch, sigma=sigma)
+    fails = verify.check_rates_on_traces()
+    # every alternating case: even m = 2..8, each k0 with m^k0 <= 5000
+    assert len(fails) == 12 + 6 + 4 + 4
+    assert all(", alternating: slope " in msg and " vs sigma " in msg for msg in fails)
+
+
+def test_rates_on_traces_sees_a_slope_above_rho(monkeypatch):
+    mutated_rates(monkeypatch, rho=lambda m, k0, r: 0.0)
+    fails = verify.check_rates_on_traces()
+    # all 68 cases but fair-coin majority at fan-in 2, whose slope is 0
+    assert len(fails) == 68 - 1
+    assert all(" above rho " in msg for msg in fails)
 
 
 # ------------------------------------------------------------------- sim
