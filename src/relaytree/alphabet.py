@@ -7,26 +7,24 @@ k0-th level makes an (M, D) tree behave exactly like an (M^k0, 2) tree
 on a fraction of the height, which buys a strictly better decay
 exponent per leaf at a bounded cost in bits per message.
 `equivalent_tree` names that reduced tree, and `simulate.SimConfig`
-takes its deciding rules, one per k0-th level.  The rates are the binary
-exponents of `bounds.exponent` at fan-in M^k0; only the message cost is
-this module's own.
+takes its deciding rules, one per k0-th level.  The rates are
+`bounds.rate_report` at fan-in M^k0, one row of the binary exponents;
+only the message cost is this module's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .bounds import RateKind, exponent
+from .bounds import RateReport, rate_report
 from .kernel import FusionRule
 
 __all__ = [
     "TreeSpec",
-    "AlphabetRates",
     "k0_of",
     "equivalent_tree",
-    "rates",
     "rates_from_k0",
     "avg_bits",
     "bits_bounds",
@@ -87,43 +85,16 @@ def equivalent_tree(spec: TreeSpec) -> TreeSpec:
     return TreeSpec(m=spec.m**spec.k0, height=spec.height // spec.k0, d=2)
 
 
-@dataclass(frozen=True)
-class AlphabetRates:
-    """Decay exponents in the leaf count for an (m, d) tree.
-
-    rho: upper-bound exponent; varrho: guaranteed exponent of the
-    majority strategy; sigma: guaranteed exponent of the alternating
-    strategy, defined for even m only.
-    """
-
-    rho: float
-    varrho: float
-    sigma: Optional[float]
-
-
-def rates_from_k0(m: int, k0: int) -> AlphabetRates:
-    """Exponents as functions of the counting depth k0 directly: those of
-    the (m^k0, 2) equivalent tree, the binary exponents at fan-in m^k0.
-    Past double range, where m^k0 + 1 leaves it, they are refused with a
-    ValueError that names m and k0."""
+def rates_from_k0(m: int, k0: int) -> RateReport:
+    """The decay exponents of an (m, d) tree that counts for k0 levels:
+    those of its (m^k0, 2) equivalent tree, so the report's m is m^k0.
+    The paper's rho, varrho and sigma are its upper_bound, majority_random
+    and alternating (None at odd m)."""
     if m < 2:
         raise ValueError(f"fan-in must be >= 2, got {m}")
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
-    m_eff = m**k0
-    try:
-        return AlphabetRates(
-            rho=exponent(m_eff, RateKind.UPPER_BOUND),
-            varrho=exponent(m_eff, RateKind.MAJORITY_RANDOM),
-            sigma=exponent(m_eff, RateKind.ALTERNATING) if m % 2 == 0 else None,
-        )
-    except OverflowError:
-        raise ValueError(f"rates for m={m}, k0={k0}: m^k0 exceeds double range") from None
-
-
-def rates(m: int, d: int) -> AlphabetRates:
-    """Exponents for an (m, d) tree; d enters only through k0."""
-    return rates_from_k0(m, k0_of(m, d))
+    return rate_report(m**k0)
 
 
 def avg_bits(m: int, k0: int) -> float:

@@ -29,6 +29,7 @@ __all__ = [
     "level_bounds",
     "bound_cells",
     "exponent",
+    "rate_report",
     "sample_size",
     "exponent_table",
 ]
@@ -48,7 +49,12 @@ class BoundInapplicableError(ValueError):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Decay exponents gamma (error ~ 2^(-Theta(N^gamma))) for one fan-in."""
+    """Decay exponents gamma (error ~ 2^(-Theta(N^gamma))) for one fan-in m.
+
+    At m = M^k0 they are the rates of an (M, d) tree that counts for k0
+    levels (`alphabet.rates_from_k0`): the paper's rho is upper_bound,
+    varrho is majority_random and sigma is alternating (None at odd m).
+    """
 
     m: int
     majority_random: float
@@ -221,6 +227,8 @@ def exponent(m: int, which: RateKind) -> float:
     majority with randomized ties: log_M floor((M+1)/2)
     alternating ties (even M):     log_M (sqrt(M(M+2)) / 2)
     universal upper bound:         log_M ((M+1)/2)
+
+    Every int m >= 2 has its exponents, also past double range.
     """
     if m < 2:
         raise ValueError(f"fusion needs m >= 2, got {m}")
@@ -228,12 +236,25 @@ def exponent(m: int, which: RateKind) -> float:
     if which is RateKind.MAJORITY_RANDOM:
         return math.log(per_level_exponent(m)) / log_m
     if which is RateKind.UPPER_BOUND:
-        return math.log((m + 1) / 2.0) / log_m
+        try:
+            return math.log((m + 1) / 2.0) / log_m
+        except OverflowError:  # m + 1 is past double range; math.log takes the int
+            return (math.log(m + 1) - math.log(2.0)) / log_m
     if which is RateKind.ALTERNATING:
         if m % 2 == 1:
             raise ValueError(f"alternating strategy needs even m, got {m}")
         return (0.5 * (math.log(m) + math.log(m + 2)) - math.log(2.0)) / log_m
     raise ValueError(f"unknown rate kind {which}")
+
+
+def rate_report(m: int) -> RateReport:
+    """The three decay exponents of fan-in m, as one row."""
+    return RateReport(
+        m=m,
+        majority_random=exponent(m, RateKind.MAJORITY_RANDOM),
+        alternating=exponent(m, RateKind.ALTERNATING) if m % 2 == 0 else None,
+        upper_bound=exponent(m, RateKind.UPPER_BOUND),
+    )
 
 
 def exponent_table(m_values: Iterable[int]) -> list:
@@ -242,16 +263,7 @@ def exponent_table(m_values: Iterable[int]) -> list:
     for m in m_values:
         if not 2 <= m <= 64:
             raise ValueError(f"fan-in {m} outside [2, 64]")
-        rows.append(
-            RateReport(
-                m=m,
-                majority_random=exponent(m, RateKind.MAJORITY_RANDOM),
-                alternating=(
-                    exponent(m, RateKind.ALTERNATING) if m % 2 == 0 else None
-                ),
-                upper_bound=exponent(m, RateKind.UPPER_BOUND),
-            )
-        )
+        rows.append(rate_report(m))
     return rows
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, and 141
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
@@ -176,6 +177,14 @@ def _cmd_exponents(args) -> int:
     return 0
 
 
+def _refuses(m: int, k0: int) -> bool:
+    try:
+        avg_bits(m, k0)
+    except ValueError:
+        return True
+    return False
+
+
 def _cmd_alphabet(args) -> int:
     if args.k0_max is not None:
         if args.d is not None:
@@ -189,12 +198,18 @@ def _cmd_alphabet(args) -> int:
             raise ValueError("alphabet needs --d (single row) or --k0-max (sweep)")
         k0_values = [k0_of(args.m, args.d)]
     lo, hi = bits_bounds(args.m)
+    # avg_bits refuses every depth from its first refused one on, and at
+    # the latest at ceil(1024 / log2 m) + 1, where m^k0 has passed 2^1024:
+    # bisect for that depth, so a sweep that will be refused builds no row
+    head = k0_values[:math.ceil(1024 / math.log2(args.m)) + 1]
+    first = bisect.bisect_left(head, True, key=functools.partial(_refuses, args.m))
+    if first < len(head):
+        avg_bits(args.m, head[first])  # raises the refusal
     rows = []
     for k0 in k0_values:
-        # avg_bits first: it refuses a row no later than the rates would
-        bits = avg_bits(args.m, k0)
         r = rates_from_k0(args.m, k0)
-        rows.append([k0, r.rho, r.varrho, r.sigma, bits, lo, hi])
+        rows.append([k0, r.upper_bound, r.majority_random, r.alternating,
+                     avg_bits(args.m, k0), lo, hi])
     _emit_csv(
         ["k0", "rho", "varrho", "sigma", "avg_bits", "band_lower", "band_upper"],
         rows,

@@ -239,8 +239,7 @@ class BayesianLRT:
 def _lrt_table(m: int, lo: int, decided: tuple) -> "_CountTable":
     """BayesianLRT's table over 0..m from the entries `decided` at counts
     lo, lo + 1, ...: built once per window, which few levels change."""
-    entries = (decided[0],) * lo + decided + (decided[-1],) * (m + 1 - lo - len(decided))
-    return _CountTable(entries, _runs(decided, lo, m))
+    return _CountTable((decided[0],) * lo + decided + (decided[-1],) * (m + 1 - lo - len(decided)))
 
 
 FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT]
@@ -251,13 +250,12 @@ class _CountTable(tuple):
     that carries its maximal runs (lo, hi, p) of equal entries p and its
     step's plan: the `threshold` k from which it decides 1, or None, and
     the `windows` (log weight, lo, hi) of each side.  It equals and hashes
-    as the tuple of its entries; the runs are found from the entries
-    unless the builder passes them."""
+    as the tuple of its entries, and finds its runs from them."""
 
-    def __new__(cls, entries, runs=None):
+    def __new__(cls, entries):
         table = super().__new__(cls, entries)
         m = len(table) - 1
-        table.runs = runs = _runs(table, 0, m) if runs is None else runs
+        table.runs = runs = _runs(table)
         threshold = len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0
         table.threshold = runs[1][0] if threshold else None
         table.windows = (
@@ -267,16 +265,14 @@ class _CountTable(tuple):
         return table
 
 
-def _runs(values, lo: int, m: int) -> tuple:
-    """The maximal runs (lo, hi, p) of a table over 0..m whose entries at
-    lo, lo + 1, ... are `values`, those below lo equal to values[0] and
-    those past the last equal to values[-1]."""
+def _runs(entries) -> tuple:
+    """The maximal runs (lo, hi, p) of equal entries p of a table."""
     runs, start = [], 0
-    for i in range(1, len(values)):
-        if values[i] != values[i - 1]:
-            runs.append((start, lo + i - 1, values[i - 1]))
-            start = lo + i
-    runs.append((start, m, values[-1]))
+    for i in range(1, len(entries)):
+        if entries[i] != entries[i - 1]:
+            runs.append((start, i - 1, entries[i - 1]))
+            start = i
+    runs.append((start, len(entries) - 1, entries[-1]))
     return tuple(runs)
 
 

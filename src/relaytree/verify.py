@@ -443,7 +443,7 @@ def _outside_cells(schedule: Schedule, a0: float, b0: float) -> Iterator[str]:
 
 
 @_suite("bounds")
-def check_total_bounds() -> Iterator[str]:
+def check_total_cells() -> Iterator[str]:
     """Traced totals lie inside their total-error sandwiches at every level."""
     yield from (f"majority m=3, {msg}" for msg in _outside_cells(Schedule(3, 4), 0.1, 0.1))
     # alternating totals: m >= 4 only; at m=2 one of alpha/beta always
@@ -457,7 +457,7 @@ def check_total_bounds() -> Iterator[str]:
 
 
 @_suite("bounds")
-def check_lrt_lower_bound() -> Iterator[str]:
+def check_lrt_cells() -> Iterator[str]:
     """The LRT guarantee holds on traced likelihood-ratio totals."""
     for m in (3, 5):
         for priors in (Priors.equal(), Priors(0.3, 0.7)):
@@ -480,9 +480,9 @@ def check_rates_on_traces() -> Iterator[str]:
     for m, k0 in [(m, k0) for m in range(2, 9) for k0 in range(1, 13) if m**k0 <= 5000]:
         n, r = m**k0, alph.rates_from_k0(m, k0)
         levels = min(WORK_LIMIT // (n + 1) - 1, 3000)
-        families = [("majority", "varrho", r.varrho)]
+        families = [("majority", "varrho", r.majority_random)]
         if m % 2 == 0:
-            families.append(("alternating", "sigma", r.sigma))
+            families.append(("alternating", "sigma", r.alternating))
         for rule, name, rate in families:
             walk = iter_levels(_pair(0.1, 0.2), Schedule(n, levels, rule), Priors.equal())
             bits = itertools.takewhile(math.isfinite, (t.log2_inverse for _, t in walk))
@@ -490,8 +490,8 @@ def check_rates_on_traces() -> Iterator[str]:
             slope = (depth[-1] - depth[-1 - gap]) / (gap * math.log2(n))
             if not _log_close(slope, rate):
                 yield f"m={m}, k0={k0}, {rule}: slope {slope} vs {name} {rate}"
-            if slope > r.rho + TOL:
-                yield f"m={m}, k0={k0}, {rule}: slope {slope} above rho {r.rho}"
+            if slope > r.upper_bound + TOL:
+                yield f"m={m}, k0={k0}, {rule}: slope {slope} above rho {r.upper_bound}"
 
 
 # ------------------------------------------------------------------- sim

@@ -119,6 +119,9 @@ FAST = [
     "alphabet --m 3 --d 10",
     "alphabet --m 3 --k0-max 8",
     "alphabet --m 1000 --k0-max 110",
+    # sweeps refused past double range before any row is built
+    "alphabet --m 2 --k0-max 100000000000",
+    "alphabet --m 3 --k0-max 149999",
     "alphabet --m 2 --d 4 --k0-max 3",
     "alphabet --m 2",
     # an m past double range is refused, not an OverflowError

@@ -123,22 +123,22 @@ def test_c06_exponent_table_values_and_ordering():
 
 
 def test_c07_alphabet_rates_collapse_and_message_cost():
-    from relaytree.alphabet import avg_bits, bits_bounds, rates
+    from relaytree.alphabet import avg_bits, bits_bounds, k0_of, rates_from_k0
     from relaytree.bounds import exponent
 
     # d = 2 reduces every rate to its binary exponent
     for m in range(2, 21):
-        r = rates(m, 2)
-        assert r.rho == pytest.approx(exponent(m, RateKind.UPPER_BOUND), rel=1e-12)
+        r = rates_from_k0(m, k0_of(m, 2))
+        assert r.upper_bound == pytest.approx(exponent(m, RateKind.UPPER_BOUND), rel=1e-12)
         if m % 2 == 0:
-            assert r.varrho == pytest.approx(
+            assert r.majority_random == pytest.approx(
                 exponent(m, RateKind.MAJORITY_RANDOM), rel=1e-12
             )
-            assert r.sigma == pytest.approx(
+            assert r.alternating == pytest.approx(
                 exponent(m, RateKind.ALTERNATING), rel=1e-12
             )
         else:
-            assert r.varrho == r.rho
+            assert r.majority_random == r.upper_bound
     # the mean message length sits in its asymptotic band once the
     # counting depth is 8 or more
     for m in range(2, 21):

@@ -10,7 +10,6 @@ from relaytree.alphabet import (
     bits_bounds,
     equivalent_tree,
     k0_of,
-    rates,
     rates_from_k0,
 )
 from relaytree.bounds import RateKind, exponent
@@ -76,60 +75,64 @@ class TestEquivalentTree:
 class TestRates:
     def test_d2_collapses_to_binary_exponents(self):
         for m in range(2, 21):
-            r = rates(m, 2)
-            assert r.rho == pytest.approx(
+            r = rates_from_k0(m, k0_of(m, 2))
+            assert r.upper_bound == pytest.approx(
                 exponent(m, RateKind.UPPER_BOUND), rel=1e-12, abs=0
             )
             if m % 2 == 0:
-                assert r.varrho == pytest.approx(
+                assert r.majority_random == pytest.approx(
                     exponent(m, RateKind.MAJORITY_RANDOM), rel=1e-12, abs=0
                 )
-                assert r.sigma == pytest.approx(
+                assert r.alternating == pytest.approx(
                     exponent(m, RateKind.ALTERNATING), rel=1e-12, abs=0
                 )
             else:
-                assert r.varrho == r.rho
-                assert r.sigma is None
+                assert r.majority_random == r.upper_bound
+                assert r.alternating is None
 
     def test_bigger_alphabet_helps(self):
         # counting two levels beats deciding at every level
         small = rates_from_k0(2, 1)
         big = rates_from_k0(2, 3)
-        assert big.varrho > small.varrho
-        assert big.rho > small.rho
-        assert big.rho < 1.0
+        assert big.majority_random > small.majority_random
+        assert big.upper_bound > small.upper_bound
+        assert big.upper_bound < 1.0
 
     def test_ordering(self):
         for m in (2, 4, 6):
             for k0 in (1, 2, 3):
                 r = rates_from_k0(m, k0)
-                assert r.varrho <= r.sigma <= r.rho + 1e-12
+                assert r.majority_random <= r.alternating <= r.upper_bound + 1e-12
         for m in range(2, 21):
             for d in (2, 3, 7, 50):
-                r = rates(m, d)
+                r = rates_from_k0(m, k0_of(m, d))
                 if m % 2 == 0:
-                    assert r.varrho <= r.sigma <= r.rho + 1e-12, (m, d)
+                    assert r.majority_random <= r.alternating <= r.upper_bound + 1e-12, (m, d)
                 else:
-                    assert r.varrho == r.rho and r.sigma is None, (m, d)
+                    assert r.majority_random == r.upper_bound and r.alternating is None, (m, d)
 
     def test_closed_form(self):
         r = rates_from_k0(2, 3)
         log_m_eff = math.log(8)
         log2_term = math.log(2) / log_m_eff
-        assert r.rho == pytest.approx(math.log(9) / log_m_eff - log2_term, rel=1e-14, abs=0)
-        assert r.varrho == pytest.approx(1 - log2_term, rel=1e-14, abs=0)
-        assert r.sigma == pytest.approx(
+        assert r.upper_bound == pytest.approx(
+            math.log(9) / log_m_eff - log2_term, rel=1e-14, abs=0
+        )
+        assert r.majority_random == pytest.approx(1 - log2_term, rel=1e-14, abs=0)
+        assert r.alternating == pytest.approx(
             0.5 * (1 + math.log(10) / log_m_eff) - log2_term, rel=1e-14, abs=0
         )
         # through k0_of: (3, 4) and (10, 11) count two levels, (4, 2) one
-        r = rates(3, 4)
+        r = rates_from_k0(3, k0_of(3, 4))
         want = math.log(10) / math.log(9) - math.log(2) / (2 * math.log(3))
-        assert r.rho == pytest.approx(want, rel=1e-12, abs=0)
-        assert r.varrho == r.rho and r.sigma is None
+        assert r.upper_bound == pytest.approx(want, rel=1e-12, abs=0)
+        assert r.majority_random == r.upper_bound and r.alternating is None
         want = 1.0 - math.log(2) / (2 * math.log(10))
-        assert rates(10, 11).varrho == pytest.approx(want, rel=1e-12, abs=0)
+        r = rates_from_k0(10, k0_of(10, 11))
+        assert r.majority_random == pytest.approx(want, rel=1e-12, abs=0)
         want = 0.5 * (1 + math.log(6) / math.log(4)) - 0.5
-        assert rates(4, 2).sigma == pytest.approx(want, rel=1e-12, abs=0)
+        r = rates_from_k0(4, k0_of(4, 2))
+        assert r.alternating == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -153,22 +156,18 @@ def closed_form_rates(m, k0):
 
 
 class TestRatesAtTheRefusalEdges:
-    # the last admitted rows: m^k0 = 2^1022, 3^645 and 1000^102
-    @pytest.mark.parametrize("m, k0", [(2, 1022), (3, 645), (1000, 102)])
+    # the last rows that `alphabet` admits, m^k0 = 2^1022, 3^645 and
+    # 1000^102, and two past double range, where 1000^103 + 1 and 2^1024
+    # leave it: the rates are still the closed forms there
+    @pytest.mark.parametrize("m, k0", [(2, 1022), (3, 645), (1000, 102), (1000, 103), (2, 1024)])
     def test_closed_forms(self, m, k0):
         r = rates_from_k0(m, k0)
-        for got, want in zip((r.rho, r.varrho, r.sigma), closed_form_rates(m, k0)):
+        for got, want in zip((r.upper_bound, r.majority_random, r.alternating),
+                             closed_form_rates(m, k0)):
             if want is None:
                 assert got is None
             else:
                 assert got == pytest.approx(want, rel=1e-15, abs=0), (m, k0)
-
-    def test_past_double_range_names_m_and_k0(self):
-        # 1000^103 + 1 rounds past the largest double
-        with pytest.raises(ValueError, match="m=1000, k0=103"):
-            rates_from_k0(1000, 103)
-        with pytest.raises(ValueError, match="m=2, k0=1024"):
-            rates_from_k0(2, 1024)
 
 
 class TestAvgBits:
@@ -202,6 +201,21 @@ class TestAvgBits:
         bits_bounds(2**1023)
         with pytest.raises(ValueError, match=f"m={2**1024}: m exceeds double range"):
             bits_bounds(2**1024)
+
+    @pytest.mark.parametrize("m", [3, 10, 1000, 2**53 + 1, 10**59],
+                             ids=["3", "10", "1000", "2^53+1", "10^59"])
+    def test_refuses_every_depth_from_its_first_refusal_on(self, m):
+        # what lets `alphabet` bisect for a sweep's refusal: the first
+        # refused depth comes by ceil(1024 / log2 m) + 1, where m^k0 has
+        # passed 2^1024, and every depth past it is refused too
+        edge = math.ceil(1024 / math.log2(m)) + 1
+        refused = []
+        for k0 in range(1, edge + 3):
+            try:
+                avg_bits(m, k0)
+            except ValueError:
+                refused.append(k0)
+        assert refused and refused == list(range(refused[0], edge + 3))
 
     def test_past_double_range_names_m_and_k0(self):
         avg_bits(2, 1022)  # the block's 2^1023 - 2 nodes still fit a double

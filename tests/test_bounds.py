@@ -383,6 +383,16 @@ class TestExponents:
         with pytest.raises(ValueError):
             exponent(5, RateKind.ALTERNATING)
 
+    @pytest.mark.parametrize("m", [2**1024 + 2, 2**1024 + 1], ids=["even", "odd"])
+    def test_every_kind_is_finite_past_double_range(self, m):
+        # (m + 1) / 2.0 overflows a double there; each exponent is
+        # log_m of about m / 2, 1 - 1/1024 within an ulp
+        kinds = [RateKind.MAJORITY_RANDOM, RateKind.UPPER_BOUND]
+        if m % 2 == 0:
+            kinds.append(RateKind.ALTERNATING)
+        for kind in kinds:
+            assert exponent(m, kind) == pytest.approx(1023 / 1024, rel=1e-15, abs=0), kind
+
     def test_table(self):
         rows = exponent_table(range(2, 65))
         assert [r.m for r in rows] == list(range(2, 65))

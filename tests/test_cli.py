@@ -422,6 +422,23 @@ class TestDoubleRangeRefusals:
         assert captured.out == ""
         assert needle in captured.err
 
+    def test_a_refused_sweep_builds_no_row(self, capsys, monkeypatch):
+        # avg_bits refuses k0 = 1023 at m = 2 and every depth past it:
+        # found by bisection, not by 1,023 rows
+        calls, real = [], cli.avg_bits
+
+        def counted(m, k0):
+            calls.append(k0)
+            return real(m, k0)
+
+        monkeypatch.setattr(cli, "avg_bits", counted)
+        code = cli.run(["alphabet", "--m", "2", "--k0-max", "100000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: avg_bits for m=2, k0=1023: m^k0 exceeds double range\n"
+        assert len(calls) <= 20
+
 
 class TestLog2InverseOverflow:
     """A log2(1/p) column that would read inf because a double overflowed

@@ -712,10 +712,10 @@ class TestLRT:
 def lrt_table_afresh(m, lo, decided):
     """A likelihood-ratio table built as every level once built it: the
     decided window's entries, filled out to 0..m from its two ends, and
-    the runs of that window."""
+    the runs of those entries."""
     hi = lo + len(decided) - 1
     entries = (decided[0],) * lo + tuple(decided) + (decided[-1],) * (m - hi)
-    return entries, kernel._runs(decided, lo, m)
+    return entries, runs_of(entries)
 
 
 class TestLRTMemo:
@@ -1050,3 +1050,43 @@ class TestRelabelling:
         swapped_rows, swapped_refused = logs_and_refusal(pair(b0, a0), schedules[1])
         assert [(lb, la, lt) for la, lb, lt in swapped_rows] == rows
         assert swapped_refused == refused
+
+
+@st.composite
+def fixed_table_schedules(draw):
+    """A schedule whose tables do not depend on the pair they step:
+    majority, a tie coin of 0.25, 0.5 or 0.75, or alternating ties."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8, 10, 63, 64, 255, 1000]))
+    levels = draw(st.integers(min_value=0, max_value=min(400, kernel.WORK_LIMIT // (m + 1) - 1)))
+    family = draw(st.sampled_from(["majority", "tie", "alternating"] if m % 2 == 0
+                                  else ["majority"]))
+    if family == "tie":
+        return Schedule(m, levels, pb=draw(st.sampled_from([0.25, 0.5, 0.75])))
+    if family == "alternating":
+        return Schedule(m, levels, "alternating", phase=draw(st.sampled_from(["one", "zero"])))
+    return Schedule(m, levels)
+
+
+class TestMonotonicity:
+    """A fixed nondecreasing table is a stochastic order: more false alarms
+    at the leaves give no fewer at any level, and the miss side, which
+    never reads alpha, keeps its bits.  Where alpha has run up to 1, its
+    log is a sum of up to m + 1 terms near 1 and may drop by their
+    rounding, at most (m + 1) 2^-52: majority from a leaf alpha past 1/2
+    goes there (log alpha 0.0 against -4.3e-14 at m = 1000)."""
+
+    @given(fixed_table_schedules(),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(Schedule(1000, 298), 5e-324, 1 - 2**-53)
+    @example(Schedule(1000, 298), 1 - 2**-53, 5e-324)
+    @example(Schedule(254, 60, pb=0.25), 1e-300, 0.3)
+    @example(Schedule(64, 400, "alternating", phase="zero"), 1e-16, 0.7)
+    @settings(max_examples=150, deadline=None)
+    def test_raising_alpha0_lowers_no_alpha_and_keeps_beta(self, schedule, a0, b0):
+        rows, _ = logs_and_refusal(pair(a0, b0), schedule)
+        raised, _ = logs_and_refusal(pair(min(a0 * 1.01, 1.0), b0), schedule)
+        reached = min(len(rows), len(raised))
+        slack = (schedule.m + 1) * 2**-52
+        assert [k for k, (row, up) in enumerate(zip(rows, raised)) if up[0] < row[0] - slack] == []
+        assert [lb for _, lb, _ in raised[:reached]] == [lb for _, lb, _ in rows[:reached]]

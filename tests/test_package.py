@@ -16,7 +16,7 @@ def test_exports_are_the_union_of_the_module_exports():
     for name in MODULES:
         module = importlib.import_module(f"relaytree.{name}")
         want.update({attr: getattr(module, attr) for attr in module.__all__})
-    assert len(want) == 57
+    assert len(want) == 56
     assert relaytree.__all__ == sorted(want)
     for attr, obj in want.items():
         assert getattr(relaytree, attr) is obj

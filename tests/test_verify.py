@@ -29,8 +29,8 @@ NAMES = [
     "bounds.ratio_poly",
     "bounds.sandwich_on_traces",
     "bounds.exponent_ratio_convergence",
-    "bounds.total_bounds",
-    "bounds.lrt_lower_bound",
+    "bounds.total_cells",
+    "bounds.lrt_cells",
     "alphabet.rates_on_traces",
     "sim.agreement",
     "sim.alphabet_equivalence",
@@ -160,7 +160,7 @@ def test_exponent_ratio_convergence_sees_a_wrong_exponent(monkeypatch):
 
 def test_total_bounds_sees_a_shifted_total_bound(monkeypatch):
     shifted_cells(monkeypatch, 1e3)
-    fails = verify.check_total_bounds()
+    fails = verify.check_total_cells()
     # levels 0..4 of the m=3 trace, and levels 0, 2, 4 of the 8 alternating ones
     assert len(fails) == 5 + 2 * 2 * 2 * 3
     assert all(msg.startswith("majority m=3, level ") for msg in fails[:5])
@@ -178,7 +178,7 @@ def test_total_bounds_sees_alternating_traces_given_the_random_tie_theorem(monke
         return real(schedule, a0, b0)
 
     monkeypatch.setattr(verify.bounds, "bound_cells", random_tie)
-    fails = verify.check_total_bounds()
+    fails = verify.check_total_cells()
     assert len(fails) == 2
     assert all(msg.startswith("alternating m=4, ") and ", first=one, level 4: total " in msg
                for msg in fails)
@@ -186,7 +186,7 @@ def test_total_bounds_sees_alternating_traces_given_the_random_tie_theorem(monke
 
 def test_lrt_lower_bound_sees_a_guarantee_above_the_trace(monkeypatch):
     shifted_cells(monkeypatch, 1e3)
-    fails = verify.check_lrt_lower_bound()
+    fails = verify.check_lrt_cells()
     # levels 0..3 of each of the four traces; the guarantee has no upper cell
     assert len(fails) == 2 * 2 * 4
     assert all(msg.startswith("lrt m=") and msg.endswith(", inf]") for msg in fails)
@@ -207,7 +207,7 @@ def mutated_rates(monkeypatch, **fields):
 
 
 def test_rates_on_traces_sees_a_wrong_rate(monkeypatch):
-    mutated_rates(monkeypatch, varrho=lambda m, k0, r: r.varrho + 1e-9)
+    mutated_rates(monkeypatch, majority_random=lambda m, k0, r: r.majority_random + 1e-9)
     fails = verify.check_rates_on_traces()
     # every majority case: m = 2..8, each k0 with m^k0 <= 5000
     assert len(fails) == 12 + 7 + 6 + 5 + 4 + 4 + 4
@@ -219,7 +219,7 @@ def test_rates_on_traces_sees_a_wrong_rate(monkeypatch):
         return (0.5 * (math.log(n) + math.log(n + 2)) - math.log(2.0)) / math.log(n)
 
     monkeypatch.undo()
-    mutated_rates(monkeypatch, sigma=sigma)
+    mutated_rates(monkeypatch, alternating=sigma)
     fails = verify.check_rates_on_traces()
     # every alternating case: even m = 2..8, each k0 with m^k0 <= 5000
     assert len(fails) == 12 + 6 + 4 + 4
@@ -227,7 +227,7 @@ def test_rates_on_traces_sees_a_wrong_rate(monkeypatch):
 
 
 def test_rates_on_traces_sees_a_slope_above_rho(monkeypatch):
-    mutated_rates(monkeypatch, rho=lambda m, k0, r: 0.0)
+    mutated_rates(monkeypatch, upper_bound=lambda m, k0, r: 0.0)
     fails = verify.check_rates_on_traces()
     # all 68 cases but fair-coin majority at fan-in 2, whose slope is 0
     assert len(fails) == 68 - 1
