@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 from . import bounds, kernel
 from .alphabet import TreeSpec, avg_bits, bits_bounds, equivalent_tree, k0_of, rates_from_k0
-from .kernel import ErrorPair, Priors, Schedule, iter_levels
+from .kernel import ErrorPair, Priors, Schedule
+from .logdomain import LogProb
 from .simulate import Hypothesis, SimConfig, compare_to_analytic
 from .verify import SUITES, run_suites
 
@@ -73,15 +74,17 @@ def _within(cast, low, high=math.inf, closed=True):
     return parse
 
 
-def _refuse_overflow(k: int, logs, table: tuple) -> None:
+def _refuse_overflow(k: int, logs, rule, below) -> None:
     """Refuse a row whose alpha, beta or total log2(1/p) reads inf because
     a double overflowed.  Either log2 of a finite log overflows, or the
     log itself reached -inf.  Only a level table that decides 1 at no
     count (0 at no count) gives alpha (beta) an exact zero; majority and
-    alternating tables send mass to both sides."""
+    alternating tables send mass to both sides.  `logs` are the row's,
+    `rule` is the level's, and `below` the logs of the pair it took."""
+    table = rule.table(ErrorPair(*map(LogProb, below)))
     zeros = (max(table) == 0.0, min(table) == 1.0, False)
-    for name, p, zero in zip(("alpha_log2inv", "beta_log2inv", "total_log2inv"), logs, zeros):
-        if p.log2_inverse == math.inf and not (zero and p.value == -math.inf):
+    for name, log, zero in zip(("alpha_log2inv", "beta_log2inv", "total_log2inv"), logs, zeros):
+        if -log / _LN2 == math.inf and not (zero and log == -math.inf):
             raise ValueError(f"level {k}: {name} exceeds double range")
 
 
@@ -105,18 +108,17 @@ def _cmd_recurse(args) -> int:
     # levels are taken in order, each its bound cells, then its step, then
     # its row's checks, so the first refusal is the lowest level's
     cells = itertools.islice(bounds.bound_cells(schedule, args.alpha0, args.beta0), args.levels + 1)
-    walk = iter_levels(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
+    walk = kernel._walk(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
     lines, below = [], None
-    for k, (bound, (pair, tot)) in enumerate(zip(cells, walk)):
-        # each log read once: the columns are LogProb.linear and .log2_inverse
-        la, lb, lt = pair.alpha.value, pair.beta.value, tot.value
-        logs = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
-        if math.inf in logs:
+    for k, (bound, (_, la, lb, lt)) in enumerate(zip(cells, walk)):
+        # the columns are LogProb.linear and .log2_inverse of the walk's logs
+        bits = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
+        if math.inf in bits:
             # the leaf row is finite: --alpha0 and --beta0 lie inside (0, 1);
             # a bound column is refused before it would read inf
-            _refuse_overflow(k, (pair.alpha, pair.beta, tot), schedule[k - 1].table(below))
-        lines.append(_RECURSE_ROWS[len(bound)] % (k, math.exp(la), math.exp(lb), *logs, *bound))
-        below = pair
+            _refuse_overflow(k, (la, lb, lt), schedule[k - 1], below)
+        lines.append(_RECURSE_ROWS[len(bound)] % (k, math.exp(la), math.exp(lb), *bits, *bound))
+        below = la, lb
     _emit_lines(
         [
             "level",

@@ -23,7 +23,12 @@ decided crossing window for the likelihood-ratio test.  One step serves
 every rule, taking log(1 - p) once a side and one tail walk a window;
 the deep step, for a pair whose two sides are past exp's underflow,
 takes each window's lowest term with no walk, as the walk builds only
-that term there.  The simulator decides by the same runs.
+that term there.  A trace's walk carries each level's logs as floats:
+a deep level takes the deep step on them with no objects, and builds an
+ErrorPair only for iter_levels' callers; any other level steps its pair
+through apply_rule.  A total whose two prior-weighted sides lie more than
+40 nats apart is the larger one, with no log-sum-exp.  The simulator
+decides by the same runs.
 """
 
 from __future__ import annotations
@@ -188,8 +193,12 @@ class BayesianLRT:
         Degenerate incoming errors are rejected because the likelihood ratio
         is then 0 or infinite.
         """
+        return self._decide(pair.alpha.value, pair.beta.value)
+
+    def _decide(self, la: float, lb: float) -> "_CountTable":
+        """table at the pair whose logs are (la, lb), which the walk's deep
+        levels carry as floats, so they build no pair to get it."""
         m = self.m
-        la, lb = pair.alpha.value, pair.beta.value
         if la == LOG_ZERO or la == 0.0 or lb == LOG_ZERO or lb == 0.0:
             raise ValueError(
                 "likelihood-ratio rule undefined for boundary error probabilities"
@@ -296,7 +305,8 @@ def _log_comb_row(m: int) -> tuple:
 
 
 # Tail terms more than this many nats below the largest are counted, not
-# built; expm1 of a gap is exactly -1.0 already from 37.43 nats down.
+# built, and a total's side this far below the other adds nothing; expm1
+# of a gap is exactly -1.0 already from 37.43 nats down.
 _CUT = 40.0
 
 
@@ -382,39 +392,50 @@ def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
     to the outgoing miss: under H1, s ones are m - s draws of beta.  A deep
-    pair, both sides finite and past exp's underflow, takes each window's
-    lowest term; otherwise a threshold table takes one binom_tail a side,
-    any other its windows.
+    pair, both sides finite and past exp's underflow, takes _deep_step;
+    otherwise a threshold table takes one binom_tail a side, any other its
+    windows.
     """
-    if table == (0.0, 0.5, 1.0):
-        # exact fixed point of fair majority at m = 2:
-        # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
-        # rather than re-rounded through logs
-        return pair
-    m = len(table) - 1
     la, lb = pair.alpha.value, pair.beta.value
     if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO:
-        # The deep step: the walk's value, built without it.  With exp(log p)
-        # 0.0, log1mexp is log1p(-0.0) = -0.0 and the walk starts at
-        # int((m + 1) * 0.0), clipped to the window's lo.  The next term is
-        # lower by at least 745.13 - ln m, over 40 for every m below e^705, so
-        # the walk builds the one term row[lo] + lo * log p + (m - lo) * -0.0,
-        # in _tail's operand order.  If lo * log p overflows, every term is
-        # -inf and the walk's log_sum_exp gives LOG_ZERO, as the term does.
-        # A side sums its windows' weighted terms as _side does; a lone window
-        # of weight 0.0 is its term (0.0 + t is t, as t is never -0.0).  Two
-        # windows can lie within 37 nats (m = 4, pb = 5e-324), so no max.
-        row = _log_comb_row(m)
-        sides = []
-        for windows, log_p in zip(table.windows, (la, lb)):
-            terms = [w + (row[lo] + lo * log_p + (m - lo) * -0.0) for w, lo, _ in windows]
-            sides.append(LogProb(terms[0] if len(terms) == 1 else log_sum_exp(terms)))
-        return ErrorPair(*sides)
+        return ErrorPair(*map(LogProb, _deep_step(la, lb, table)))
+    if table == (0.0, 0.5, 1.0):  # fair majority at m = 2; see _deep_step
+        return pair
+    m = len(table) - 1
     k = table.threshold
     if k is not None:
         return ErrorPair(binom_tail(m, k, m, pair.alpha), binom_tail(m, m - k + 1, m, pair.beta))
     alpha, beta = table.windows
     return ErrorPair(_side(m, alpha, pair.alpha), _side(m, beta, pair.beta))
+
+
+def _deep_step(la: float, lb: float, table: _CountTable) -> list:
+    """_table_step's [log alpha', log beta'] from a deep pair (la, lb): both
+    finite, exp(max(la, lb)) == 0.0.  Each window takes the lowest term of
+    its tail, the one term the tail walk builds there."""
+    if table == (0.0, 0.5, 1.0):
+        # exact fixed point of fair majority at m = 2:
+        # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
+        # rather than re-rounded through logs
+        return [la, lb]
+    # The walk's value, built without it.  With exp(log p) 0.0, log1mexp is
+    # log1p(-0.0) = -0.0 and the walk starts at int((m + 1) * 0.0), clipped
+    # to the window's lo.  The next term is lower by at least 745.13 - ln m,
+    # over 40 for every m below e^705, so the walk builds the one term
+    # row[lo] + lo * log p + (m - lo) * -0.0, in _tail's operand order.  If
+    # lo * log p overflows, every term is -inf and the walk's log_sum_exp
+    # gives LOG_ZERO, as the term does.  A side sums its windows' weighted
+    # terms as _side does; a lone window of weight 0.0 is its term (0.0 + t
+    # is t, as t is never -0.0).  Two windows can lie within 37 nats (m = 4,
+    # pb = 5e-324), so no max.  A side reads as LogProb would read it.
+    m = len(table) - 1
+    row = _log_comb_row(m)
+    sides = []
+    for windows, log_p in zip(table.windows, (la, lb)):
+        terms = [w + (row[lo] + lo * log_p + (m - lo) * -0.0) for w, lo, _ in windows]
+        t = terms[0] if len(terms) == 1 else log_sum_exp(terms)
+        sides.append(t if t <= 0.0 else LogProb(t).value)
+    return sides
 
 
 def _side(m: int, windows: tuple, p: LogProb) -> LogProb:
@@ -480,8 +501,8 @@ def majority_rule(m: int, tie_prob: float = 0.5) -> FusionRule:
 # Most (levels + 1) x (m + 1) count terms a recurse trace, or the deciding
 # tree of a simulation, may take, and most leaf fills (leaves x chunks)
 # a simulation may make.  Its costliest corners on a 2-vCPU Xeon:
-# m=149,999 at one level, 6.3-6.4 s and 38 MB peak RSS, and m=2 at
-# 99,999 levels, 1.2-1.5 s and 59 MB; simulate at m=149,999, 5.1-6.1 s,
+# m=149,999 at one level, 4.6-5.1 s and 38 MB peak RSS, and m=2 at
+# 99,999 levels, 0.8-1.1 s and 45 MB; simulate at m=149,999, 5.1-6.1 s,
 # and 262,144 leaves in one chunk of 16 trials, 1.0-1.5 s.
 WORK_LIMIT = 300_000
 
@@ -558,23 +579,30 @@ def alternating_phases(height: int, first: TiePhase = TiePhase.TIES_TO_ONE) -> l
 
 def total_error(pair: ErrorPair, priors: Priors) -> LogProb:
     """Prior-weighted total error pi0*alpha + pi1*beta, in log domain."""
-    return _total(pair, *_log_priors(priors))
+    return LogProb(_log_total(pair.alpha.value, pair.beta.value, *_log_priors(priors)))
 
 
 def _log_priors(priors: Priors) -> tuple:
     """(log pi0, log pi1), None for a zero prior, whose side drops out of
-    the total; propagate takes them once per trace."""
+    the total; a walk takes them once per trace."""
     return tuple(math.log(pi) if pi > 0.0 else None for pi in (priors.pi0, priors.pi1))
 
 
-def _total(pair: ErrorPair, log_pi0, log_pi1) -> LogProb:
-    """total_error from the priors' logs, as _log_priors gives them."""
-    terms = []
-    if log_pi0 is not None:
-        terms.append(log_pi0 + pair.alpha.value)
-    if log_pi1 is not None:
-        terms.append(log_pi1 + pair.beta.value)
-    return LogProb(log_sum_exp(terms))
+def _log_total(la: float, lb: float, log_pi0, log_pi1) -> float:
+    """total_error's log from the logs of alpha, beta and the priors, the
+    last two as _log_priors gives them."""
+    if log_pi0 is None:
+        t = log_pi1 + lb
+    elif log_pi1 is None:
+        t = log_pi0 + la
+    else:
+        a, b = log_pi0 + la, log_pi1 + lb
+        # Two terms more than 40 nats apart: log_sum_exp([a, b]) takes the
+        # larger, say a, as its max, and expm1(b - a) is exactly -1.0 below
+        # -37.43 (also at b = -inf), so its sum is 0.0 + -1.0 and it returns
+        # a + log1p(-1.0 + 1) = a + 0.0.  So does this, with no expm1 or log1p.
+        t = a + 0.0 if a - b > _CUT else b + 0.0 if b - a > _CUT else log_sum_exp([a, b])
+    return t if t <= 0.0 else LogProb(t).value
 
 
 @dataclass(frozen=True)
@@ -589,19 +617,39 @@ class LevelTrace:
     totals: tuple
 
 
+def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
+    """iter_levels on floats: (pair, la, lb, lt) at levels 0, 1, ..., the
+    logs of alpha, beta and the total, and the level's ErrorPair, None at a
+    deep level.  A deep incoming pair takes _deep_step on the rule's table
+    with no objects; any other takes apply_rule on the pair, which a run of
+    such levels hands on from one to the next."""
+    log_pi0, log_pi1 = _log_priors(priors)
+    pair = pair0
+    la, lb = pair.alpha.value, pair.beta.value
+    yield pair, la, lb, _log_total(la, lb, log_pi0, log_pi1)
+    for k, rule in enumerate(schedule, start=1):
+        try:
+            # _table_step's deep test; a non-rule is left to apply_rule to
+            # refuse, and a majority table does not read its pair
+            if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO and isinstance(
+                    rule, (MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT)):
+                table = rule._decide(la, lb) if isinstance(rule, BayesianLRT) else rule.table(None)
+                la, lb = _deep_step(la, lb, table)
+                pair = None
+            else:
+                pair = apply_rule(ErrorPair(LogProb(la), LogProb(lb)) if pair is None else pair, rule)
+                la, lb = pair.alpha.value, pair.beta.value
+        except ValueError as err:
+            raise ValueError(f"level {k}: {err}") from err
+        yield pair, la, lb, _log_total(la, lb, log_pi0, log_pi1)
+
+
 def iter_levels(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
     """The error pair and total of levels 0, 1, ..., len(schedule) of a
     trace up a tree, one rule per level: level k's step runs only when
     level k is taken.  A step's error is raised with its level attached."""
-    log_pi = _log_priors(priors)
-    pair = pair0
-    yield pair, _total(pair, *log_pi)
-    for k, rule in enumerate(schedule, start=1):
-        try:
-            pair = apply_rule(pair, rule)
-        except ValueError as err:
-            raise ValueError(f"level {k}: {err}") from err
-        yield pair, _total(pair, *log_pi)
+    for pair, la, lb, lt in _walk(pair0, schedule, priors):
+        yield ErrorPair(LogProb(la), LogProb(lb)) if pair is None else pair, LogProb(lt)
 
 
 def propagate(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors) -> LevelTrace:

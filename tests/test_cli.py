@@ -518,14 +518,20 @@ class TestLog2InverseOverflow:
             assert captured.err == "error: level 1022: alpha_log2inv exceeds double range\n"
 
     def test_trace_stops_below_the_first_refused_bound_level(self, capsys, monkeypatch):
-        # the bound factor for m = 3 leaves double range at level 1023
-        real, steps = kernel.apply_rule, []
+        # the bound factor for m = 3 leaves double range at level 1023; the
+        # walk steps a level by apply_rule or, on a deep pair, _deep_step
+        real, real_deep, steps = kernel.apply_rule, kernel._deep_step, []
 
         def spy(pair, rule):
             steps.append(rule)
             return real(pair, rule)
 
+        def deep(la, lb, table):
+            steps.append(table)
+            return real_deep(la, lb, table)
+
         monkeypatch.setattr(kernel, "apply_rule", spy)
+        monkeypatch.setattr(kernel, "_deep_step", deep)
         code = cli.run(["recurse", "--m", "3", "--alpha0", "0.1", "--beta0", "0.2",
                         "--levels", "74999"])
         captured = capsys.readouterr()

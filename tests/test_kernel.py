@@ -940,25 +940,33 @@ class TestPropagate:
 
     def test_deep_levels_walk_no_tail(self, monkeypatch):
         # a level whose incoming pair has both sides past exp's underflow
-        # steps by each window's lowest term; every other level walks
-        real_step, real_tail, levels = kernel.apply_rule, kernel._tail, []
+        # steps by each window's lowest term; every other level walks.  The
+        # walk steps a level by apply_rule or, on a deep pair, _deep_step
+        real_step, real_deep, real_tail = kernel.apply_rule, kernel._deep_step, kernel._tail
+        levels = []
 
         def step(incoming, rule):
-            levels.append([incoming, 0])
+            levels.append([(incoming.alpha.value, incoming.beta.value), 0, "apply_rule"])
             return real_step(incoming, rule)
+
+        def deep(la, lb, table):
+            levels.append([(la, lb), 0, "_deep_step"])
+            return real_deep(la, lb, table)
 
         def tail(*args):
             levels[-1][1] += 1
             return real_tail(*args)
 
         monkeypatch.setattr(kernel, "apply_rule", step)
+        monkeypatch.setattr(kernel, "_deep_step", deep)
         monkeypatch.setattr(kernel, "_tail", tail)
         for schedule in (Schedule(3, 400), Schedule(4, 300, "lrt", priors=Priors(0.3, 0.7))):
             levels.clear()
             propagate(pair(0.1, 0.2), schedule, Priors.equal())
             assert len(levels) == len(schedule)
-            deep = [math.exp(max(p.alpha.value, p.beta.value)) == 0.0 for p, _ in levels]
-            assert [walks == 0 for _, walks in levels] == deep
+            deep = [math.exp(max(logs)) == 0.0 for logs, _, _ in levels]
+            assert [walks == 0 for _, walks, _ in levels] == deep
+            assert [by == "_deep_step" for _, _, by in levels] == deep
             # from about level 10 on, every level is deep
             first = deep.index(True)
             assert 0 < first < 20 and all(deep[first:])
@@ -999,6 +1007,174 @@ class TestIterLevels:
         assert len([next(walk), next(walk)]) == 2
         with pytest.raises(ValueError, match="^level 2: likelihood-ratio rule undefined"):
             next(walk)
+
+
+def total_by_log_sum_exp(la, lb, priors):
+    """log(pi0 alpha + pi1 beta) as one log_sum_exp over the sides of
+    nonzero prior, read as LogProb reads it."""
+    terms = [math.log(pi) + log for pi, log in zip((priors.pi0, priors.pi1), (la, lb)) if pi > 0.0]
+    return LogProb(log_sum_exp(terms)).value
+
+
+def near(x, ulps):
+    """The doubles from `ulps` steps below x to `ulps` steps above it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestLogTotal:
+    """The total skips log_sum_exp when its two prior-weighted logs lie
+    more than 40 nats apart; it keeps every bit of log_sum_exp."""
+
+    @staticmethod
+    def check(la, lb, priors):
+        got = kernel._log_total(la, lb, *kernel._log_priors(priors))
+        assert got.hex() == total_by_log_sum_exp(la, lb, priors).hex()
+
+    @staticmethod
+    def gaps_near(la, gap, ulps):
+        """Check the lower side a few ulps around `gap` nats down, either
+        way round; return the gaps met."""
+        priors = Priors(0.3, 0.7)
+        lp0, lp1 = kernel._log_priors(priors)
+        gaps = set()
+        for lb in near(lp0 + la - gap - lp1, ulps):
+            TestLogTotal.check(la, lb, priors)
+            TestLogTotal.check(lb, la, Priors(0.7, 0.3))
+            gaps.add((lp0 + la) - (lp1 + lb))
+        return gaps
+
+    @pytest.mark.parametrize("gap", [37.43, 40.0])
+    @pytest.mark.parametrize("la", [-1e-300, -0.5, -2.0])
+    def test_gaps_one_ulp_around_the_cut(self, gap, la):
+        gaps = self.gaps_near(la, gap, 4)
+        assert {math.nextafter(gap, 0.0), gap, math.nextafter(gap, math.inf)} <= gaps
+
+    @pytest.mark.parametrize("gap", [30.5, 36.0, 37.43, 40.0, 45.0])
+    @pytest.mark.parametrize("la", [-1e-300, -2.0, -700.0, -1e5])
+    def test_gaps_inside_and_past_the_cut(self, gap, la):
+        # below 37.43 nats expm1 of the gap is not -1.0: a cut there fails
+        self.gaps_near(la, gap, 2)
+
+    @pytest.mark.parametrize("la, lb", [
+        (-math.inf, -1.0), (-1.0, -math.inf), (-math.inf, -1e300), (-math.inf, -math.inf),
+        (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (0.0, -50.0), (-0.0, -math.inf),
+        (-1e-300, -1e-300), (-1e308, -1.0), (-1e308, -1e308),
+    ])
+    @pytest.mark.parametrize("priors", [Priors.equal(), Priors(0.3, 0.7), Priors(1.0, 0.0),
+                                        Priors(0.0, 1.0), Priors(1 - 2**-53, 2**-53)])
+    def test_edges(self, la, lb, priors):
+        self.check(la, lb, priors)
+
+    @given(st.floats(min_value=-1e308, max_value=0.0) | st.just(-math.inf),
+           st.floats(min_value=-1e308, max_value=0.0) | st.just(-math.inf),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_any_logs(self, la, lb, pi0):
+        self.check(la, lb, Priors(pi0, 1.0 - pi0))
+
+    @given(st.floats(min_value=-800.0, max_value=0.0), st.floats(min_value=0.0, max_value=80.0),
+           st.booleans(), st.floats(min_value=1e-6, max_value=1 - 1e-6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_gap(self, la, gap, swap, pi0):
+        lb = la - gap
+        self.check(*((lb, la) if swap else (la, lb)), Priors(pi0, 1.0 - pi0))
+
+
+def levels_by_apply_rule(pair0, schedule, priors):
+    """(log alpha, log beta, log total) of each level of a trace, stepped
+    one level at a time by apply_rule, each total one log_sum_exp; and the
+    refusal's text, None if no level was refused."""
+    p, rows = pair0, []
+    for k in range(len(schedule) + 1):
+        if k:
+            try:
+                p = apply_rule(p, schedule[k - 1])
+            except ValueError as err:
+                return rows, f"level {k}: {err}"
+        rows.append((p.alpha.value, p.beta.value,
+                     total_by_log_sum_exp(p.alpha.value, p.beta.value, priors)))
+    return rows, None
+
+
+def levels_by_walk(pair0, schedule, priors):
+    """levels_by_apply_rule's rows and refusal, from iter_levels."""
+    rows = []
+    try:
+        for p, total in iter_levels(pair0, schedule, priors):
+            rows.append((p.alpha.value, p.beta.value, total.value))
+    except ValueError as err:
+        return rows, str(err)
+    return rows, None
+
+
+def hexes(rows):
+    return [tuple(x.hex() for x in row) for row in rows]
+
+
+@st.composite
+def walk_schedules(draw):
+    """A Schedule of any family at fan-ins 2 to 1000, deep enough to pass
+    the deep edge from most leaves, with its priors."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 10, 64, 255, 1000]))
+    levels = draw(st.integers(min_value=0, max_value=min(1200, kernel.WORK_LIMIT // (m + 1) - 1)))
+    family = draw(st.sampled_from(["majority", "tie", "alternating", "lrt"] if m % 2 == 0
+                                  else ["majority", "lrt"]))
+    pi0 = draw(st.sampled_from([0.1, 0.5, 0.7] if family == "lrt" else [0.0, 0.3, 0.5, 1.0]))
+    priors = Priors(pi0, 1.0 - pi0)
+    if family == "tie":
+        return Schedule(m, levels, pb=draw(st.sampled_from([5e-324, 0.25, 0.5, 0.9])), priors=priors)
+    if family == "alternating":
+        return Schedule(m, levels, "alternating", phase=draw(st.sampled_from(["one", "zero"])),
+                        priors=priors)
+    return Schedule(m, levels, family, priors=priors)
+
+
+WALK_LEAVES = [5e-324, 1e-300, 0.3, 0.45, 1 - 2**-53]
+
+
+class TestWalk:
+    """iter_levels steps deep levels on floats and hands shallow ones their
+    pair; level for level it is apply_rule and a log_sum_exp total."""
+
+    @given(walk_schedules(), st.sampled_from(WALK_LEAVES), st.sampled_from(WALK_LEAVES))
+    @example(Schedule(4, 800, "lrt"), 0.1, 0.2)  # refused at level 793
+    @example(Schedule(1000, 298), 5e-324, 1 - 2**-53)
+    @example(Schedule(4, 1200, pb=0.25), 0.1, 0.2)
+    @example(Schedule(255, 60, "lrt", priors=Priors(0.1, 0.9)), 1e-300, 0.3)
+    @settings(max_examples=120, deadline=None)
+    def test_every_level_is_apply_rules(self, schedule, a0, b0):
+        leaf = pair(a0, b0)
+        want, refusal = levels_by_apply_rule(leaf, schedule, schedule.priors)
+        got, got_refusal = levels_by_walk(leaf, schedule, schedule.priors)
+        assert hexes(got) == hexes(want)
+        assert got_refusal == refusal
+
+    @given(st.floats(min_value=-748.0, max_value=-742.0),
+           st.floats(min_value=-748.0, max_value=-742.0),
+           st.lists(st.sampled_from([MajorityOdd(3), MajorityEven(2), MajorityEven(2, 0.1),
+                                     MajorityEven(2, 0.9), AlternatingMajority(4),
+                                     BayesianLRT(3, Priors(0.2, 0.8))]), max_size=30))
+    @example(-746.0, -746.0, [MajorityEven(2, 0.9)] * 6)
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_that_cross_the_deep_edge(self, la, lb, schedule):
+        # a tie coin of 0.9 at m = 2 lifts alpha by 0.59 nats a level, so
+        # a pair steps past exp's underflow and back; each shallow level
+        # after a deep one steps the pair the deep levels left
+        leaf = ErrorPair(LogProb(la), LogProb(lb))
+        want, refusal = levels_by_apply_rule(leaf, schedule, Priors(0.4, 0.6))
+        got, got_refusal = levels_by_walk(leaf, schedule, Priors(0.4, 0.6))
+        assert hexes(got) == hexes(want)
+        assert got_refusal == refusal
+
+    def test_the_crossing_example_crosses(self):
+        rows, _ = levels_by_walk(ErrorPair(LogProb(-746.0), LogProb(-746.0)),
+                                 [MajorityEven(2, 0.9)] * 6, Priors.equal())
+        deep = [math.exp(max(la, lb)) == 0.0 for la, lb, _ in rows]
+        assert deep[:2] == [True, True] and not any(deep[2:])
 
 
 @st.composite
