@@ -109,6 +109,8 @@ def avg_bits(m: int, k0: int) -> float:
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
     try:
+        if k0 > math.ceil(1024 / math.log2(m)) + 1:  # m^(k0-1) > 2^1024, left unbuilt
+            raise OverflowError
         numer = math.fsum(m ** (k0 - t) * math.log2(m**t + 1) for t in range(k0))
         denom = float(sum(m ** (t + 1) for t in range(k0)))
     except OverflowError:

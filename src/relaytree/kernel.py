@@ -20,15 +20,14 @@ Every deciding rule also gives its table P(output 1 | s ones among m), a
 tuple of entries that carries its runs of equal entries and its step's
 weighted count windows, found once: per (m, tie) for majority, and per
 decided crossing window for the likelihood-ratio test.  One step serves
-every rule, taking log(1 - p) once a side and one tail walk a window;
-the deep step, for a pair whose two sides are past exp's underflow,
-takes each window's lowest term with no walk, as the walk builds only
-that term there.  A trace's walk carries each level's logs as floats:
-a deep level takes the deep step on them with no objects, and builds an
-ErrorPair only for iter_levels' callers; any other level steps its pair
-through apply_rule.  A total whose two prior-weighted sides lie more than
-40 nats apart is the larger one, with no log-sum-exp.  The simulator
-decides by the same runs.
+every rule, taking log(1 - p) once a side and one tail walk a window.
+A trace's walk carries each level's logs as floats.  A level whose two
+sides are past exp's underflow takes the deep step on them, each
+window's lowest term, the one term the tail walk builds there, with no
+objects but an ErrorPair for iter_levels' callers; any other level steps
+its pair through apply_rule.  A total whose two prior-weighted sides lie
+more than 40 nats apart is the larger one, with no log-sum-exp.  The
+simulator decides by the same runs.
 """
 
 from __future__ import annotations
@@ -257,16 +256,13 @@ FusionRule = Union[MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT]
 class _CountTable(tuple):
     """A count table, entry s = P(output 1 | s ones among m) for s = 0..m,
     that carries its maximal runs (lo, hi, p) of equal entries p and its
-    step's plan: the `threshold` k from which it decides 1, or None, and
-    the `windows` (log weight, lo, hi) of each side.  It equals and hashes
-    as the tuple of its entries, and finds its runs from them."""
+    step's plan, the `windows` (log weight, lo, hi) of each side.  It equals
+    and hashes as the tuple of its entries, and finds its runs from them."""
 
     def __new__(cls, entries):
         table = super().__new__(cls, entries)
         m = len(table) - 1
         table.runs = runs = _runs(table)
-        threshold = len(runs) == 2 and runs[0][2] == 0.0 and runs[1][2] == 1.0
-        table.threshold = runs[1][0] if threshold else None
         table.windows = (
             tuple((math.log(p), lo, hi) for lo, hi, p in runs if p > 0.0),
             tuple((math.log(1.0 - p), m - hi, m - lo) for lo, hi, p in runs if p < 1.0),
@@ -343,7 +339,10 @@ def _tail(m: int, s_lo: int, s_hi: int, log_p: float, log_q: float, row: tuple) 
     # where expm1 is exactly -1.0.  Rounding the row entry, the two
     # products and the two sums moves t(s) from f(s) by at most
     # e = 3 eps m (1 + L), with eps = 2^-52 and L = max(|ln p|, |ln q|).
-    # (Terms that overflow to -inf lie below every cut; they are counted.)
+    # (A term that overflows to -inf after a finite one is counted.  If the
+    # first is -inf, as at a deep p whose lo ln p overflows, the cut stays
+    # -inf, and as -inf < -inf is False every term of the window is built,
+    # all -inf, for log_sum_exp to give LOG_ZERO: the value, in O(window).)
     #  * m (1 + L) <= 1e14, so e < 0.07.  A side cannot stop at a term s
     #    short of f's maximum (seen from the start): f(s) is then at least
     #    f at every term seen, on either side, so t(s) lies within 2e of
@@ -391,28 +390,22 @@ def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
 
     A run [lo, hi] of equal entries p adds p * P(lo <= Binom(m, alpha) <= hi)
     to the outgoing false alarm and (1-p) * P(m-hi <= Binom(m, beta) <= m-lo)
-    to the outgoing miss: under H1, s ones are m - s draws of beta.  A deep
-    pair, both sides finite and past exp's underflow, takes _deep_step;
-    otherwise a threshold table takes one binom_tail a side, any other its
-    windows.
+    to the outgoing miss: under H1, s ones are m - s draws of beta; _side
+    sums each side's windows.  A deep pair walks its tails too, to
+    _deep_step's bits (the proof is there), but a trace's walk takes
+    _deep_step on its deep levels and brings none here.
     """
-    la, lb = pair.alpha.value, pair.beta.value
-    if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO:
-        return ErrorPair(*map(LogProb, _deep_step(la, lb, table)))
     if table == (0.0, 0.5, 1.0):  # fair majority at m = 2; see _deep_step
         return pair
     m = len(table) - 1
-    k = table.threshold
-    if k is not None:
-        return ErrorPair(binom_tail(m, k, m, pair.alpha), binom_tail(m, m - k + 1, m, pair.beta))
     alpha, beta = table.windows
     return ErrorPair(_side(m, alpha, pair.alpha), _side(m, beta, pair.beta))
 
 
 def _deep_step(la: float, lb: float, table: _CountTable) -> list:
-    """_table_step's [log alpha', log beta'] from a deep pair (la, lb): both
-    finite, exp(max(la, lb)) == 0.0.  Each window takes the lowest term of
-    its tail, the one term the tail walk builds there."""
+    """_table_step's [log alpha', log beta'] at a deep pair (la, lb), both
+    finite, exp(max(la, lb)) == 0.0, as _walk steps its deep levels: each
+    window takes the lowest term of its tail, the one the tail walk builds."""
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
         # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
@@ -440,8 +433,12 @@ def _deep_step(la: float, lb: float, table: _CountTable) -> list:
 
 def _side(m: int, windows: tuple, p: LogProb) -> LogProb:
     """log of the sum of exp(w) * binom_tail(m, lo, hi, p) over the windows
-    (w, lo, hi), taking log q and the row once.  A lone window of weight 1
-    gives its tail: 0.0 + t is t, as t is never -0.0."""
+    (w, lo, hi), taking log q and the row once.  A lone window of weight 1,
+    as each side of a threshold table is, is its binom_tail (0.0 + t is t,
+    as t is never -0.0), called as such: the benchmark traces the chain
+    majority_step_odd -> binom_tail -> log_sum_exp."""
+    if len(windows) == 1 and windows[0][0] == 0.0:
+        return binom_tail(m, windows[0][1], windows[0][2], p)
     log_p, log_q = p.value, log1mexp(p.value)
     if log_p == LOG_ZERO or log_q == LOG_ZERO:  # a point mass
         tails = [binom_tail(m, lo, hi, p).value for _, lo, hi in windows]
@@ -629,8 +626,8 @@ def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
     yield pair, la, lb, _log_total(la, lb, log_pi0, log_pi1)
     for k, rule in enumerate(schedule, start=1):
         try:
-            # _table_step's deep test; a non-rule is left to apply_rule to
-            # refuse, and a majority table does not read its pair
+            # the deep test; a non-rule is left to apply_rule to refuse, and
+            # a majority table does not read its pair
             if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO and isinstance(
                     rule, (MajorityOdd, MajorityEven, AlternatingMajority, BayesianLRT)):
                 table = rule._decide(la, lb) if isinstance(rule, BayesianLRT) else rule.table(None)

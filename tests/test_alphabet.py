@@ -1,6 +1,7 @@
 """Count-forwarding trees: alphabet sizing, rate gains, message cost."""
 
 import math
+import time
 
 import pytest
 
@@ -223,6 +224,13 @@ class TestAvgBits:
             avg_bits(2, 1023)
         with pytest.raises(ValueError, match="m=1000, k0=103"):
             avg_bits(1000, 103)
+
+    def test_refuses_a_deep_depth_without_building_m_to_the_k0(self):
+        # the exact int 2^(10^9) alone takes seconds and hundreds of MB
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"m=2, k0=1000000000: m\^k0 exceeds double range"):
+            avg_bits(2, 10**9)
+        assert time.perf_counter() - start < 0.1
 
 
 def sim_config(spec, rules):

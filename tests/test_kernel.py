@@ -293,9 +293,15 @@ def step_by_runs(pair, table):
     return weighted(alpha), weighted(beta)
 
 
+def is_deep(la, lb):
+    """The walk's deep test: both logs finite, exp of the larger 0.0."""
+    return min(la, lb) > LOG_ZERO and math.exp(max(la, lb)) == 0.0
+
+
 class TestThresholdStep:
     """A table that decides 1 from k ones on takes one tail per side; its
-    pair is bit for bit the run loop's."""
+    pair is bit for bit the run loop's, and at a deep pair so is the deep
+    step's, which the walk takes there instead."""
 
     LOGS = [*DEEP_LOGS, math.log(0.3)]
 
@@ -321,6 +327,9 @@ class TestThresholdStep:
                     case = (rule, la, lb)
                     assert got.alpha.value.hex() == want_a.hex(), case
                     assert got.beta.value.hex() == want_b.hex(), case
+                    if is_deep(la, lb):
+                        deep_a, deep_b = kernel._deep_step(la, lb, table)
+                        assert (deep_a.hex(), deep_b.hex()) == (want_a.hex(), want_b.hex()), case
         # every majority table is a threshold table, and over half the LRT ones
         assert thresholds > len(self.LOGS) ** 2 * (len(rules) - 1)
 
@@ -329,16 +338,15 @@ class TestTieStep:
     """A tie-coin table sums two windows a side, which share that side's
     log q and row but each walk from its own cut: its pair is bit for bit
     a tail per run weighted through log_sum_exp, at every log p of the
-    tail corpus and of DEEP_LOGS, point masses included.  At pb = 5e-324
-    a pair past exp's underflow has its two alpha windows within 37 nats
-    (2 nats at m = 4 and log alpha = -745.2), so their sum is not their
-    larger term."""
+    tail corpus and of DEEP_LOGS, point masses included, and so is the
+    deep step's at a deep pair.  At pb = 5e-324 a pair past exp's
+    underflow has its two alpha windows within 37 nats (2 nats at m = 4
+    and log alpha = -745.2), so their sum is not their larger term."""
 
     @pytest.mark.parametrize("pb", [0.3, 0.5, 5e-324])
     @pytest.mark.parametrize("m", [2, 4, 10, 64, 1000])
     def test_tie_tables_match_a_tail_per_run(self, m, pb):
         table = MajorityEven(m, pb).table(None)
-        assert table.threshold is None or (m, pb) == (2, 0.5)
         logs = [*propagate_corpus.LOG_PS, *DEEP_LOGS]
         # each log alpha against a log beta from elsewhere in the list, so a
         # side that read the other side's log q would show
@@ -352,6 +360,9 @@ class TestTieStep:
                     want_a, want_b = step_by_runs(p, table)
                 assert (got.alpha.value.hex(), got.beta.value.hex()) == (
                     want_a.hex(), want_b.hex()), (la, lb)
+                if is_deep(la, lb) and table != (0.0, 0.5, 1.0):
+                    deep_a, deep_b = kernel._deep_step(la, lb, table)
+                    assert (deep_a.hex(), deep_b.hex()) == (want_a.hex(), want_b.hex()), (la, lb)
 
 
 class TestErrorPairAndPriors:
@@ -920,18 +931,35 @@ class TestPropagate:
             assert got.beta.value.hex() == lb.hex()
 
     def test_reaches_the_steps_the_benchmark_pins(self, monkeypatch):
-        # bench/test_bench.py traces propagate through majority_step_odd and
-        # the benchmark reports kernel.lrt_step.self_s; delete this test with
-        # the two wrappers once the benchmark names neither
-        calls = []
+        # bench/test_bench.py traces propagate through majority_step_odd to
+        # binom_tail and log_sum_exp, and the benchmark reports
+        # kernel.lrt_step.self_s; delete this test with the two wrappers once
+        # the benchmark names neither
+        calls, inside, tails = [], [], []
         for name in ("majority_step_odd", "lrt_step"):
             real = getattr(kernel, name)
 
             def counted(*args, _name=name, _real=real):
                 calls.append(_name)
-                return _real(*args)
+                inside.append(_name)
+                try:
+                    return _real(*args)
+                finally:
+                    inside.pop()
 
             monkeypatch.setattr(kernel, name, counted)
+        real_tail = kernel.binom_tail
+
+        def tail(m, s_lo, s_hi, p):
+            tails.append((s_lo, s_hi, tuple(inside)))
+            return real_tail(m, s_lo, s_hi, p)
+
+        monkeypatch.setattr(kernel, "binom_tail", tail)
+        # the benchmark's traced case: two levels x two sides, each the
+        # window [3, 5], each inside its level's majority_step_odd
+        propagate(pair(0.1, 0.1), [MajorityOdd(5)] * 2, Priors.equal())
+        assert tails == [(3, 5, ("majority_step_odd",))] * 4
+        calls.clear()
         propagate(pair(0.1, 0.2), [MajorityOdd(3)] * 4, Priors.equal())
         assert calls == ["majority_step_odd"] * 4
         calls.clear()
@@ -1138,7 +1166,20 @@ WALK_LEAVES = [5e-324, 1e-300, 0.3, 0.45, 1 - 2**-53]
 
 class TestWalk:
     """iter_levels steps deep levels on floats and hands shallow ones their
-    pair; level for level it is apply_rule and a log_sum_exp total."""
+    pair; level for level it is apply_rule and a log_sum_exp total.  A deep
+    level's apply_rule walks its tails, so this holds the deep step against
+    the tail walk."""
+
+    def test_apply_rule_takes_no_deep_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "_deep_step", lambda *args: calls.append(args))
+        rules = [MajorityOdd(3), MajorityEven(4, 5e-324), AlternatingMajority(2),
+                 BayesianLRT(5, Priors(0.3, 0.7)), MajorityEven(1000, 0.3)]
+        for la, lb in itertools.product([-1e307, -745.2, -1e100], repeat=2):
+            assert is_deep(la, lb)
+            for rule in rules:
+                apply_rule(ErrorPair(LogProb(la), LogProb(lb)), rule)
+        assert calls == []
 
     @given(walk_schedules(), st.sampled_from(WALK_LEAVES), st.sampled_from(WALK_LEAVES))
     @example(Schedule(4, 800, "lrt"), 0.1, 0.2)  # refused at level 793
