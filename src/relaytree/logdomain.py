@@ -104,7 +104,6 @@ class LogProb:
 
     @property
     def log2_inverse(self) -> float:
-        """log2(1/p), the standard 'number of bits' scale for error decay."""
-        if self.value == LOG_ZERO:
-            return float("inf")
-        return -self.value / _LN2 + 0.0  # 0.0, not -0.0, at p = 1
+        """log2(1/p), the standard 'number of bits' scale for error decay:
+        inf at p = 0, and 0.0, not -0.0, at p = 1."""
+        return -self.value / _LN2 + 0.0

@@ -33,6 +33,7 @@ from relaytree.kernel import (
     total_error,
 )
 from relaytree.logdomain import LOG_ZERO, LogProb, log1mexp, log_sum_exp
+from relaytree.oracle import h0_likelihoods, h1_likelihoods, map_step
 
 error_probs = st.floats(min_value=1e-6, max_value=0.499)
 
@@ -1222,9 +1223,9 @@ class TestWalk:
 def relabelled_schedules(draw):
     """A schedule and its relabelling, the same trees with H0 and H1
     swapped: a tie coin pb becomes 1 - pb, the alternating phase flips,
-    and the priors swap.  Tie weights have exact complements, and the
-    likelihood ratio runs at unequal priors only, so no count is an exact
-    tie that both labellings would send to H1."""
+    and the priors swap.  Tie weights have exact complements.  The
+    likelihood ratio runs at unequal priors only, yet a count can still be
+    a tie, which both labellings send to H1 (first_lrt_tie)."""
     m = draw(st.sampled_from([2, 3, 4, 5, 8, 10, 63, 64, 255, 1000]))
     levels = draw(st.integers(min_value=0, max_value=min(400, kernel.WORK_LIMIT // (m + 1) - 1)))
     family = draw(st.sampled_from(["majority", "tie", "alternating", "lrt"] if m % 2 == 0
@@ -1254,6 +1255,31 @@ def logs_and_refusal(pair0, schedule):
     return rows, None
 
 
+def first_lrt_tie(rows, schedule):
+    """The first level k whose likelihood-ratio step, at its incoming logs
+    rows[k - 1], has a count inside BayesianLRT's tie slack, None if no
+    level of rows has one.  Both labellings compute the same two sides of
+    such a count and send it to H1, where relabelling predicts H1 in one
+    and H0 in the other, so a relabelled trace agrees only below level k."""
+    for k, (la, lb, _) in enumerate(rows[:len(schedule)], start=1):
+        rule = schedule[k - 1]
+        if not isinstance(rule, BayesianLRT) or la in (LOG_ZERO, 0.0) or lb in (LOG_ZERO, 0.0):
+            continue  # a majority level, or one the step refuses
+        m, l1a, l1b = rule.m, log1mexp(la), log1mexp(lb)
+        lp0, lp1 = math.log(rule.priors.pi0), math.log(rule.priors.pi1)
+        for s in range(m + 1):
+            h1_side = s * l1b + (m - s) * lb + lp1
+            h0_side = s * la + (m - s) * l1a + lp0
+            slack = 1e-9 * max(1.0, abs(h1_side), abs(h0_side))
+            if slack < math.inf and h1_side >= h0_side - slack and h0_side >= h1_side - slack:
+                return k
+    return None
+
+
+TIED_SCHEDULES = (Schedule(3, 1, "lrt", priors=Priors(0.25, 0.75)),
+                  Schedule(3, 1, "lrt", priors=Priors(0.75, 0.25)))
+
+
 class TestRelabelling:
     @given(relabelled_schedules(),
            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -1261,12 +1287,35 @@ class TestRelabelling:
     @example((Schedule(1000, 298), Schedule(1000, 298)), 5e-324, 1 - 2**-53)
     @example((Schedule(255, 60, "lrt", priors=Priors(0.25, 0.75)),
               Schedule(255, 60, "lrt", priors=Priors(0.75, 0.25))), 1e-300, 0.3)
+    @example(TIED_SCHEDULES, 0.25, 0.25)
     @settings(max_examples=150, deadline=None)
     def test_swapping_the_hypotheses_swaps_alpha_and_beta_bit_for_bit(self, schedules, a0, b0):
         rows, refused = logs_and_refusal(pair(a0, b0), schedules[0])
         swapped_rows, swapped_refused = logs_and_refusal(pair(b0, a0), schedules[1])
+        tie = first_lrt_tie(rows, schedules[0])
+        if tie is not None:  # the levels below the tie's step still agree
+            rows, refused, swapped_rows, swapped_refused = rows[:tie], None, swapped_rows[:tie], None
         assert [(lb, la, lt) for la, lb, lt in swapped_rows] == rows
         assert swapped_refused == refused
+
+    def test_a_likelihood_ratio_tie_goes_to_h1_in_both_labellings(self):
+        # m = 3 at leaves (0.25, 0.25): the prior ratio 3 is the likelihood
+        # ratio at count 1.  Relabelling predicts the swapped table
+        # 1 - T(3 - s) = (0, 0, 0, 1), but the swapped test sends its own
+        # tie, count 2, to H1 as well, as the per-vector MAP rule does
+        leaf = pair(0.25, 0.25)
+        rule, swapped_rule = (schedule[0] for schedule in TIED_SCHEDULES)
+        assert rule.table(leaf) == (0.0, 1.0, 1.0, 1.0)
+        assert swapped_rule.table(leaf) == (0.0, 0.0, 1.0, 1.0)
+        rows, _ = logs_and_refusal(leaf, TIED_SCHEDULES[0])
+        swapped_rows, _ = logs_and_refusal(leaf, TIED_SCHEDULES[1])
+        assert first_lrt_tie(rows, TIED_SCHEDULES[0]) == 1
+        assert first_lrt_tie(swapped_rows, TIED_SCHEDULES[1]) == 1
+        for schedule, (la, lb, _), want in zip(TIED_SCHEDULES, (rows[1], swapped_rows[1]),
+                                                ((0.578125, 0.015625), (0.15625, 0.15625))):
+            best = map_step(h0_likelihoods(0.25, 3), h1_likelihoods(0.25, 3), schedule.priors)
+            assert (math.exp(la), math.exp(lb)) == pytest.approx(want, rel=1e-14)
+            assert (best.alpha.linear, best.beta.linear) == pytest.approx(want, rel=1e-14)
 
 
 @st.composite
