@@ -23,11 +23,14 @@ decided crossing window for the likelihood-ratio test.  One step serves
 every rule, taking log(1 - p) once a side and one tail walk a window.
 A trace's walk carries each level's logs as floats.  A level whose two
 sides are past exp's underflow takes the deep step on them, each
-window's lowest term, the one term the tail walk builds there, with no
-objects but an ErrorPair for iter_levels' callers; any other level steps
-its pair through apply_rule.  A total whose two prior-weighted sides lie
-more than 40 nats apart is the larger one, with no log-sum-exp.  The
-simulator decides by the same runs.
+window's lowest term, the one term the tail walk builds there, read as
+a line in log p off the table's cached lines; a deep likelihood-ratio
+level gets its logs of 1 - alpha and 1 - beta, -0.0, from the walk.  It
+builds no objects but an ErrorPair for iter_levels' callers; any other
+level steps its pair through apply_rule.  A sum of two logs more than
+40 nats apart, a total's two prior-weighted sides or a tie-coin side's
+two windows, is the larger one, with no log-sum-exp.  The simulator
+decides by the same runs.
 """
 
 from __future__ import annotations
@@ -192,17 +195,19 @@ class BayesianLRT:
         Degenerate incoming errors are rejected because the likelihood ratio
         is then 0 or infinite.
         """
-        return self._decide(pair.alpha.value, pair.beta.value)
-
-    def _decide(self, la: float, lb: float) -> "_CountTable":
-        """table at the pair whose logs are (la, lb), which the walk's deep
-        levels carry as floats, so they build no pair to get it."""
-        m = self.m
+        la, lb = pair.alpha.value, pair.beta.value
         if la == LOG_ZERO or la == 0.0 or lb == LOG_ZERO or lb == 0.0:
             raise ValueError(
                 "likelihood-ratio rule undefined for boundary error probabilities"
             )
-        l1a, l1b = log1mexp(la), log1mexp(lb)
+        return self._decide(la, lb, log1mexp(la), log1mexp(lb))
+
+    def _decide(self, la: float, lb: float, l1a: float, l1b: float) -> "_CountTable":
+        """table at the pair whose logs are (la, lb), and (l1a, l1b) those of
+        1 - alpha and 1 - beta, which the walk's deep levels carry as floats,
+        so they build no pair to get it.  Past exp's underflow log1mexp is
+        -0.0, which such a level passes with no call."""
+        m = self.m
         lp0, lp1 = self._log_priors
         # h1_side - h0_side is c0 + c1 s, so the table is one threshold (or its
         # complement) and only counts near the crossing x = -c0 / c1 need the
@@ -256,8 +261,9 @@ FusionRule = MajorityOdd | MajorityEven | AlternatingMajority | BayesianLRT
 class _CountTable(tuple):
     """A count table, entry s = P(output 1 | s ones among m) for s = 0..m,
     that carries its maximal runs (lo, hi, p) of equal entries p and its
-    step's plan, the `windows` (log weight, lo, hi) of each side.  It equals
-    and hashes as the tuple of its entries, and finds its runs from them."""
+    step's plan, the `windows` (log weight, lo, hi) of each side, and builds
+    its deep `lines` the first time a deep level reads them.  It equals and
+    hashes as the tuple of its entries, and finds its runs from them."""
 
     def __new__(cls, entries):
         table = super().__new__(cls, entries)
@@ -268,6 +274,13 @@ class _CountTable(tuple):
             tuple((math.log(1.0 - p), m - hi, m - lo) for lo, hi, p in runs if p < 1.0),
         )
         return table
+
+    @functools.cached_property
+    def lines(self) -> tuple:
+        """Each side's windows as (log weight, log C(m, lo), lo): a deep
+        level's window term, w + (row[lo] + lo * log p), is a line in log p."""
+        row = _log_comb_row(len(self) - 1)
+        return tuple(tuple((w, row[lo], lo) for w, lo, _ in side) for side in self.windows)
 
 
 def _runs(entries) -> tuple:
@@ -405,7 +418,8 @@ def _table_step(pair: ErrorPair, table: _CountTable) -> ErrorPair:
 def _deep_step(la: float, lb: float, table: _CountTable) -> list:
     """_table_step's [log alpha', log beta'] at a deep pair (la, lb), both
     finite, exp(max(la, lb)) == 0.0, as _walk steps its deep levels: each
-    window takes the lowest term of its tail, the one the tail walk builds."""
+    window takes the lowest term of its tail, the one the tail walk builds,
+    off the table's cached lines."""
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
         # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
@@ -415,18 +429,24 @@ def _deep_step(la: float, lb: float, table: _CountTable) -> list:
     # log1p(-0.0) = -0.0 and the walk starts at int((m + 1) * 0.0), clipped
     # to the window's lo.  The next term is lower by at least 745.13 - ln m,
     # over 40 for every m below e^705, so the walk builds the one term
-    # row[lo] + lo * log p + (m - lo) * -0.0, in _tail's operand order.  If
-    # lo * log p overflows, every term is -inf and the walk's log_sum_exp
-    # gives LOG_ZERO, as the term does.  A side sums its windows' weighted
-    # terms as _side does; a lone window of weight 0.0 is its term (0.0 + t
-    # is t, as t is never -0.0).  Two windows can lie within 37 nats (m = 4,
-    # pb = 5e-324), so no max.  A side reads as LogProb would read it.
-    m = len(table) - 1
-    row = _log_comb_row(m)
+    # row[lo] + lo * log p + (m - lo) * -0.0, in _tail's operand order; the
+    # last addend changes no bit, as x + -0.0 is x, so the term is the line
+    # row[lo] + lo * log p.  If lo * log p overflows, every term is -inf and
+    # the walk's log_sum_exp gives LOG_ZERO, as the line does.  A side sums
+    # its windows' weighted terms as _side does: a lone window of weight 0.0
+    # is its term (0.0 + t is t, as t is never -0.0), and two windows, as on
+    # a tie-coin side, are _log_add's.  Two windows can lie within 37 nats
+    # (m = 4, pb = 5e-324), so no max.  A side reads as LogProb would read it.
     sides = []
-    for windows, log_p in zip(table.windows, (la, lb)):
-        terms = [w + (row[lo] + lo * log_p + (m - lo) * -0.0) for w, lo, _ in windows]
-        t = terms[0] if len(terms) == 1 else log_sum_exp(terms)
+    for lines, log_p in zip(table.lines, (la, lb)):
+        if len(lines) == 1:
+            w, r, lo = lines[0]
+            t = w + (r + lo * log_p)
+        elif len(lines) == 2:
+            (w0, r0, lo0), (w1, r1, lo1) = lines
+            t = _log_add(w0 + (r0 + lo0 * log_p), w1 + (r1 + lo1 * log_p))
+        else:
+            t = log_sum_exp([w + (r + lo * log_p) for w, r, lo in lines])
         sides.append(t if t <= 0.0 else LogProb(t).value)
     return sides
 
@@ -585,13 +605,18 @@ def _log_total(la: float, lb: float, log_pi0, log_pi1) -> float:
     elif log_pi1 is None:
         t = log_pi0 + la
     else:
-        a, b = log_pi0 + la, log_pi1 + lb
-        # Two terms more than 40 nats apart: log_sum_exp([a, b]) takes the
-        # larger, say a, as its max, and expm1(b - a) is exactly -1.0 below
-        # -37.43 (also at b = -inf), so its sum is 0.0 + -1.0 and it returns
-        # a + log1p(-1.0 + 1) = a + 0.0.  So does this, with no expm1 or log1p.
-        t = a + 0.0 if a - b > _CUT else b + 0.0 if b - a > _CUT else log_sum_exp([a, b])
+        t = _log_add(log_pi0 + la, log_pi1 + lb)
     return t if t <= 0.0 else LogProb(t).value
+
+
+def _log_add(a: float, b: float) -> float:
+    """log_sum_exp([a, b]), bit for bit, with no log-sum-exp across a gap
+    of more than 40 nats."""
+    # Two terms more than 40 nats apart: log_sum_exp([a, b]) takes the
+    # larger, say a, as its max, and expm1(b - a) is exactly -1.0 below
+    # -37.43 (also at b = -inf), so its sum is 0.0 + -1.0 and it returns
+    # a + log1p(-1.0 + 1) = a + 0.0.  So does this, with no expm1 or log1p.
+    return a + 0.0 if a - b > _CUT else b + 0.0 if b - a > _CUT else log_sum_exp([a, b])
 
 
 @dataclass(frozen=True)
@@ -610,8 +635,9 @@ def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
     """iter_levels on floats: (pair, la, lb, lt) at levels 0, 1, ..., the
     logs of alpha, beta and the total, and the level's ErrorPair, None at a
     deep level.  A deep incoming pair takes _deep_step on the rule's table
-    with no objects; any other takes apply_rule on the pair, which a run of
-    such levels hands on from one to the next."""
+    with no objects, a likelihood-ratio table decided at log q = -0.0 a
+    side; any other takes apply_rule on the pair, which a run of such
+    levels hands on from one to the next."""
     log_pi0, log_pi1 = _log_priors(priors)
     pair = pair0
     la, lb = pair.alpha.value, pair.beta.value
@@ -621,7 +647,8 @@ def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
             # the deep test; a non-rule is left to apply_rule to refuse, and
             # a majority table does not read its pair
             if math.exp(max(la, lb)) == 0.0 and min(la, lb) > LOG_ZERO and isinstance(rule, FusionRule):
-                table = rule._decide(la, lb) if isinstance(rule, BayesianLRT) else rule.table(None)
+                table = (rule._decide(la, lb, -0.0, -0.0) if isinstance(rule, BayesianLRT)
+                         else rule.table(None))
                 la, lb = _deep_step(la, lb, table)
                 pair = None
             else:

@@ -193,7 +193,10 @@ class _Streams:
 
 def _cut(p: float) -> np.uint64:
     """The cut for 0 <= p < 1: numpy's double from word w, (w >> 11) *
-    2^-53, is below p exactly when w < ceil(p * 2^53) << 11."""
+    2^-53, is below p exactly when w < ceil(p * 2^53) << 11.  So a draw
+    is below p with probability p rounded up to a multiple of 2^-53: a
+    leaf error of 1e-20 is drawn at 2^-53, about 1.1e-16, while
+    compare_to_analytic scores the run against 1e-20."""
     return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
 
 

@@ -1113,6 +1113,86 @@ class TestLogTotal:
         self.check(*((lb, la) if swap else (la, lb)), Priors(pi0, 1.0 - pi0))
 
 
+class TestLogAdd:
+    """A sum of two logs, as a total's two sides or a deep tie-coin side's
+    two windows are, skips log_sum_exp when they lie more than 40 nats
+    apart; it keeps every bit of log_sum_exp, either way round."""
+
+    @staticmethod
+    def check(a, b):
+        assert kernel._log_add(a, b).hex() == log_sum_exp([a, b]).hex(), (a, b)
+        assert kernel._log_add(b, a).hex() == log_sum_exp([b, a]).hex(), (b, a)
+
+    @pytest.mark.parametrize("gap", [37.43, 40.0])
+    @pytest.mark.parametrize("a", [-1e-300, -0.5, -2.0])
+    def test_gaps_one_ulp_around_the_cut(self, gap, a):
+        gaps = set()
+        for b in near(a - gap, 4):
+            self.check(a, b)
+            gaps.add(a - b)
+        assert {math.nextafter(gap, 0.0), gap, math.nextafter(gap, math.inf)} <= gaps
+
+    @pytest.mark.parametrize("gap", [30.5, 36.0, 37.43, 40.0, 45.0])
+    @pytest.mark.parametrize("a", [-1e-300, -2.0, -745.2, -1e5, -1e300])
+    def test_gaps_inside_and_past_the_cut(self, gap, a):
+        # below 37.43 nats expm1 of the gap is not -1.0: a cut there fails
+        for b in near(a - gap, 2):
+            self.check(a, b)
+
+    @pytest.mark.parametrize("a", [-math.inf, -1e308, -745.2, -1.0, -0.0, 0.0])
+    def test_minus_infinity(self, a):
+        self.check(a, -math.inf)
+
+
+# the deep pairs of DEEP_LOGS, both logs past exp's underflow
+DEEP_PAIRS = [(la, lb) for la in DEEP_LOGS for lb in DEEP_LOGS if is_deep(la, lb)]
+
+
+class TestDeepLevels:
+    """A deep likelihood-ratio level decides its table at log(1 - p) =
+    -0.0 a side, log1mexp's value there, with no call; and no deep level
+    of a trace calls log_sum_exp or log1mexp."""
+
+    def test_log1mexp_is_minus_zero_past_underflow(self):
+        assert len(DEEP_PAIRS) >= 36
+        for la, lb in DEEP_PAIRS:
+            assert (log1mexp(la).hex(), log1mexp(lb).hex()) == ((-0.0).hex(), (-0.0).hex())
+
+    @pytest.mark.parametrize("priors", [Priors.equal(), Priors(0.3, 0.7)])
+    @pytest.mark.parametrize("m", [3, 4, 64, 255])
+    def test_decide_at_minus_zero_is_the_table(self, m, priors):
+        rule, decided = BayesianLRT(m, priors), 0
+        for la, lb in DEEP_PAIRS:
+            want = table_or_error(rule.table, ErrorPair(LogProb(la), LogProb(lb)))
+            assert table_or_error(rule._decide, la, lb, -0.0, -0.0) == want, (la, lb)
+            decided += want is not ValueError
+        assert decided >= len(DEEP_PAIRS) // 2
+
+    def test_deep_levels_call_neither(self, monkeypatch):
+        calls = []
+        for name in ("log_sum_exp", "log1mexp"):
+            real = getattr(kernel, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(kernel, name, counted)
+        for schedule in (Schedule(3, 400), Schedule(4, 300, pb=0.3),
+                         Schedule(4, 300, "lrt", priors=Priors(0.3, 0.7))):
+            deep, shallow_calls = 0, 0
+            for k, (p, _) in enumerate(iter_levels(pair(0.1, 0.2), schedule, schedule.priors)):
+                # the calls since level k - 1 came are level k's step and total
+                if k and is_deep(la, lb):
+                    assert calls == [], (schedule, k)
+                    deep += 1
+                shallow_calls += len(calls)
+                calls.clear()
+                la, lb = p.alpha.value, p.beta.value
+            # the spies see the shallow levels' calls, and most levels are deep
+            assert shallow_calls > 0 and deep > len(schedule) - 20, schedule
+
+
 def levels_by_apply_rule(pair0, schedule, priors):
     """(log alpha, log beta, log total) of each level of a trace, stepped
     one level at a time by apply_rule, each total one log_sum_exp; and the
