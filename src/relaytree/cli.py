@@ -110,7 +110,7 @@ def _cmd_recurse(args) -> int:
     cells = itertools.islice(bounds.bound_cells(schedule, args.alpha0, args.beta0), args.levels + 1)
     walk = kernel._walk(ErrorPair.from_linear(args.alpha0, args.beta0), schedule, priors)
     lines, below = [], None
-    for k, (bound, (_, la, lb, lt)) in enumerate(zip(cells, walk)):
+    for k, (bound, (la, lb, lt)) in enumerate(zip(cells, walk)):
         # the columns are LogProb.linear and .log2_inverse of the walk's logs
         bits = (-la / _LN2 + 0.0, -lb / _LN2 + 0.0, -lt / _LN2 + 0.0)
         if math.inf in bits:

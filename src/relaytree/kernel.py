@@ -21,16 +21,15 @@ tuple of entries that carries its runs of equal entries and its step's
 weighted count windows, found once: per (m, tie) for majority, and per
 decided crossing window for the likelihood-ratio test.  One step serves
 every rule, taking log(1 - p) once a side and one tail walk a window.
-A trace's walk carries each level's logs as floats.  A level whose two
+A trace's walk yields each level's logs as floats.  A level whose two
 sides are past exp's underflow takes the deep step on them, each
 window's lowest term, the one term the tail walk builds there, read as
-a line in log p off the table's cached lines; a deep likelihood-ratio
-level gets its logs of 1 - alpha and 1 - beta, -0.0, from the walk.  It
-builds no objects but an ErrorPair for iter_levels' callers; any other
-level steps its pair through apply_rule.  A sum of two logs more than
-40 nats apart, a total's two prior-weighted sides or a tie-coin side's
-two windows, is the larger one, with no log-sum-exp.  The simulator
-decides by the same runs.
+a line in log p off the table's windows; a deep likelihood-ratio level
+gets its logs of 1 - alpha and 1 - beta, -0.0, from the walk.  A deep
+level builds no objects; any other level steps its pair through
+apply_rule.  A sum of two logs more than 40 nats apart, a total's two
+prior-weighted sides or a tie-coin side's two windows, is the larger
+one, with no log-sum-exp.  The simulator decides by the same runs.
 """
 
 from __future__ import annotations
@@ -261,26 +260,22 @@ FusionRule = MajorityOdd | MajorityEven | AlternatingMajority | BayesianLRT
 class _CountTable(tuple):
     """A count table, entry s = P(output 1 | s ones among m) for s = 0..m,
     that carries its maximal runs (lo, hi, p) of equal entries p and its
-    step's plan, the `windows` (log weight, lo, hi) of each side, and builds
-    its deep `lines` the first time a deep level reads them.  It equals and
-    hashes as the tuple of its entries, and finds its runs from them."""
+    step's plan, the `windows` (log weight, lo, hi, log C(m, lo)) of each
+    side: a deep level's window term, w + (log C(m, lo) + lo * log p), is a
+    line in log p.  It equals and hashes as the tuple of its entries, finds
+    its runs from them, and builds its fan-in's _log_comb_row when it is
+    made, not at its first step (at m = 149,999 that is seconds)."""
 
     def __new__(cls, entries):
         table = super().__new__(cls, entries)
         m = len(table) - 1
         table.runs = runs = _runs(table)
+        row = _log_comb_row(m)
         table.windows = (
-            tuple((math.log(p), lo, hi) for lo, hi, p in runs if p > 0.0),
-            tuple((math.log(1.0 - p), m - hi, m - lo) for lo, hi, p in runs if p < 1.0),
+            tuple((math.log(p), lo, hi, row[lo]) for lo, hi, p in runs if p > 0.0),
+            tuple((math.log(1.0 - p), m - hi, m - lo, row[m - hi]) for lo, hi, p in runs if p < 1.0),
         )
         return table
-
-    @functools.cached_property
-    def lines(self) -> tuple:
-        """Each side's windows as (log weight, log C(m, lo), lo): a deep
-        level's window term, w + (row[lo] + lo * log p), is a line in log p."""
-        row = _log_comb_row(len(self) - 1)
-        return tuple(tuple((w, row[lo], lo) for w, lo, _ in side) for side in self.windows)
 
 
 def _runs(entries) -> tuple:
@@ -419,7 +414,7 @@ def _deep_step(la: float, lb: float, table: _CountTable) -> list:
     """_table_step's [log alpha', log beta'] at a deep pair (la, lb), both
     finite, exp(max(la, lb)) == 0.0, as _walk steps its deep levels: each
     window takes the lowest term of its tail, the one the tail walk builds,
-    off the table's cached lines."""
+    as a line in log p off the table's windows."""
     if table == (0.0, 0.5, 1.0):
         # exact fixed point of fair majority at m = 2:
         # alpha^2 + (1/2)*2*alpha*(1-alpha) == alpha, preserved bit for bit
@@ -438,22 +433,22 @@ def _deep_step(la: float, lb: float, table: _CountTable) -> list:
     # a tie-coin side, are _log_add's.  Two windows can lie within 37 nats
     # (m = 4, pb = 5e-324), so no max.  A side reads as LogProb would read it.
     sides = []
-    for lines, log_p in zip(table.lines, (la, lb)):
-        if len(lines) == 1:
-            w, r, lo = lines[0]
+    for windows, log_p in zip(table.windows, (la, lb)):
+        if len(windows) == 1:
+            w, lo, _, r = windows[0]
             t = w + (r + lo * log_p)
-        elif len(lines) == 2:
-            (w0, r0, lo0), (w1, r1, lo1) = lines
+        elif len(windows) == 2:
+            (w0, lo0, _, r0), (w1, lo1, _, r1) = windows
             t = _log_add(w0 + (r0 + lo0 * log_p), w1 + (r1 + lo1 * log_p))
         else:
-            t = log_sum_exp([w + (r + lo * log_p) for w, r, lo in lines])
+            t = log_sum_exp([w + (r + lo * log_p) for w, lo, _, r in windows])
         sides.append(t if t <= 0.0 else LogProb(t).value)
     return sides
 
 
 def _side(m: int, windows: tuple, p: LogProb) -> LogProb:
     """log of the sum of exp(w) * binom_tail(m, lo, hi, p) over the windows
-    (w, lo, hi), taking log q and the row once.  A lone window of weight 1,
+    (w, lo, hi, _), taking log q and the row once.  A lone window of weight 1,
     as each side of a threshold table is, is its binom_tail (0.0 + t is t,
     as t is never -0.0), called as such: the benchmark traces the chain
     majority_step_odd -> binom_tail -> log_sum_exp."""
@@ -461,10 +456,10 @@ def _side(m: int, windows: tuple, p: LogProb) -> LogProb:
         return binom_tail(m, windows[0][1], windows[0][2], p)
     log_p, log_q = p.value, log1mexp(p.value)
     if log_p == LOG_ZERO or log_q == LOG_ZERO:  # a point mass
-        tails = [binom_tail(m, lo, hi, p).value for _, lo, hi in windows]
+        tails = [binom_tail(m, lo, hi, p).value for _, lo, hi, _ in windows]
     else:
         row = _log_comb_row(m)
-        tails = [_tail(m, lo, hi, log_p, log_q, row) for _, lo, hi in windows]
+        tails = [_tail(m, lo, hi, log_p, log_q, row) for _, lo, hi, _ in windows]
     return LogProb(log_sum_exp([w[0] + t for w, t in zip(windows, tails)]))
 
 
@@ -592,20 +587,16 @@ def total_error(pair: ErrorPair, priors: Priors) -> LogProb:
 
 
 def _log_priors(priors: Priors) -> tuple:
-    """(log pi0, log pi1), None for a zero prior, whose side drops out of
-    the total; a walk takes them once per trace."""
-    return tuple(math.log(pi) if pi > 0.0 else None for pi in (priors.pi0, priors.pi1))
+    """(log pi0, log pi1), LOG_ZERO for a zero prior; a walk takes them
+    once per trace."""
+    return tuple(math.log(pi) if pi > 0.0 else LOG_ZERO for pi in (priors.pi0, priors.pi1))
 
 
-def _log_total(la: float, lb: float, log_pi0, log_pi1) -> float:
-    """total_error's log from the logs of alpha, beta and the priors, the
-    last two as _log_priors gives them."""
-    if log_pi0 is None:
-        t = log_pi1 + lb
-    elif log_pi1 is None:
-        t = log_pi0 + la
-    else:
-        t = _log_add(log_pi0 + la, log_pi1 + lb)
+def _log_total(la: float, lb: float, log_pi0: float, log_pi1: float) -> float:
+    """total_error's log from the logs of alpha, beta and the priors.  A
+    zero prior's side is -inf, so _log_add gives the other side + 0.0, its
+    bits, as log pi + l is never -0.0 (log pi is +0.0 or below, l <= 0)."""
+    t = _log_add(log_pi0 + la, log_pi1 + lb)
     return t if t <= 0.0 else LogProb(t).value
 
 
@@ -632,16 +623,15 @@ class LevelTrace:
 
 
 def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
-    """iter_levels on floats: (pair, la, lb, lt) at levels 0, 1, ..., the
-    logs of alpha, beta and the total, and the level's ErrorPair, None at a
-    deep level.  A deep incoming pair takes _deep_step on the rule's table
-    with no objects, a likelihood-ratio table decided at log q = -0.0 a
-    side; any other takes apply_rule on the pair, which a run of such
-    levels hands on from one to the next."""
+    """iter_levels on floats: (la, lb, lt) at levels 0, 1, ..., the logs of
+    alpha, beta and the total.  A deep incoming pair takes _deep_step on the
+    rule's table with no objects, a likelihood-ratio table decided at
+    log q = -0.0 a side; any other takes apply_rule on an ErrorPair, which a
+    run of such levels hands on from one to the next."""
     log_pi0, log_pi1 = _log_priors(priors)
     pair = pair0
     la, lb = pair.alpha.value, pair.beta.value
-    yield pair, la, lb, _log_total(la, lb, log_pi0, log_pi1)
+    yield la, lb, _log_total(la, lb, log_pi0, log_pi1)
     for k, rule in enumerate(schedule, start=1):
         try:
             # the deep test; a non-rule is left to apply_rule to refuse, and
@@ -656,15 +646,16 @@ def _walk(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
                 la, lb = pair.alpha.value, pair.beta.value
         except ValueError as err:
             raise ValueError(f"level {k}: {err}") from err
-        yield pair, la, lb, _log_total(la, lb, log_pi0, log_pi1)
+        yield la, lb, _log_total(la, lb, log_pi0, log_pi1)
 
 
 def iter_levels(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors):
     """The error pair and total of levels 0, 1, ..., len(schedule) of a
-    trace up a tree, one rule per level: level k's step runs only when
-    level k is taken.  A step's error is raised with its level attached."""
-    for pair, la, lb, lt in _walk(pair0, schedule, priors):
-        yield ErrorPair(LogProb(la), LogProb(lb)) if pair is None else pair, LogProb(lt)
+    trace up a tree, one rule per level, built from the walk's logs: level
+    k's step runs only when level k is taken.  A step's error is raised
+    with its level attached."""
+    for la, lb, lt in _walk(pair0, schedule, priors):
+        yield ErrorPair(LogProb(la), LogProb(lb)), LogProb(lt)
 
 
 def propagate(pair0: ErrorPair, schedule: Sequence[FusionRule], priors: Priors) -> LevelTrace:

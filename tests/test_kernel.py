@@ -779,13 +779,18 @@ def runs_of(table):
 
 class TestCountTable:
     """A rule's table carries the runs of its entries, and equals and
-    hashes as the tuple of its entries."""
+    hashes as the tuple of its entries.  Each window's last field is
+    log C(m, lo), the row entry a deep level's line reads."""
 
     def check(self, table, m):
         assert len(table) == m + 1
         assert table.runs == runs_of(table)
         assert table == tuple(table)
         assert hash(table) == hash(tuple(table))
+        row = kernel._log_comb_row(m)
+        for side in table.windows:
+            for _, lo, _, log_comb in side:
+                assert log_comb.hex() == row[lo].hex() == math.log(math.comb(m, lo)).hex()
 
     @given(lrt_cases())
     @example((math.log(0.2), math.log(0.2), 0.5, 4))  # exact tie at s = 2
@@ -1267,6 +1272,11 @@ class TestWalk:
     @example(Schedule(1000, 298), 5e-324, 1 - 2**-53)
     @example(Schedule(4, 1200, pb=0.25), 0.1, 0.2)
     @example(Schedule(255, 60, "lrt", priors=Priors(0.1, 0.9)), 1e-300, 0.3)
+    # a zero prior's log is -inf: each total is the other side's, shallow and deep
+    @example(Schedule(3, 60, priors=Priors(1.0, 0.0)), 0.1, 0.2)
+    @example(Schedule(3, 60, priors=Priors(0.0, 1.0)), 0.1, 0.2)
+    @example(Schedule(4, 60, pb=0.3, priors=Priors(1.0, 0.0)), 0.1, 0.2)
+    @example(Schedule(4, 60, pb=0.3, priors=Priors(0.0, 1.0)), 0.1, 0.2)
     @settings(max_examples=120, deadline=None)
     def test_every_level_is_apply_rules(self, schedule, a0, b0):
         leaf = pair(a0, b0)
@@ -1297,6 +1307,21 @@ class TestWalk:
                                  [MajorityEven(2, 0.9)] * 6, Priors.equal())
         deep = [math.exp(max(la, lb)) == 0.0 for la, lb, _ in rows]
         assert deep[:2] == [True, True] and not any(deep[2:])
+
+    @pytest.mark.parametrize("schedule", [Schedule(3, 400), Schedule(4, 300, pb=0.3),
+                                          Schedule(4, 300, "lrt", priors=Priors(0.3, 0.7))])
+    def test_the_walk_yields_three_logs(self, schedule):
+        # iter_levels builds its pair and total from the walk's floats
+        leaf = pair(0.1, 0.2)
+        rows = list(kernel._walk(leaf, schedule, schedule.priors))
+        levels = list(iter_levels(leaf, schedule, schedule.priors))
+        assert len(rows) == len(levels) == len(schedule) + 1
+        for row, (p, total) in zip(rows, levels):
+            assert len(row) == 3 and all(type(x) is float for x in row)
+            la, lb, lt = row
+            assert p == ErrorPair(LogProb(la), LogProb(lb)) and total == LogProb(lt)
+            assert hexes([(p.alpha.value, p.beta.value, total.value)]) == hexes([row])
+        assert sum(is_deep(la, lb) for la, lb, _ in rows) > len(schedule) - 20
 
 
 @st.composite
